@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint allocgate tidy-check build test race bench fuzz cover cover-html check
+.PHONY: all vet lint allocgate tidy-check build test race bench perfbench-test fuzz cover cover-html check
 
 all: check
 
@@ -62,6 +62,12 @@ race:
 # regressions are diffable across commits.
 bench:
 	$(GO) test -bench=. -benchmem ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$$(date +%F).json
+
+# perfbench-test runs the end-to-end benchmark's own test (every workload at
+# a tiny size, with its bit-for-bit replay checks). perfbench/ is a separate
+# module that `go test ./...` at the root does not enter.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # fuzz gives each native fuzz target a time-boxed run (override with
 # FUZZTIME=2m etc.). Checked-in seed corpora live under testdata/fuzz/; any

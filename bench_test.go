@@ -104,27 +104,7 @@ func BenchmarkGPFitPredict(b *testing.B) {
 
 // BenchmarkBOSuggestion measures one EI-driven suggestion (the per-iteration
 // optimizer cost the paper bounds as O(K^3)).
-func BenchmarkBOSuggestion(b *testing.B) {
-	rng := sim.NewRNG(1)
-	dom := bo.Domain{N: 3, RMin: 0.1}
-	opt, err := bo.NewOptimizer(dom, bo.DefaultConfig(), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		p := dom.Sample(rng)
-		if err := opt.Observe(p, rng.Norm()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Next(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkBOSuggestion(b *testing.B) { benchSuggestion(b, 0, 20) }
 
 // BenchmarkDecimation measures QEM edge-collapse on a 3k-triangle mesh to
 // half resolution — the edge server's unit of work.
@@ -363,9 +343,61 @@ func BenchmarkGPPredictInto(b *testing.B) {
 	}
 }
 
-// benchSuggestion measures one EI suggestion at a fixed candidate-scoring
-// parallelism.
-func benchSuggestion(b *testing.B, jobs int) {
+// gpCandidatePool fits a GP on n observations and draws a 1024-point
+// candidate pool, DefaultConfig's per-suggestion scoring workload.
+func gpCandidatePool(b *testing.B, n int) (*bo.GP, [][]float64) {
+	b.Helper()
+	xs, ys, _ := gpDataset(n)
+	gp, err := bo.NewGP(bo.Matern52{LengthScale: 0.3, SignalVar: 1}, 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := gp.Fit(xs, ys); err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(2)
+	dom := bo.Domain{N: 3, RMin: 0.1}
+	cands := make([][]float64, bo.DefaultConfig().Candidates)
+	for i := range cands {
+		cands[i] = dom.Sample(rng)
+	}
+	return gp, cands
+}
+
+// BenchmarkGPPredictBatch scores a 1024-candidate pool at n=30 through the
+// batched posterior; BenchmarkGPPredictLoop scores the same pool with one
+// PredictInto per point. Both produce bit-identical means and variances.
+func BenchmarkGPPredictBatch(b *testing.B) {
+	gp, cands := gpCandidatePool(b, 30)
+	means := make([]float64, len(cands))
+	variances := make([]float64, len(cands))
+	var scratch bo.PredictScratch
+	gp.PredictBatchInto(cands, means, variances, &scratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gp.PredictBatchInto(cands, means, variances, &scratch)
+	}
+}
+
+func BenchmarkGPPredictLoop(b *testing.B) {
+	gp, cands := gpCandidatePool(b, 30)
+	means := make([]float64, len(cands))
+	variances := make([]float64, len(cands))
+	var scratch bo.PredictScratch
+	gp.PredictInto(cands[0], &scratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, p := range cands {
+			means[j], variances[j] = gp.PredictInto(p, &scratch)
+		}
+	}
+}
+
+// benchSuggestion measures one EI suggestion over the given number of
+// observations at a fixed candidate-scoring parallelism.
+func benchSuggestion(b *testing.B, jobs, observations int) {
 	rng := sim.NewRNG(1)
 	dom := bo.Domain{N: 3, RMin: 0.1}
 	cfg := bo.DefaultConfig()
@@ -374,7 +406,7 @@ func benchSuggestion(b *testing.B, jobs int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < observations; i++ {
 		p := dom.Sample(rng)
 		if err := opt.Observe(p, rng.Norm()); err != nil {
 			b.Fatal(err)
@@ -391,9 +423,12 @@ func benchSuggestion(b *testing.B, jobs int) {
 
 // BenchmarkBOSuggestionSerial scores the candidate pool on one goroutine;
 // BenchmarkBOSuggestionParallel uses GOMAXPROCS workers. Both produce
-// bit-identical suggestions.
-func BenchmarkBOSuggestionSerial(b *testing.B)   { benchSuggestion(b, 1) }
-func BenchmarkBOSuggestionParallel(b *testing.B) { benchSuggestion(b, 0) }
+// bit-identical suggestions. The Warm55 pair scores at n=55, the late end of
+// a 60-iteration session, where candidate scoring dominates the suggest.
+func BenchmarkBOSuggestionSerial(b *testing.B)         { benchSuggestion(b, 1, 20) }
+func BenchmarkBOSuggestionParallel(b *testing.B)       { benchSuggestion(b, 0, 20) }
+func BenchmarkBOSuggestionSerialWarm55(b *testing.B)   { benchSuggestion(b, 1, 55) }
+func BenchmarkBOSuggestionParallelWarm55(b *testing.B) { benchSuggestion(b, 0, 55) }
 
 // benchRunAll regenerates a small artifact subset through the scheduler at
 // the given parallelism.

@@ -9,7 +9,8 @@
 // The regression hot path is engineered for the controller's activation
 // loop: the Cholesky factor is stored as a flat row-major triangle that
 // grows by O(n²) incremental row appends instead of O(n³) refits, and
-// PredictInto scores candidates without allocating (see DESIGN.md §9).
+// PredictInto and its batched form PredictBatchInto score candidates
+// without allocating (see DESIGN.md §9).
 package bo
 
 import (
@@ -92,8 +93,8 @@ func compileKernel(k Kernel) Kernel {
 // AddObservation at O(n²) instead of refit's O(n³).
 //
 // Methods that mutate the GP (Fit, Update, AddObservation) are not safe for
-// concurrent use; Predict and PredictInto (with per-goroutine scratch) may
-// run concurrently once the GP is fitted.
+// concurrent use; Predict, PredictInto and PredictBatchInto (with
+// per-goroutine scratch) may run concurrently once the GP is fitted.
 type GP struct {
 	kernel Kernel
 	ev     Kernel  // kernel with precomputed constants, used on hot paths
@@ -310,22 +311,25 @@ func (g *GP) setTargets(y []float64) {
 	if g.yStd < 1e-9 {
 		g.yStd = 1
 	}
-	g.centered = growFloats(g.centered, n)
+	g.centered = grow(g.centered, n, g.stride)
 	for i, v := range y {
 		g.centered[i] = (v - g.yMean) / g.yStd
 	}
-	g.alpha = growFloats(g.alpha, n)
+	g.alpha = grow(g.alpha, n, g.stride)
 	copy(g.alpha, g.centered)
 	g.forwardSolveInPlace(g.alpha)
 	g.backSolveInPlace(g.alpha)
 }
 
-// growFloats returns a slice of length n reusing buf's storage when it can.
-func growFloats(buf []float64, n int) []float64 {
+// grow returns a slice of length n reusing buf's storage when it can. A
+// fresh buffer gets capacity c (at least n): callers pass the GP's doubling
+// stride, so a buffer tracking the database size is reallocated O(log n)
+// times as observations arrive, not once per point.
+func grow[T any](buf []T, n, c int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n, max(n, c))
 }
 
 // forwardSolveInPlace solves L·v = b for lower-triangular L, overwriting b.
@@ -352,12 +356,18 @@ func (g *GP) backSolveInPlace(b []float64) {
 	}
 }
 
-// PredictScratch is caller-owned scratch for PredictInto. A zero value is
-// ready to use; reusing one across calls makes prediction allocation-free.
-// Concurrent predictors must each own their own scratch.
+// PredictScratch is caller-owned scratch for PredictInto and
+// PredictBatchInto. A zero value is ready to use; reusing one across calls
+// makes prediction allocation-free. Concurrent predictors must each own
+// their own scratch.
 type PredictScratch struct {
-	buf []float64
+	buf  []float64
+	rows [][predictWidth]float64 // PredictBatchInto's interleaved kernel rows
 }
+
+// predictWidth is the number of candidates PredictBatchInto scores per pass
+// over the Cholesky factor.
+const predictWidth = 4
 
 // Predict returns the posterior mean and variance at point p (Eq. 6's
 // N(μ_t, σ_t²)). Variance is clamped at zero against round-off. It allocates
@@ -378,7 +388,7 @@ func (g *GP) PredictInto(p []float64, s *PredictScratch) (mean, variance float64
 	if n == 0 {
 		return g.yMean, g.ev.Eval(p, p)
 	}
-	ks := growFloats(s.buf, n) //hbo:allowalloc scratch warm-up: grows once, then every call reuses the buffer
+	ks := grow(s.buf, n, g.stride) //hbo:allowalloc scratch warm-up: grows with the factor's stride, then every call reuses the buffer
 	s.buf = ks
 	for i := 0; i < n; i++ {
 		ks[i] = g.ev.Eval(p, g.x[i])
@@ -393,10 +403,84 @@ func (g *GP) PredictInto(p []float64, s *PredictScratch) (mean, variance float64
 	for _, vi := range ks {
 		variance -= vi * vi
 	}
-	if variance < 0 {
-		variance = 0
+	return mean, clampVariance(variance) * g.yStd * g.yStd
+}
+
+// clampVariance clamps a posterior variance at zero against round-off. NaN
+// and −0 pass through unchanged (unlike the max builtin, which maps −0 to
+// +0), so batched and per-point prediction agree to the bit.
+func clampVariance(v float64) float64 {
+	if v < 0 {
+		return 0
 	}
-	return mean, variance * g.yStd * g.yStd
+	return v
+}
+
+// PredictBatchInto evaluates the posterior at every point of ps, setting
+// means[i] and variances[i] to exactly what PredictInto(ps[i], s) returns,
+// bit for bit. means and variances must be at least len(ps) long.
+//
+// Points are scored predictWidth at a time in one pass over the Cholesky
+// factor: each row's kernel values, mean dot-product terms, and forward-
+// substitution step are computed for all of them together, so a factor row
+// is loaded once per group and the groups' independent dependency chains
+// overlap. Every candidate keeps its own accumulators and PredictInto's
+// operation sequence (same start values, same k order, division by the
+// pivot, variance·yStd·yStd left to right), which is what keeps the result
+// identical. A tail shorter than predictWidth goes through PredictInto.
+//
+//hbo:noalloc
+func (g *GP) PredictBatchInto(ps [][]float64, means, variances []float64, s *PredictScratch) {
+	n := g.n
+	full := 0
+	if n > 0 {
+		full = len(ps) - len(ps)%predictWidth
+	}
+	if full > 0 {
+		// rows[k][c] is entry k of candidate c's solved L⁻¹k(p_c, X); row i
+		// reads entries 0..i-1 and appends entry i.
+		rows := grow(s.rows, n, g.stride) //hbo:allowalloc scratch warm-up: grows with the factor's stride, then every call reuses the buffer
+		s.rows = rows
+		for lo := 0; lo < full; lo += predictWidth {
+			p0, p1, p2, p3 := ps[lo], ps[lo+1], ps[lo+2], ps[lo+3]
+			var m0, m1, m2, m3 float64
+			v0, v1, v2, v3 := g.ev.Eval(p0, p0), g.ev.Eval(p1, p1), g.ev.Eval(p2, p2), g.ev.Eval(p3, p3)
+			for i := range rows {
+				xi, a := g.x[i], g.alpha[i]
+				s0, s1, s2, s3 := g.ev.Eval(p0, xi), g.ev.Eval(p1, xi), g.ev.Eval(p2, xi), g.ev.Eval(p3, xi)
+				m0 += s0 * a
+				m1 += s1 * a
+				m2 += s2 * a
+				m3 += s3 * a
+				li := g.chol[i*g.stride : i*g.stride+i+1]
+				for k, l := range li[:i] {
+					b := &rows[k]
+					s0 -= l * b[0]
+					s1 -= l * b[1]
+					s2 -= l * b[2]
+					s3 -= l * b[3]
+				}
+				d := li[i]
+				s0, s1, s2, s3 = s0/d, s1/d, s2/d, s3/d
+				rows[i] = [predictWidth]float64{s0, s1, s2, s3}
+				v0 -= s0 * s0
+				v1 -= s1 * s1
+				v2 -= s2 * s2
+				v3 -= s3 * s3
+			}
+			means[lo] = g.yMean + g.yStd*m0
+			means[lo+1] = g.yMean + g.yStd*m1
+			means[lo+2] = g.yMean + g.yStd*m2
+			means[lo+3] = g.yMean + g.yStd*m3
+			variances[lo] = clampVariance(v0) * g.yStd * g.yStd
+			variances[lo+1] = clampVariance(v1) * g.yStd * g.yStd
+			variances[lo+2] = clampVariance(v2) * g.yStd * g.yStd
+			variances[lo+3] = clampVariance(v3) * g.yStd * g.yStd
+		}
+	}
+	for i := full; i < len(ps); i++ {
+		means[i], variances[i] = g.PredictInto(ps[i], s)
+	}
 }
 
 // normPDF is the standard normal density.

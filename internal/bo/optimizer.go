@@ -169,13 +169,14 @@ type Optimizer struct {
 	gpScale float64
 
 	// Reusable scratch: winsorization buffers, the pre-drawn candidate
-	// pool, its scores, per-worker prediction scratch, and the two
-	// refinement buffers.
+	// pool, its scores and posterior variances, per-worker prediction
+	// scratch, and the two refinement buffers.
 	clipBuf   []float64
 	sortBuf   []float64
 	candFlat  []float64
 	cands     [][]float64
 	scores    []float64
+	variances []float64
 	scratches []PredictScratch
 	refineA   []float64
 	refineB   []float64
@@ -383,8 +384,9 @@ func (o *Optimizer) ensureSearchBuffers(n, dim int) {
 	}
 	if cap(o.scores) < n {
 		o.scores = make([]float64, n)
+		o.variances = make([]float64, n)
 	}
-	o.scores = o.scores[:n]
+	o.scores, o.variances = o.scores[:n], o.variances[:n]
 	if cap(o.refineA) < dim {
 		o.refineA = make([]float64, dim)
 		o.refineB = make([]float64, dim)
@@ -416,14 +418,9 @@ func (o *Optimizer) workers(n int) int {
 // contiguous worker chunks cannot change any value.
 func (o *Optimizer) scoreCandidates(best float64) {
 	n := o.cfg.Candidates
-	acq := o.cfg.Acquisition
 	workers := o.workers(n)
 	if workers == 1 {
-		s := &o.scratches[0]
-		for i := 0; i < n; i++ {
-			mean, variance := o.gp.PredictInto(o.cands[i], s)
-			o.scores[i] = acq.Score(mean, variance, best)
-		}
+		o.scoreChunk(0, n, best, &o.scratches[0])
 		return
 	}
 	var wg sync.WaitGroup
@@ -440,13 +437,23 @@ func (o *Optimizer) scoreCandidates(best float64) {
 		wg.Add(1)
 		go func(lo, hi int, s *PredictScratch) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				mean, variance := o.gp.PredictInto(o.cands[i], s)
-				o.scores[i] = acq.Score(mean, variance, best)
-			}
+			o.scoreChunk(lo, hi, best, s)
 		}(lo, hi, &o.scratches[w])
 	}
 	wg.Wait()
+}
+
+// scoreChunk scores candidates [lo, hi) through the batched posterior. The
+// posterior means land in o.scores and are replaced by the acquisition
+// value in place.
+//
+//hbo:noalloc
+func (o *Optimizer) scoreChunk(lo, hi int, best float64, s *PredictScratch) {
+	scores, variances := o.scores[lo:hi], o.variances[lo:hi]
+	o.gp.PredictBatchInto(o.cands[lo:hi], scores, variances, s)
+	for i, mean := range scores {
+		scores[i] = o.cfg.Acquisition.Score(mean, variances[i], best)
+	}
 }
 
 // clippedCosts returns the observations winsorized at an upper quantile,

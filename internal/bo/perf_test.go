@@ -2,11 +2,14 @@ package bo
 
 // Tests for the performance architecture (DESIGN.md §9): the incremental
 // Cholesky update must be numerically indistinguishable from a full refit,
-// the prediction hot path must not allocate, and parallel candidate scoring
+// the prediction hot paths must not allocate, batched prediction must be
+// bit-identical to per-point prediction, and parallel candidate scoring
 // must be bit-identical to a serial scan.
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"github.com/mar-hbo/hbo/internal/sim"
@@ -149,21 +152,169 @@ func TestPredictIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestParallelSuggestionDeterminism runs two identically seeded optimizers,
-// one serial and one with a 4-worker candidate-scoring pool, through a full
-// observe/suggest loop; every suggestion must be bit-identical.
-func TestParallelSuggestionDeterminism(t *testing.T) {
+// TestPredictBatchIntoMatchesPredictInto pins the batched posterior to the
+// per-point one bit for bit, across database sizes that cross every stride
+// regrowth (16, 32, 64, 128) and pool sizes that exercise the tail shorter
+// than predictWidth. One scratch is shared by both paths throughout, so
+// buffer reuse and regrowth are covered too.
+func TestPredictBatchIntoMatchesPredictInto(t *testing.T) {
+	rng := sim.NewRNG(11)
 	dom := Domain{N: 3, RMin: 0.1}
-	mk := func(jobs int) *Optimizer {
-		cfg := DefaultConfig()
-		cfg.Jobs = jobs
-		opt, err := NewOptimizer(dom, cfg, sim.NewRNG(77))
-		if err != nil {
+	gp, err := NewGP(Matern52{LengthScale: 0.3, SignalVar: 1}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([][]float64, 1024)
+	for i := range pool {
+		pool[i] = dom.Sample(rng)
+	}
+	var s PredictScratch
+	for _, n := range []int{0, 1, 2, 7, 16, 17, 59, 130} {
+		for gp.Observations() < n {
+			if err := gp.AddObservation(dom.Sample(rng), rng.Norm()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, size := range []int{1, 3, 4, 5, 1023, 1024} {
+			assertBatchMatches(t, fmt.Sprintf("n=%d pool=%d", n, size), gp, pool[:size], &s)
+		}
+	}
+}
+
+// TestPredictBatchIntoJitteredFactor covers a factor that needed diagonal
+// jitter: duplicated inputs under negligible noise make K + noise·I
+// singular, so the Cholesky ladder must retry before prediction runs.
+func TestPredictBatchIntoJitteredFactor(t *testing.T) {
+	rng := sim.NewRNG(12)
+	dom := Domain{N: 3, RMin: 0.1}
+	gp, err := NewGP(Matern52{LengthScale: 0.3, SignalVar: 1}, 1e-18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xs [][]float64
+	var ys []float64
+	for i := 0; i < 12; i++ {
+		p := dom.Sample(rng)
+		xs = append(xs, p, p)
+		ys = append(ys, rng.Norm(), rng.Norm())
+	}
+	if err := gp.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if gp.jitter == 0 {
+		t.Fatal("duplicate points fitted without jitter; the test no longer covers a jittered factor")
+	}
+	pool := make([][]float64, 1023)
+	for i := range pool {
+		pool[i] = dom.Sample(rng)
+	}
+	pool[5] = xs[0] // a candidate on a duplicated observation
+	var s PredictScratch
+	assertBatchMatches(t, "jittered", gp, pool, &s)
+}
+
+// assertBatchMatches fails unless PredictBatchInto over pool returns the
+// same bits as PredictInto point by point.
+func assertBatchMatches(t *testing.T, name string, gp *GP, pool [][]float64, s *PredictScratch) {
+	t.Helper()
+	means := make([]float64, len(pool))
+	variances := make([]float64, len(pool))
+	gp.PredictBatchInto(pool, means, variances, s)
+	for i, p := range pool {
+		m, v := gp.PredictInto(p, s)
+		if math.Float64bits(m) != math.Float64bits(means[i]) ||
+			math.Float64bits(v) != math.Float64bits(variances[i]) {
+			t.Fatalf("%s: point %d: batch (%v, %v) != PredictInto (%v, %v)",
+				name, i, means[i], variances[i], m, v)
+		}
+	}
+}
+
+// TestPredictBatchIntoZeroAlloc pins the batched path's allocation-free
+// contract with a warm scratch, including the PredictInto tail.
+func TestPredictBatchIntoZeroAlloc(t *testing.T) {
+	rng := sim.NewRNG(4)
+	dom := Domain{N: 3, RMin: 0.1}
+	gp, err := NewGP(Matern52{LengthScale: 0.3, SignalVar: 1}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		if err := gp.AddObservation(dom.Sample(rng), rng.Norm()); err != nil {
 			t.Fatal(err)
 		}
-		return opt
 	}
-	serial, par := mk(1), mk(4)
+	pool := make([][]float64, 1023)
+	for i := range pool {
+		pool[i] = dom.Sample(rng)
+	}
+	means := make([]float64, len(pool))
+	variances := make([]float64, len(pool))
+	var scratch PredictScratch
+	gp.PredictBatchInto(pool, means, variances, &scratch) // warm the scratch
+	allocs := testing.AllocsPerRun(20, func() {
+		gp.PredictBatchInto(pool, means, variances, &scratch)
+	})
+	if allocs != 0 {
+		t.Fatalf("PredictBatchInto allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestScratchRegrowthLogarithmic grows a GP by 64 observations and counts
+// how often the buffers that track the database size are reallocated: the
+// prediction scratch (both paths), the standardized targets, and alpha.
+// Sized from the factor's doubling stride, each may regrow O(log n) times,
+// never once per observation.
+func TestScratchRegrowthLogarithmic(t *testing.T) {
+	const adds = 64
+	rng := sim.NewRNG(5)
+	dom := Domain{N: 3, RMin: 0.1}
+	gp, err := NewGP(Matern52{LengthScale: 0.3, SignalVar: 1}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([][]float64, 8)
+	for i := range pool {
+		pool[i] = dom.Sample(rng)
+	}
+	means := make([]float64, len(pool))
+	variances := make([]float64, len(pool))
+	var s PredictScratch
+	caps := func() [4]int {
+		return [4]int{cap(s.buf), cap(s.rows), cap(gp.centered), cap(gp.alpha)}
+	}
+	names := [4]string{"PredictScratch.buf", "PredictScratch.rows", "GP.centered", "GP.alpha"}
+	var regrowths [4]int
+	prev := caps()
+	for i := 0; i < adds; i++ {
+		if err := gp.AddObservation(dom.Sample(rng), rng.Norm()); err != nil {
+			t.Fatal(err)
+		}
+		gp.PredictInto(pool[0], &s)
+		gp.PredictBatchInto(pool, means, variances, &s)
+		now := caps()
+		for b := range now {
+			if now[b] != prev[b] {
+				regrowths[b]++
+			}
+		}
+		prev = now
+	}
+	limit := bits.Len(adds) // ⌈log₂ 64⌉ + 1
+	for b, n := range regrowths {
+		if n > limit {
+			t.Errorf("%s reallocated %d times over %d observations, want <= %d", names[b], n, adds, limit)
+		}
+	}
+}
+
+// TestParallelSuggestionDeterminism runs identically seeded optimizers with
+// 1, 2, 3 and 4 candidate-scoring workers through a full observe/suggest
+// loop; every suggestion must be bit-identical to the serial one. The
+// 1023-candidate pool puts worker chunk boundaries inside batched groups,
+// so chunk tails take the per-point path.
+func TestParallelSuggestionDeterminism(t *testing.T) {
+	dom := Domain{N: 3, RMin: 0.1}
 	// Synthetic objective, deterministic in the point.
 	cost := func(p []float64) float64 {
 		s := 0.0
@@ -172,25 +323,38 @@ func TestParallelSuggestionDeterminism(t *testing.T) {
 		}
 		return s
 	}
-	for iter := 0; iter < 15; iter++ {
-		p1, err := serial.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := par.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				t.Fatalf("iter %d dim %d: serial %v != parallel %v", iter, i, p1, p2)
+	for _, candidates := range []int{1024, 1023} {
+		opts := make([]*Optimizer, 4)
+		for j := range opts {
+			cfg := DefaultConfig()
+			cfg.Candidates = candidates
+			cfg.Jobs = j + 1
+			opt, err := NewOptimizer(dom, cfg, sim.NewRNG(77))
+			if err != nil {
+				t.Fatal(err)
 			}
+			opts[j] = opt
 		}
-		if err := serial.Observe(p1, cost(p1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.Observe(p2, cost(p2)); err != nil {
-			t.Fatal(err)
+		for iter := 0; iter < 15; iter++ {
+			var serial []float64
+			for j, opt := range opts {
+				p, err := opt.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j == 0 {
+					serial = p
+				}
+				for i := range p {
+					if math.Float64bits(p[i]) != math.Float64bits(serial[i]) {
+						t.Fatalf("candidates %d iter %d: jobs=%d suggests %v, serial %v",
+							candidates, iter, j+1, p, serial)
+					}
+				}
+				if err := opt.Observe(p, cost(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 }
