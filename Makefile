@@ -76,17 +76,17 @@ perfbench-test:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzOBJParse -fuzztime=$(FUZZTIME) ./internal/mesh/
-	$(GO) test -run=^$$ -fuzz=FuzzEdgeRequestDecode -fuzztime=$(FUZZTIME) ./internal/edge/
+	$(GO) test -run=^$$ -fuzz=FuzzSessionRequestDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/wire/
 
 # cover runs the full suite with coverage and prints the per-function
 # summary; the HTML report lands in cover.html. It then enforces a coverage
 # floor over the determinism- and serving-critical packages
-# (internal/edge/... including sessiond and the contend model,
-# internal/core, the optimizer stack internal/bo/... with the policy
-# registry, internal/experiments/... with the arena, and internal/loadgen
-# with the mobility/link model) so the regression battery cannot silently
+# (internal/edge/... including sessiond, internal/core, the optimizer
+# stack internal/bo/... with the policy registry, internal/experiments/...
+# with the arena and the contend model, and internal/loadgen with the
+# mobility/link model) so the regression battery cannot silently
 # rot; raise the floor as coverage grows, never lower it casually.
 COVER_FLOOR ?= 81.3
 COVER_PKGS := ./internal/edge/... ./internal/core ./internal/bo/... ./internal/experiments/... ./internal/loadgen

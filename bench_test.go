@@ -10,7 +10,7 @@ package hbo_test
 // The printable artifacts themselves come from cmd/hbobench.
 
 import (
-	"net/http/httptest"
+	"context"
 	"testing"
 	"time"
 
@@ -19,6 +19,7 @@ import (
 	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/core"
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/experiments"
 	"github.com/mar-hbo/hbo/internal/faults"
 	"github.com/mar-hbo/hbo/internal/mesh"
@@ -179,13 +180,14 @@ func BenchmarkClustering(b *testing.B) {
 	}
 }
 
-// benchChaosSession drives a Periodic session through an edge link whose
-// requests drop, 5xx, and spike (seeded injector, reproducible per
-// iteration). The fault-tolerant client retries, breaks the circuit, and
-// degrades to the local decimator; the fail-stop variant (no retries, no
-// fallback) dies at the first activation that needs the link. Reported
-// metrics: mean reward B_t per completed window and completed window count
-// — the cost of not having the fault-tolerance layer.
+// benchChaosSession drives a Periodic session through a link to the edge
+// session service whose requests drop, 5xx, and spike (seeded injector,
+// reproducible per iteration). The fault-tolerant client retries, breaks
+// the circuit, and degrades to the local decimator; the fail-stop variant
+// (no retries, no fallback) dies at the first activation that needs the
+// link. Reported metrics: mean reward B_t per completed window and
+// completed window count — the cost of not having the fault-tolerance
+// layer.
 func benchChaosSession(b *testing.B, failStop bool) {
 	b.Helper()
 	b.ReportAllocs()
@@ -196,15 +198,6 @@ func benchChaosSession(b *testing.B, failStop bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		specs := make([]render.ObjectSpec, 0, len(spec.Objects))
-		for _, c := range spec.Objects {
-			specs = append(specs, c.Spec)
-		}
-		srv, err := edge.NewServer(specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
 		inj := faults.NewTransport(nil, uint64(i+1), faults.Plan{
 			DropRate:        0.3,
 			ServerErrorRate: 0.3,
@@ -218,27 +211,16 @@ func benchChaosSession(b *testing.B, failStop bool) {
 		if failStop {
 			cfg.MaxRetries = 0
 		}
-		client, err := edge.NewClientWithConfig(ts.URL, 32, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sessCfg := chaosSessionConfig()
+		_, sc, stop := chaosEdge(b, spec, sessCfg.HBO, cfg)
+		ctx := context.Background()
 		rt := built.Runtime
-		rt.SetLODProvider(client)
+		rt.SetLODProvider(sessiond.NewLOD(ctx, sc))
 		if !failStop {
 			rt.SetLocalFallback(render.NewLocalDecimator(built.Library))
-			rt.SetBOBackend(client, 42)
+			rt.SetBOBackend(sessiond.NewBackend(ctx, sc), 42)
 		}
-		hboCfg := core.DefaultConfig()
-		hboCfg.InitSamples = 2
-		hboCfg.Iterations = 2
-		hboCfg.PeriodMS = 400
-		hboCfg.SettleMS = 100
-		hboCfg.MonitorIntervalMS = 500
-		sess, err := core.NewSession(rt, core.SessionConfig{
-			HBO:                hboCfg,
-			Mode:               core.Periodic,
-			PeriodicIntervalMS: 1500,
-		}, sim.NewRNG(uint64(i+1)))
+		sess, err := core.NewSession(rt, sessCfg, sim.NewRNG(uint64(i+1)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +235,7 @@ func benchChaosSession(b *testing.B, failStop bool) {
 			totalReward += s.Reward
 			totalWindows++
 		}
-		ts.Close()
+		stop()
 	}
 	if totalWindows > 0 {
 		b.ReportMetric(totalReward/float64(totalWindows), "reward/window")

@@ -1,23 +1,61 @@
 package hbo_test
 
-// Chaos test: a full HBO session driven through an edge link with injected
-// drops, latency spikes, and 5xx bursts. The fault-tolerance layer must keep
-// every control period completing — degraded to the on-device decimator and
-// local BO while the link is down — and transparently re-adopt the edge once
-// the fault schedule clears (circuit breaker back to closed).
+// Chaos test: a full HBO session driven through a link to the edge session
+// service with injected drops, latency spikes, and 5xx bursts. The
+// fault-tolerance layer must keep every control period completing —
+// degraded to the on-device decimator and local BO while the link is down —
+// and transparently re-adopt the edge once the fault schedule clears
+// (circuit breaker back to closed).
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/core"
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/faults"
 	"github.com/mar-hbo/hbo/internal/render"
 	"github.com/mar-hbo/hbo/internal/scenario"
 	"github.com/mar-hbo/hbo/internal/sim"
+	"github.com/mar-hbo/hbo/internal/tasks"
 )
+
+// chaosEdge hosts the edge service (sessiond over an edge.Server catalog of
+// the scenario's objects) on a loopback test server and returns the edge
+// client, built with cfg, plus a session client bound to it. The session
+// uses the scenario's HBO parameters and seed 42, the BO backend seed the
+// callers pass to SetBOBackend. stop shuts the server down.
+func chaosEdge(tb testing.TB, spec scenario.Spec, hbo core.Config, cfg edge.ClientConfig) (ec *edge.Client, sc *sessiond.Client, stop func()) {
+	tb.Helper()
+	specs := make([]render.ObjectSpec, 0, len(spec.Objects))
+	for _, c := range spec.Objects {
+		specs = append(specs, c.Spec)
+	}
+	srv, err := edge.NewServer(specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	svc, err := sessiond.New(sessiond.DefaultConfig(), srv)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	stop = func() {
+		ts.Close()
+		svc.Close()
+	}
+	if ec, err = edge.NewClientWithConfig(ts.URL, 0, cfg); err == nil {
+		sc, err = sessiond.NewClient(ec, "chaos", tasks.NumResources, hbo.RMin, 42, hbo.InitSamples)
+	}
+	if err != nil {
+		stop()
+		tb.Fatal(err)
+	}
+	return ec, sc, stop
+}
 
 // chaosPlan fails every request (each non-dropped one gets a 503) and adds
 // heavy-tailed latency — drops, spikes, and a 5xx burst at once.
@@ -51,16 +89,7 @@ func TestChaosSessionSurvivesUnreliableEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]render.ObjectSpec, 0, len(spec.Objects))
-	for _, c := range spec.Objects {
-		specs = append(specs, c.Spec)
-	}
-	srv, err := edge.NewServer(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	sessCfg := chaosSessionConfig()
 
 	inj := faults.NewTransport(nil, 3, faults.Plan{})
 	cfg := edge.DefaultClientConfig()
@@ -71,16 +100,15 @@ func TestChaosSessionSurvivesUnreliableEdge(t *testing.T) {
 	cfg.BreakerFailureThreshold = 3
 	cfg.BreakerSuccessThreshold = 1
 	cfg.BreakerOpenFor = 30 * time.Millisecond
-	client, err := edge.NewClientWithConfig(ts.URL, 32, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, sc, stop := chaosEdge(t, spec, sessCfg.HBO, cfg)
+	defer stop()
 
+	ctx := context.Background()
 	rt := built.Runtime
-	rt.SetLODProvider(client)
+	rt.SetLODProvider(sessiond.NewLOD(ctx, sc))
 	rt.SetLocalFallback(render.NewLocalDecimator(built.Library))
-	rt.SetBOBackend(client, 42)
-	sess, err := core.NewSession(rt, chaosSessionConfig(), sim.NewRNG(7))
+	rt.SetBOBackend(sessiond.NewBackend(ctx, sc), 42)
+	sess, err := core.NewSession(rt, sessCfg, sim.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Command hboedge runs the standalone edge server of the paper's Figure 3:
-// it serves virtual-object decimation, Eq. 1 parameter training, and remote
-// Bayesian-optimization steps over HTTP.
+// its session service serves virtual-object decimation through per-session
+// mesh caches and remote Bayesian-optimization steps over HTTP.
 //
 // The server is hardened for unattended operation: request bodies are
 // size-capped, handlers are time-bounded, slow-client reads and writes time
@@ -123,7 +123,7 @@ func run(ctx context.Context, addr string, drain time.Duration, sessCfg sessiond
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Printf("hboedge: serving %d objects on %s (POST /decimate, /train, /bo/next, /session/{open,suggest,observe,close,decimate}; GET /healthz, /metricsz, /session/statz, /debug/vars, /debug/pprof)\n", len(specs), addr)
+	fmt.Printf("hboedge: serving %d objects on %s (POST /session/{open,suggest,observe,close,decimate,stream}; GET /healthz, /metricsz, /session/statz, /debug/vars, /debug/pprof)\n", len(specs), addr)
 	select {
 	case err := <-serveErr:
 		return err

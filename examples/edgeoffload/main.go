@@ -1,9 +1,9 @@
 // Edgeoffload: the distributed path of the paper's Figure 3 and §VI. A
-// local edge server runs the virtual-object decimation algorithm, the Eq. 1
-// parameter training, and — per §VI's overhead discussion — the Bayesian
-// optimization step itself; the MAR client downloads decimated meshes
-// through an LRU cache and drives a remote BO loop whose per-iteration
-// payload is a few dozen bytes.
+// local edge service runs the virtual-object decimation algorithm and —
+// per §VI's overhead discussion — the Bayesian optimization step itself;
+// the MAR client opens one session on it, downloads decimated meshes
+// through the session's server-side mesh cache, and drives a remote BO loop
+// whose per-iteration payload is a few dozen bytes.
 //
 // This example exercises the wire protocol end to end on a loopback
 // listener — including what happens when the link misbehaves: a fault
@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -21,8 +22,9 @@ import (
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/faults"
-	"github.com/mar-hbo/hbo/internal/quality"
+	"github.com/mar-hbo/hbo/internal/obs"
 	"github.com/mar-hbo/hbo/internal/render"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
@@ -35,7 +37,8 @@ func main() {
 }
 
 func run() error {
-	// Start the edge server on a loopback port.
+	// Start the edge service on a loopback port: the session routes over
+	// a decimation catalog of the SC1 objects.
 	specs := make([]render.ObjectSpec, 0)
 	for _, c := range render.SC1() {
 		specs = append(specs, c.Spec)
@@ -44,11 +47,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	svc, err := sessiond.New(sessiond.DefaultConfig(), srv)
+	if err != nil {
+		return err
+	}
+	defer svc.Close()
+	reg := obs.New()
+	svc.SetObserver(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: svc.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	defer func() {
@@ -56,10 +66,10 @@ func run() error {
 		<-serveErr // wait for the serve goroutine to exit
 	}()
 	base := "http://" + ln.Addr().String()
-	fmt.Printf("edge server on %s\n\n", base)
+	fmt.Printf("edge service on %s\n\n", base)
 
 	// All client traffic flows through a fault injector — clean for the
-	// first three sections, then degraded in section 4.
+	// first two sections, then degraded in section 3.
 	inj := faults.NewTransport(nil, 11, faults.Plan{})
 	cfg := edge.DefaultClientConfig()
 	cfg.Transport = inj
@@ -68,82 +78,88 @@ func run() error {
 	cfg.BreakerFailureThreshold = 3
 	cfg.BreakerSuccessThreshold = 1
 	cfg.BreakerOpenFor = 50 * time.Millisecond
-	client, err := edge.NewClientWithConfig(base, 16, cfg)
+	client, err := edge.NewClientWithConfig(base, 0, cfg)
 	if err != nil {
 		return err
 	}
+	// One session: 3 resources, r_min 0.1, seed 42, the paper's 5 initial
+	// samples.
+	sess, err := sessiond.NewClient(client, "edgeoffload", 3, 0.1, 42, 5)
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	if _, err := sess.Open(ctx); err != nil {
+		return err
+	}
 
-	// 1. Decimated-mesh downloads with the local cache.
+	// 1. Decimated-mesh downloads through the session's mesh cache on the
+	// edge: a repeated ratio is served without decimating again.
 	for _, ratio := range []float64{0.7, 0.4, 0.7, 0.4, 0.2} {
-		m, err := client.Decimate("apricot", ratio)
+		m, err := sess.Decimate(ctx, "apricot", ratio, false)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("decimate apricot to %.0f%%: %5d triangles\n", ratio*100, m.TriangleCount())
 	}
-	hits, misses := client.CacheStats()
-	fmt.Printf("local decimation cache: %d hits, %d misses\n\n", hits, misses)
+	counters := reg.Snapshot().Counters
+	fmt.Printf("session mesh cache: %d hits, %d misses\n\n",
+		counters["sessiond.mesh_cache_hits"], counters["sessiond.mesh_cache_misses"])
 
-	// 2. Server-side Eq. 1 parameter training from quality-assessment
-	// samples measured on-device.
-	truth := quality.Truth{Severity: 0.65, Gamma: 1.5, DistExp: 1.1}
-	rng := sim.NewRNG(5)
-	samples := quality.CollectSamples(truth,
-		[]float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0}, []float64{0.5, 1, 2, 4}, rng, 0.04)
-	params, err := client.Train("apricot", samples)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("trained Eq.1 params: a=%.3f b=%.3f c=%.3f d=%.3f\n", params.A, params.B, params.C, params.D)
-	fmt.Printf("predicted error at R=0.5, D=1.5m: %.3f\n\n", params.Error(0.5, 1.5))
-
-	// 3. Remote Bayesian optimization: the device only uploads (point,
-	// cost) observations and downloads the next configuration to test.
-	// Here the black box is a synthetic stand-in for the measured cost.
+	// 2. Remote Bayesian optimization: the device only uploads (point,
+	// cost) observations and downloads the next configuration to test;
+	// the session keeps the GP history on the edge. Here the black box is a
+	// synthetic stand-in for the measured cost.
 	cost := func(p []float64) float64 {
 		dx := p[3] - 0.72
 		return (1-p[2])*0.8 + 3*dx*dx
 	}
-	var obs []edge.Observation
-	rng2 := sim.NewRNG(9)
+	best, bestCost := []float64(nil), 0.0
+	observe := func(p []float64) error {
+		c := cost(p)
+		if best == nil || c < bestCost {
+			best, bestCost = p, c
+		}
+		return sess.Observe(ctx, p, c)
+	}
+	rng := sim.NewRNG(9)
 	for i := 0; i < 5; i++ { // initial random exploration happens on-device
 		p := []float64{0, 0, 0, 0}
-		rng2.Dirichlet(1, p[:3])
-		p[3] = 0.1 + 0.9*rng2.Float64()
-		obs = append(obs, edge.Observation{Point: p, Cost: cost(p)})
+		rng.Dirichlet(1, p[:3])
+		p[3] = 0.1 + 0.9*rng.Float64()
+		if err := observe(p); err != nil {
+			return err
+		}
 	}
-	best := obs[0]
 	for iter := 0; iter < 10; iter++ {
-		point, err := client.BONext(3, 0.1, 42, obs)
+		point, err := sess.Suggest(ctx)
 		if err != nil {
 			return err
 		}
-		o := edge.Observation{Point: point, Cost: cost(point)}
-		obs = append(obs, o)
-		if o.Cost < best.Cost {
-			best = o
+		if err := observe(point); err != nil {
+			return err
 		}
 	}
-	fmt.Printf("remote BO after %d iterations: best cost %.3f at ratio %.2f (target 0.72)\n\n",
-		len(obs), best.Cost, best.Point[3])
+	fmt.Printf("remote BO after 15 observations: best cost %.3f at ratio %.2f (target 0.72)\n\n",
+		bestCost, best[3])
 
-	// 4. Fault tolerance. First a lossy-but-alive link: half the requests
-	// drop, and the client's retry/backoff loop absorbs them.
-	inj.SetPlan(faults.Plan{DropRate: 0.5})
+	// 3. Fault tolerance. First a lossy-but-alive link: every download's
+	// first attempt drops, and the client's retry/backoff loop absorbs it.
+	next := inj.Requests()
+	inj.SetPlan(faults.Plan{Flaps: []faults.Window{{From: next, To: next + 1}, {From: next + 2, To: next + 3}, {From: next + 4, To: next + 5}}})
 	for _, ratio := range []float64{0.35, 0.55, 0.85} {
-		if _, err := client.Decimate("apricot", ratio); err != nil {
+		if _, err := sess.Decimate(ctx, "apricot", ratio, false); err != nil {
 			return fmt.Errorf("lossy link: %w", err)
 		}
 	}
-	fmt.Printf("lossy link (50%% drops): 3 downloads OK after %d retries\n", client.Retries())
+	fmt.Printf("lossy link (every first attempt drops): 3 downloads OK after %d retries\n", client.Retries())
 
 	// Then a hard outage: every request 503s. After three consecutive
 	// failures the breaker opens and further calls fail fast without
 	// touching the network.
 	inj.SetPlan(faults.Plan{ServerErrorRate: 1})
 	for i := 0; i < 4; i++ {
-		// Fresh ratios each call, so the LRU cache cannot answer locally.
-		_, err := client.Decimate("apricot", 0.25+float64(i)*0.02)
+		_, err := sess.Decimate(ctx, "apricot", 0.25+float64(i)*0.02, false)
 		st := client.BreakerStats()
 		switch {
 		case errors.Is(err, edge.ErrUnavailable):
@@ -159,7 +175,7 @@ func run() error {
 	// and the breaker re-closes — the edge is re-adopted transparently.
 	inj.SetPlan(faults.Plan{})
 	time.Sleep(cfg.BreakerOpenFor + 10*time.Millisecond)
-	m, err := client.Decimate("apricot", 0.6)
+	m, err := sess.Decimate(ctx, "apricot", 0.6, false)
 	if err != nil {
 		return fmt.Errorf("post-recovery download: %w", err)
 	}
@@ -169,5 +185,5 @@ func run() error {
 	fs := inj.Stats()
 	fmt.Printf("injector totals: %d requests (%d passed, %d dropped, %d synthesized 5xx)\n",
 		fs.Requests, fs.Passed, fs.Drops, fs.Synth5xx)
-	return nil
+	return sess.CloseSession(ctx)
 }

@@ -85,9 +85,10 @@ func (rt *Runtime) SetObserver(reg *obs.Registry) {
 func (rt *Runtime) Observer() *obs.Registry { return rt.reg }
 
 // BOBackend proposes the next BO configuration from the full observation
-// database — the §VI remote-BO step, stateless per call so any proposal can
-// be lost to the link without corrupting the session. The edge client
-// implements it.
+// database — the §VI remote-BO step. Every call carries the whole history,
+// so any proposal can be lost to the link without corrupting the session.
+// sessiond.Backend implements it over the edge's session service, shipping
+// only the tail the server has not yet seen.
 type BOBackend interface {
 	BONextPoint(resources int, rmin float64, seed uint64, points [][]float64, costs []float64) ([]float64, error)
 }

@@ -2,21 +2,17 @@ package edge
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/mar-hbo/hbo/internal/mesh"
 	"github.com/mar-hbo/hbo/internal/obs"
-	"github.com/mar-hbo/hbo/internal/quality"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
 
@@ -27,9 +23,10 @@ type ClientConfig struct {
 	// Timeout bounds each individual HTTP attempt.
 	Timeout time.Duration
 	// MaxRetries is how many times a failed attempt is retried (so a call
-	// makes at most 1+MaxRetries attempts). All three edge endpoints are
-	// pure computations, hence idempotent and safe to retry. 0 disables
-	// retries — the fail-stop client the chaos bench compares against.
+	// makes at most 1+MaxRetries attempts). Callers only route idempotent
+	// operations through the client, so every one is safe to retry. 0
+	// disables retries — the fail-stop client the chaos bench compares
+	// against.
 	MaxRetries int
 	// BackoffBase and BackoffMax shape the capped exponential backoff
 	// between attempts: base·2^(attempt−1), capped, with up to 50%
@@ -118,10 +115,11 @@ func (cfg ClientConfig) validate() error {
 	return nil
 }
 
-// Client talks to an edge Server and caches decimated meshes locally, the
-// paper's "local cache" in Figure 3. Safe for concurrent use; the circuit
-// breaker and cache are shared across goroutines so every caller sees the
-// same view of the link's health.
+// Client is the device side's fault-tolerant link to the edge: every call
+// runs through Execute's retry, backoff and circuit-breaker stack. The
+// session client (package sessiond) builds its routes on it. Safe for
+// concurrent use; the circuit breaker is shared across goroutines so every
+// caller sees the same view of the link's health.
 type Client struct {
 	base string
 	http *http.Client
@@ -130,15 +128,10 @@ type Client struct {
 	breaker *breaker
 	sleep   func(time.Duration)
 
-	mu       sync.Mutex
-	jitter   *sim.RNG
-	cacheCap int
-	cache    map[cacheKey]*list.Element
-	lru      *list.List
-	// hits and misses instrument the cache for the ablation bench; retries
-	// counts attempts beyond each call's first.
-	hits, misses int
-	retries      int
+	mu     sync.Mutex
+	jitter *sim.RNG
+	// retries counts attempts beyond each call's first.
+	retries int
 
 	// Observability instruments; nil (no-op) unless SetObserver is called.
 	metCalls           *obs.Counter
@@ -146,24 +139,20 @@ type Client struct {
 	metAttemptFailures *obs.Counter
 	metRetries         *obs.Counter
 	metShortCircuits   *obs.Counter
-	metCacheHits       *obs.Counter
-	metCacheMisses     *obs.Counter
 	metBreakerState    *obs.Gauge
 }
 
 // SetObserver attaches a metrics registry: per-call and per-attempt outcome
-// counters, retry and short-circuit counts, cache hits/misses, and a breaker
-// state gauge plus transition events (wall-clock timestamps — this runs in
-// real processes, not the simulator). Call before the client is shared across
-// goroutines; passing nil detaches.
+// counters, retry and short-circuit counts, and a breaker state gauge plus
+// transition events (wall-clock timestamps — this runs in real processes,
+// not the simulator). Call before the client is shared across goroutines;
+// passing nil detaches.
 func (c *Client) SetObserver(reg *obs.Registry) {
 	c.metCalls = reg.Counter("edge.client.calls")
 	c.metAttempts = reg.Counter("edge.client.attempts")
 	c.metAttemptFailures = reg.Counter("edge.client.attempt_failures")
 	c.metRetries = reg.Counter("edge.client.retries")
 	c.metShortCircuits = reg.Counter("edge.client.short_circuits")
-	c.metCacheHits = reg.Counter("edge.client.cache_hits")
-	c.metCacheMisses = reg.Counter("edge.client.cache_misses")
 	c.metBreakerState = reg.Gauge("edge.client.breaker_state")
 	if reg == nil {
 		c.breaker.setTransitionHook(nil)
@@ -182,39 +171,18 @@ func (c *Client) SetObserver(reg *obs.Registry) {
 	})
 }
 
-type cacheKey struct {
-	object string
-	// ratioStep quantizes the ratio to 2% steps so near-identical requests
-	// share an entry.
-	ratioStep int
-	// fast separates vertex-clustering results from quadric ones.
-	fast bool
-}
-
-type cacheEntry struct {
-	key  cacheKey
-	mesh *mesh.Mesh
-}
-
-func keyFor(object string, ratio float64) cacheKey {
-	return cacheKey{object: object, ratioStep: int(math.Round(ratio * 50))}
-}
-
 // NewClient builds a client for the server at base URL (no trailing slash)
-// with an LRU decimation cache of the given capacity and default
-// fault-tolerance settings.
-func NewClient(base string, cacheCap int) (*Client, error) {
-	return NewClientWithConfig(base, cacheCap, DefaultClientConfig())
+// with default fault-tolerance settings.
+func NewClient(base string) (*Client, error) {
+	return NewClientWithConfig(base, 0, DefaultClientConfig())
 }
 
 // NewClientWithConfig builds a client with explicit fault-tolerance
-// settings.
-func NewClientWithConfig(base string, cacheCap int, cfg ClientConfig) (*Client, error) {
+// settings. The int argument is unused; it once sized a client-side mesh
+// cache and stays so existing callers keep compiling.
+func NewClientWithConfig(base string, _ int, cfg ClientConfig) (*Client, error) {
 	if base == "" {
 		return nil, fmt.Errorf("edge: empty base URL")
-	}
-	if cacheCap < 1 {
-		return nil, fmt.Errorf("edge: cache capacity %d must be >= 1", cacheCap)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -228,23 +196,13 @@ func NewClientWithConfig(base string, cacheCap int, cfg ClientConfig) (*Client, 
 		transport = NewPooledTransport(cfg.MaxIdleConnsPerHost)
 	}
 	return &Client{
-		base:     base,
-		http:     &http.Client{Transport: transport},
-		cfg:      cfg,
-		breaker:  newBreaker(cfg.BreakerFailureThreshold, cfg.BreakerSuccessThreshold, cfg.BreakerOpenFor, cfg.Clock),
-		sleep:    sleep,
-		jitter:   sim.NewRNG(cfg.JitterSeed),
-		cacheCap: cacheCap,
-		cache:    make(map[cacheKey]*list.Element),
-		lru:      list.New(),
+		base:    base,
+		http:    &http.Client{Transport: transport},
+		cfg:     cfg,
+		breaker: newBreaker(cfg.BreakerFailureThreshold, cfg.BreakerSuccessThreshold, cfg.BreakerOpenFor, cfg.Clock),
+		sleep:   sleep,
+		jitter:  sim.NewRNG(cfg.JitterSeed),
 	}, nil
-}
-
-// CacheStats returns cache hit/miss counters.
-func (c *Client) CacheStats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Retries returns how many retry attempts (beyond each call's first) the
@@ -263,133 +221,6 @@ func (c *Client) BreakerStats() BreakerStats { return c.breaker.snapshot() }
 // flow). Degradation logic uses this to route work to the local fallback
 // without paying a round of short-circuit errors.
 func (c *Client) Available() bool { return c.breaker.ready() }
-
-// Decimate returns the object decimated to the given ratio (quadric edge
-// collapse), from cache when possible.
-func (c *Client) Decimate(object string, ratio float64) (*mesh.Mesh, error) {
-	//lint:allow ctxlint public convenience wrapper; DecimateContext is the threaded variant
-	return c.DecimateContext(context.Background(), object, ratio)
-}
-
-// DecimateContext is Decimate with caller-controlled cancellation.
-func (c *Client) DecimateContext(ctx context.Context, object string, ratio float64) (*mesh.Mesh, error) {
-	return c.decimate(ctx, object, ratio, false)
-}
-
-// DecimateFast is the vertex-clustering path: coarser output, much lower
-// server latency. Fast and precise results share the cache key space with a
-// flag so one never masquerades as the other.
-func (c *Client) DecimateFast(object string, ratio float64) (*mesh.Mesh, error) {
-	//lint:allow ctxlint public convenience wrapper; DecimateFastContext is the threaded variant
-	return c.DecimateFastContext(context.Background(), object, ratio)
-}
-
-// DecimateFastContext is DecimateFast with caller-controlled cancellation.
-func (c *Client) DecimateFastContext(ctx context.Context, object string, ratio float64) (*mesh.Mesh, error) {
-	return c.decimate(ctx, object, ratio, true)
-}
-
-// decimate serves a mesh from the LRU cache or the server. Returned meshes
-// are clones: callers (scenes) mutate geometry freely without corrupting
-// the cached copy.
-func (c *Client) decimate(ctx context.Context, object string, ratio float64, fast bool) (*mesh.Mesh, error) {
-	if ratio <= 0 || ratio > 1 {
-		return nil, fmt.Errorf("edge: ratio %v out of (0,1]", ratio)
-	}
-	key := keyFor(object, ratio)
-	key.fast = fast
-	c.mu.Lock()
-	if el, ok := c.cache[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(el)
-		m := el.Value.(*cacheEntry).mesh.Clone()
-		c.mu.Unlock()
-		c.metCacheHits.Inc()
-		return m, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-	c.metCacheMisses.Inc()
-	var resp DecimateResponse
-	if err := c.post(ctx, "/decimate", DecimateRequest{Object: object, Ratio: ratio, Fast: fast}, &resp); err != nil {
-		return nil, err
-	}
-	m := resp.Mesh.ToMesh()
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("edge: server returned invalid mesh: %w", err)
-	}
-	c.mu.Lock()
-	c.insert(key, m)
-	c.mu.Unlock()
-	return m.Clone(), nil
-}
-
-// insert adds a cache entry; callers hold c.mu.
-func (c *Client) insert(key cacheKey, m *mesh.Mesh) {
-	if el, ok := c.cache[key]; ok {
-		// A concurrent miss already populated the key; refresh it.
-		el.Value.(*cacheEntry).mesh = m
-		c.lru.MoveToFront(el)
-		return
-	}
-	el := c.lru.PushFront(&cacheEntry{key: key, mesh: m})
-	c.cache[key] = el
-	for c.lru.Len() > c.cacheCap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.cache, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// Train fits Eq. 1 parameters server-side from the given samples.
-func (c *Client) Train(object string, samples []quality.Sample) (quality.Params, error) {
-	//lint:allow ctxlint public convenience wrapper; TrainContext is the threaded variant
-	return c.TrainContext(context.Background(), object, samples)
-}
-
-// TrainContext is Train with caller-controlled cancellation.
-func (c *Client) TrainContext(ctx context.Context, object string, samples []quality.Sample) (quality.Params, error) {
-	var resp TrainResponse
-	if err := c.post(ctx, "/train", TrainRequest{Object: object, Samples: samples}, &resp); err != nil {
-		return quality.Params{}, err
-	}
-	p := quality.Params{A: resp.A, B: resp.B, C: resp.C, D: resp.D}
-	return p, p.Validate()
-}
-
-// BONext uploads the observation database and returns the next
-// configuration to test (remote Bayesian optimization, §VI).
-func (c *Client) BONext(resources int, rmin float64, seed uint64, obs []Observation) ([]float64, error) {
-	//lint:allow ctxlint public convenience wrapper; BONextContext is the threaded variant
-	return c.BONextContext(context.Background(), resources, rmin, seed, obs)
-}
-
-// BONextContext is BONext with caller-controlled cancellation.
-func (c *Client) BONextContext(ctx context.Context, resources int, rmin float64, seed uint64, obs []Observation) ([]float64, error) {
-	var resp BONextResponse
-	req := BONextRequest{Resources: resources, RMin: rmin, Seed: seed, Observations: obs}
-	if err := c.post(ctx, "/bo/next", req, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Point) != resources+1 {
-		return nil, fmt.Errorf("edge: server returned %d-dim point, want %d", len(resp.Point), resources+1)
-	}
-	return resp.Point, nil
-}
-
-// BONextPoint adapts BONext to parallel point/cost slices — the shape
-// core.BOBackend wants, so a session can plug the client in as its remote
-// BO proposer without importing this package's wire types.
-func (c *Client) BONextPoint(resources int, rmin float64, seed uint64, points [][]float64, costs []float64) ([]float64, error) {
-	if len(points) != len(costs) {
-		return nil, fmt.Errorf("edge: %d points vs %d costs", len(points), len(costs))
-	}
-	obs := make([]Observation, len(points))
-	for i := range points {
-		obs[i] = Observation{Point: points[i], Cost: costs[i]}
-	}
-	return c.BONext(resources, rmin, seed, obs)
-}
 
 // statusError is a non-2xx response, kept typed so the retry policy can
 // distinguish server-side bursts (5xx, retryable) from rejections (4xx),
@@ -466,8 +297,7 @@ func retryable(err error) bool {
 // fault-tolerance stack — per-attempt timeouts, retries with backoff and
 // Retry-After honoring, circuit breaker — decoding the response into resp.
 // It is the extension point the session service's client builds on, so
-// every session route inherits the same link-health view as the core
-// endpoints.
+// every session route shares one link-health view.
 func (c *Client) PostJSON(ctx context.Context, path string, req, resp any) error {
 	return c.post(ctx, path, req, resp)
 }

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -12,8 +13,6 @@ import (
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/faults"
-	"github.com/mar-hbo/hbo/internal/mesh"
-	"github.com/mar-hbo/hbo/internal/render"
 )
 
 // testClientConfig returns a config with no real sleeping and tight
@@ -27,15 +26,42 @@ func testClientConfig() ClientConfig {
 	return cfg
 }
 
+// echoMsg is the stub route's request and response body.
+type echoMsg struct {
+	N int `json:"n"`
+}
+
+// newStubServer serves POST /echo, which answers a JSON body with the same
+// body; every other route is the mux's 404.
+func newStubServer() *httptest.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /echo", func(w http.ResponseWriter, r *http.Request) {
+		var m echoMsg
+		if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(m)
+	})
+	return httptest.NewServer(mux)
+}
+
+// echo posts n to the stub route and checks the reply.
+func echo(ctx context.Context, c *Client, n int) error {
+	var resp echoMsg
+	if err := c.PostJSON(ctx, "/echo", echoMsg{N: n}, &resp); err != nil {
+		return err
+	}
+	if resp.N != n {
+		return errors.New("echo returned the wrong body")
+	}
+	return nil
+}
+
 func newFaultyPair(t *testing.T, plan faults.Plan, seed uint64, mut func(*ClientConfig)) (*Client, *faults.Transport, func()) {
 	t.Helper()
-	srv, err := NewServer([]render.ObjectSpec{
-		{Name: "apricot", MaxTriangles: 2000, Shape: render.ShapeBlob, ShapeSeed: 1, Roughness: 0.3, DistExp: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := newStubServer()
 	tr := faults.NewTransport(nil, seed, plan)
 	tr.SetSleep(func(time.Duration) {})
 	cfg := testClientConfig()
@@ -43,7 +69,7 @@ func newFaultyPair(t *testing.T, plan faults.Plan, seed uint64, mut func(*Client
 	if mut != nil {
 		mut(&cfg)
 	}
-	client, err := NewClientWithConfig(ts.URL, 8, cfg)
+	client, err := NewClientWithConfig(ts.URL, 0, cfg)
 	if err != nil {
 		ts.Close()
 		t.Fatal(err)
@@ -51,16 +77,27 @@ func newFaultyPair(t *testing.T, plan faults.Plan, seed uint64, mut func(*Client
 	return client, tr, ts.Close
 }
 
+// newStubClient builds a client against a handler with the given config
+// tweaks.
+func newStubClient(t *testing.T, h http.Handler, mut func(*ClientConfig)) (*Client, func()) {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	cfg := testClientConfig()
+	mut(&cfg)
+	client, err := NewClientWithConfig(ts.URL, 0, cfg)
+	if err != nil {
+		ts.Close()
+		t.Fatal(err)
+	}
+	return client, ts.Close
+}
+
 func TestRetryRecoversFromTransientDrops(t *testing.T) {
 	// The first two requests drop; the retry loop must ride it out.
 	client, tr, closeFn := newFaultyPair(t, faults.Plan{Flaps: []faults.Window{{From: 0, To: 2}}}, 1, nil)
 	defer closeFn()
-	m, err := client.Decimate("apricot", 0.5)
-	if err != nil {
-		t.Fatalf("decimate through transient drops: %v", err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
+	if err := echo(context.Background(), client, 7); err != nil {
+		t.Fatalf("post through transient drops: %v", err)
 	}
 	if r := client.Retries(); r != 2 {
 		t.Fatalf("retries = %d, want 2", r)
@@ -71,24 +108,18 @@ func TestRetryRecoversFromTransientDrops(t *testing.T) {
 }
 
 func TestRetryRecoversFrom5xxBurst(t *testing.T) {
-	srv, err := NewServer([]render.ObjectSpec{
-		{Name: "apricot", MaxTriangles: 2000, Shape: render.ShapeBlob, ShapeSeed: 1, Roughness: 0.3, DistExp: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := newStubServer()
 	defer ts.Close()
 	// A two-request 502 burst, then clean.
 	rt := &scriptedRT{failures: 2, code: http.StatusBadGateway}
 	cfg := testClientConfig()
 	cfg.Transport = rt
-	client, err := NewClientWithConfig(ts.URL, 8, cfg)
+	client, err := NewClientWithConfig(ts.URL, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Decimate("apricot", 0.5); err != nil {
-		t.Fatalf("decimate through 5xx burst: %v", err)
+	if err := echo(context.Background(), client, 7); err != nil {
+		t.Fatalf("post through 5xx burst: %v", err)
 	}
 	if client.Retries() != 2 {
 		t.Fatalf("retries = %d, want 2", client.Retries())
@@ -148,13 +179,7 @@ func (s *scriptedRT) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 func TestMalformedJSONRetriedThenFails(t *testing.T) {
-	srv, err := NewServer([]render.ObjectSpec{
-		{Name: "apricot", MaxTriangles: 800, Shape: render.ShapeSphere, DistExp: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := newStubServer()
 	defer ts.Close()
 	// Every response is truncated mid-document: retries burn out and the
 	// call reports a decode failure rather than hanging or panicking.
@@ -162,11 +187,11 @@ func TestMalformedJSONRetriedThenFails(t *testing.T) {
 	cfg := testClientConfig()
 	cfg.Transport = rt
 	cfg.MaxRetries = 2
-	client, err := NewClientWithConfig(ts.URL, 8, cfg)
+	client, err := NewClientWithConfig(ts.URL, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Decimate("apricot", 0.5)
+	err = echo(context.Background(), client, 7)
 	if err == nil || !strings.Contains(err.Error(), "decoding response") {
 		t.Fatalf("truncated responses: err = %v", err)
 	}
@@ -176,35 +201,25 @@ func TestMalformedJSONRetriedThenFails(t *testing.T) {
 }
 
 func TestTrailingGarbageRejected(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{"object":"x","ratio":0.5,"triangles":0,"mesh":{"vertices":[],"triangles":[]}}{"sneaky":1}`))
-	}))
-	defer ts.Close()
-	cfg := testClientConfig()
-	cfg.MaxRetries = 0
-	client, err := NewClientWithConfig(ts.URL, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.Decimate("apricot", 0.5)
+	client, closeFn := newStubClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"n":7}{"sneaky":1}`))
+	}), func(cfg *ClientConfig) { cfg.MaxRetries = 0 })
+	defer closeFn()
+	err := echo(context.Background(), client, 7)
 	if err == nil || !strings.Contains(err.Error(), "trailing data") {
 		t.Fatalf("trailing garbage: err = %v", err)
 	}
 }
 
 func TestOversizeResponseRejected(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{"object":"` + strings.Repeat("x", 4096) + `"}`))
-	}))
-	defer ts.Close()
-	cfg := testClientConfig()
-	cfg.MaxRetries = 0
-	cfg.MaxResponseBytes = 1024
-	client, err := NewClientWithConfig(ts.URL, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.Decimate("apricot", 0.5)
+	client, closeFn := newStubClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"pad":"` + strings.Repeat("x", 4096) + `"}`))
+	}), func(cfg *ClientConfig) {
+		cfg.MaxRetries = 0
+		cfg.MaxResponseBytes = 1024
+	})
+	defer closeFn()
+	err := echo(context.Background(), client, 7)
 	if err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversize response: err = %v", err)
 	}
@@ -213,28 +228,13 @@ func TestOversizeResponseRejected(t *testing.T) {
 func TestClientErrorsNotRetried(t *testing.T) {
 	client, tr, closeFn := newFaultyPair(t, faults.Plan{}, 1, nil)
 	defer closeFn()
-	_, err := client.Decimate("ghost", 0.5)
-	if err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("unknown object: err = %v", err)
+	var resp echoMsg
+	err := client.PostJSON(context.Background(), "/missing", echoMsg{N: 7}, &resp)
+	if code, ok := StatusCode(err); !ok || code != http.StatusNotFound {
+		t.Fatalf("unknown route: err = %v", err)
 	}
 	if tr.Requests() != 1 {
 		t.Fatalf("404 was retried: %d requests", tr.Requests())
-	}
-}
-
-func TestBONextDimensionMismatch(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(`{"point":[0.5,0.5]}`))
-	}))
-	defer ts.Close()
-	cfg := testClientConfig()
-	client, err := NewClientWithConfig(ts.URL, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.BONext(3, 0.1, 1, nil)
-	if err == nil || !strings.Contains(err.Error(), "2-dim point, want 4") {
-		t.Fatalf("dimension mismatch: err = %v", err)
 	}
 }
 
@@ -246,9 +246,10 @@ func TestBreakerOpensAndShortCircuits(t *testing.T) {
 		cfg.Clock = clk.now
 	})
 	defer closeFn()
+	ctx := context.Background()
 	// Two calls × two attempts: four consecutive failures open the circuit.
 	for i := 0; i < 2; i++ {
-		if _, err := client.Decimate("apricot", 0.5); err == nil {
+		if err := echo(ctx, client, i); err == nil {
 			t.Fatal("call through dead link succeeded")
 		}
 	}
@@ -256,7 +257,7 @@ func TestBreakerOpensAndShortCircuits(t *testing.T) {
 		t.Fatalf("breaker = %+v, want open", st)
 	}
 	before := tr.Requests()
-	_, err := client.Decimate("apricot", 0.5)
+	err := echo(ctx, client, 2)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("short-circuit error = %v, want ErrUnavailable", err)
 	}
@@ -278,8 +279,9 @@ func TestBreakerHalfOpenRecloses(t *testing.T) {
 		cfg.Clock = clk.now
 	})
 	defer closeFn()
+	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := client.Decimate("apricot", 0.5); err == nil {
+		if err := echo(ctx, client, i); err == nil {
 			t.Fatal("call through flap succeeded")
 		}
 	}
@@ -291,13 +293,13 @@ func TestBreakerHalfOpenRecloses(t *testing.T) {
 	if !client.Available() {
 		t.Fatal("Available() false after open window")
 	}
-	if _, err := client.Decimate("apricot", 0.4); err != nil {
+	if err := echo(ctx, client, 2); err != nil {
 		t.Fatalf("half-open probe: %v", err)
 	}
 	if st := client.BreakerStats(); st.State != BreakerHalfOpen {
 		t.Fatalf("breaker after 1 probe = %+v, want half-open", st)
 	}
-	if _, err := client.Decimate("apricot", 0.6); err != nil {
+	if err := echo(ctx, client, 3); err != nil {
 		t.Fatalf("second probe: %v", err)
 	}
 	if st := client.BreakerStats(); st.State != BreakerClosed {
@@ -305,39 +307,9 @@ func TestBreakerHalfOpenRecloses(t *testing.T) {
 	}
 }
 
-func TestCacheReturnsCopies(t *testing.T) {
-	// Mutating a mesh handed out by the client must not corrupt the cache
-	// (a scene adjusts geometry in place after ApplyLOD).
-	_, client, closeFn := newPair(t, 8)
-	defer closeFn()
-	first, err := client.Decimate("apricot", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := first.Vertices[0]
-	first.Vertices[0].X += 1e6
-	first.Triangles[0] = mesh.Triangle{0, 0, 0} // degenerate — would fail Validate
-	second, err := client.Decimate("apricot", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := client.CacheStats(); h != 1 {
-		t.Fatalf("second fetch missed the cache (hits=%d)", h)
-	}
-	if second.Vertices[0] != want {
-		t.Fatalf("cache entry corrupted by caller mutation: %+v", second.Vertices[0])
-	}
-	if err := second.Validate(); err != nil {
-		t.Fatalf("cached mesh no longer valid: %v", err)
-	}
-	if &second.Vertices[0] == &first.Vertices[0] {
-		t.Fatal("cache hit aliases previously returned mesh")
-	}
-}
-
 func TestClientConcurrentCallers(t *testing.T) {
-	// One client shared by goroutines: cache, counters, and breaker must be
-	// race-free (run under -race).
+	// One client shared by goroutines: counters, jitter stream, and breaker
+	// must be race-free (run under -race).
 	client, _, closeFn := newFaultyPair(t, faults.Plan{DropRate: 0.2}, 5, func(cfg *ClientConfig) {
 		cfg.MaxRetries = 2
 		cfg.BreakerFailureThreshold = 50 // keep the circuit closed for the hammer
@@ -350,23 +322,21 @@ func TestClientConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				ratio := 0.2 + 0.1*float64((w+i)%7)
-				_, _ = client.Decimate("apricot", ratio)
+				_ = echo(context.Background(), client, w*6+i)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-func TestDecimateContextCancellation(t *testing.T) {
+func TestPostJSONContextCancellation(t *testing.T) {
 	client, tr, closeFn := newFaultyPair(t, faults.Plan{DropRate: 1}, 1, func(cfg *ClientConfig) {
 		cfg.MaxRetries = 10
 	})
 	defer closeFn()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := client.DecimateContext(ctx, "apricot", 0.5)
-	if err == nil {
+	if err := echo(ctx, client, 7); err == nil {
 		t.Fatal("cancelled context succeeded")
 	}
 	// The retry loop must stop on cancellation, not burn all 10 retries.

@@ -1,141 +1,27 @@
-// Package edge implements the edge-server side of the paper's Figure 3
-// architecture: a small HTTP service that runs the virtual-object decimation
-// algorithm and the Eq. 1 parameter training for its clients, plus the §VI
-// option of offloading the Bayesian-optimization step itself ("the payload
-// for exchanging such information is in the order of a few Bytes"). The
-// matching client keeps a local cache of decimated versions, exactly as the
-// paper's HBO control plane does ("each decimated version can either be
-// found in the local cache or downloaded from a server").
+// Package edge holds the two halves of the paper's Figure 3 edge that do
+// not depend on sessions: the catalog decimation core (Server.Decimate:
+// full-quality geometry built once per object, then quadric edge collapse or
+// vertex clustering) and the device side's fault-tolerant HTTP transport
+// (Client: per-attempt timeouts, retries with capped backoff, and a circuit
+// breaker). The served routes live in package sessiond, which decimates
+// through a Server and whose client posts through a Client; Server.Handler
+// adds only the liveness probe.
 package edge
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"sync"
 	"time"
 
-	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/mesh"
 	"github.com/mar-hbo/hbo/internal/obs"
-	"github.com/mar-hbo/hbo/internal/quality"
 	"github.com/mar-hbo/hbo/internal/render"
-	"github.com/mar-hbo/hbo/internal/sim"
 )
 
-// Server-side request limits. One client is a single MAR session, so even
-// generous bounds are tiny next to what an unvalidated request could cost:
-// an unbounded body pins memory, an enormous BO database pins a CPU for the
-// O(K^3) GP fit, and a handler that never finishes pins a connection.
-const (
-	// maxRequestBytes bounds any request body (a full Table II training
-	// upload is well under 1 MiB).
-	maxRequestBytes = 4 << 20
-	// maxTrainSamples bounds one /train upload.
-	maxTrainSamples = 100000
-	// maxObservations bounds the /bo/next database (the paper's budget is
-	// 20 observations per activation).
-	maxObservations = 10000
-	// maxResources bounds the BO domain dimensionality.
-	maxResources = 64
-	// handlerTimeout bounds one request's server-side work.
-	handlerTimeout = 30 * time.Second
-)
-
-// DecimateRequest asks for a decimated version of a catalog object. Fast
-// selects the vertex-clustering path (coarser quality, much lower server
-// latency) instead of the default quadric edge collapse.
-type DecimateRequest struct {
-	Object string  `json:"object"`
-	Ratio  float64 `json:"ratio"`
-	Fast   bool    `json:"fast,omitempty"`
-}
-
-// MeshPayload is a wire-format triangle mesh.
-type MeshPayload struct {
-	Vertices  [][3]float64 `json:"vertices"`
-	Triangles [][3]int     `json:"triangles"`
-}
-
-// ToMesh converts the payload to a mesh.
-func (p MeshPayload) ToMesh() *mesh.Mesh {
-	m := &mesh.Mesh{
-		Vertices:  make([]mesh.Vec3, len(p.Vertices)),
-		Triangles: make([]mesh.Triangle, len(p.Triangles)),
-	}
-	for i, v := range p.Vertices {
-		m.Vertices[i] = mesh.Vec3{X: v[0], Y: v[1], Z: v[2]}
-	}
-	for i, t := range p.Triangles {
-		m.Triangles[i] = mesh.Triangle{t[0], t[1], t[2]}
-	}
-	return m
-}
-
-// FromMesh converts a mesh to its wire format.
-func FromMesh(m *mesh.Mesh) MeshPayload {
-	p := MeshPayload{
-		Vertices:  make([][3]float64, len(m.Vertices)),
-		Triangles: make([][3]int, len(m.Triangles)),
-	}
-	for i, v := range m.Vertices {
-		p.Vertices[i] = [3]float64{v.X, v.Y, v.Z}
-	}
-	for i, t := range m.Triangles {
-		p.Triangles[i] = [3]int{t[0], t[1], t[2]}
-	}
-	return p
-}
-
-// DecimateResponse carries the decimated mesh.
-type DecimateResponse struct {
-	Object    string      `json:"object"`
-	Ratio     float64     `json:"ratio"`
-	Triangles int         `json:"triangles"`
-	Mesh      MeshPayload `json:"mesh"`
-}
-
-// TrainRequest carries quality-assessment samples for Eq. 1 fitting.
-type TrainRequest struct {
-	Object  string           `json:"object"`
-	Samples []quality.Sample `json:"samples"`
-}
-
-// TrainResponse returns the fitted parameters.
-type TrainResponse struct {
-	Object string  `json:"object"`
-	A      float64 `json:"a"`
-	B      float64 `json:"b"`
-	C      float64 `json:"c"`
-	D      float64 `json:"d"`
-}
-
-// Observation is one (configuration, cost) pair of the BO database D.
-type Observation struct {
-	Point []float64 `json:"point"`
-	Cost  float64   `json:"cost"`
-}
-
-// BONextRequest uploads the BO database and domain; the server returns the
-// next configuration to test. This is the §VI remote-BO path: the payload is
-// a few dozen bytes per iteration.
-type BONextRequest struct {
-	Resources    int           `json:"resources"`
-	RMin         float64       `json:"rmin"`
-	Seed         uint64        `json:"seed"`
-	Observations []Observation `json:"observations"`
-}
-
-// BONextResponse returns the next configuration to evaluate.
-type BONextResponse struct {
-	Point []float64 `json:"point"`
-}
-
-// Server is the edge service. It owns the object catalog whose meshes it can
-// decimate. Safe for concurrent use: net/http serves each request on its own
-// goroutine.
+// Server owns the object catalog whose meshes it can decimate. Safe for
+// concurrent use.
 type Server struct {
 	specs map[string]render.ObjectSpec
 
@@ -147,9 +33,9 @@ type Server struct {
 	reg *obs.Registry
 }
 
-// SetObserver attaches a metrics registry to the server: per-endpoint request
-// and error counters plus wall-clock latency histograms. Call before
-// Handler(); passing nil (the default) keeps the routes unwrapped.
+// SetObserver attaches a metrics registry to the server: request and error
+// counters plus a wall-clock latency histogram for its route. Call before
+// Handler(); passing nil (the default) keeps the route unwrapped.
 func (s *Server) SetObserver(reg *obs.Registry) { s.reg = reg }
 
 // NewServer builds a server for the given catalog.
@@ -167,18 +53,14 @@ func NewServer(specs []render.ObjectSpec) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the HTTP routes. Every POST handler runs behind a
-// request-body size cap and a per-handler timeout, so one abusive or stuck
-// request cannot pin the server's memory or connections.
+// Handler returns the server's one route, GET /healthz, the liveness probe
+// deployments poll. Mount it next to the session routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /decimate", s.instrument("decimate", guard(s.handleDecimate)))
-	mux.Handle("POST /train", s.instrument("train", guard(s.handleTrain)))
-	mux.Handle("POST /bo/next", s.instrument("bo_next", guard(s.handleBONext)))
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /healthz", s.instrument("healthz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		_, _ = w.Write([]byte("ok\n"))
-	})
+	})))
 	return mux
 }
 
@@ -216,30 +98,6 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// guard wraps a handler with the body cap and handler timeout.
-func guard(h http.HandlerFunc) http.Handler {
-	limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-		h(w, r)
-	})
-	return http.TimeoutHandler(limited, handlerTimeout, "edge: handler timeout")
-}
-
-// decodeRequest decodes a guarded JSON request body, translating the
-// MaxBytesReader trip into 413 and everything else into 400.
-func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
-			return false
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
 // geometry returns (building if needed) the full-quality mesh for an object.
 // The cache is guarded: concurrent requests for the same object build it at
 // most once while the lock is held (geometry generation is fast enough that
@@ -264,9 +122,8 @@ func (s *Server) geometry(name string) (*mesh.Mesh, error) {
 
 // Decimate runs the server's decimation pipeline directly: full-quality
 // geometry from the catalog cache, then quadric edge collapse (or vertex
-// clustering when fast). It is the computational core behind the /decimate
-// route, exported so the session service can serve per-session mesh caches
-// from the same catalog without a loopback HTTP hop.
+// clustering when fast). The session service serves its per-session mesh
+// caches through it (it satisfies sessiond.Decimator).
 func (s *Server) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, error) {
 	if math.IsNaN(ratio) || ratio <= 0 || ratio > 1 {
 		return nil, fmt.Errorf("edge: ratio %v out of (0,1]", ratio)
@@ -283,89 +140,4 @@ func (s *Server) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, 
 		return mesh.VertexClustering(full, target)
 	}
 	return mesh.DecimateToRatio(full, ratio)
-}
-
-func (s *Server) handleDecimate(w http.ResponseWriter, r *http.Request) {
-	var req DecimateRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if math.IsNaN(req.Ratio) || req.Ratio <= 0 || req.Ratio > 1 {
-		http.Error(w, fmt.Sprintf("ratio %v out of (0,1]", req.Ratio), http.StatusBadRequest)
-		return
-	}
-	if _, err := s.geometry(req.Object); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	dec, err := s.Decimate(req.Object, req.Ratio, req.Fast)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, DecimateResponse{
-		Object:    req.Object,
-		Ratio:     req.Ratio,
-		Triangles: dec.TriangleCount(),
-		Mesh:      FromMesh(dec),
-	})
-}
-
-func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	var req TrainRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if len(req.Samples) > maxTrainSamples {
-		http.Error(w, fmt.Sprintf("%d samples over the %d limit", len(req.Samples), maxTrainSamples), http.StatusBadRequest)
-		return
-	}
-	p, err := quality.Fit(req.Samples)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	writeJSON(w, TrainResponse{Object: req.Object, A: p.A, B: p.B, C: p.C, D: p.D})
-}
-
-func (s *Server) handleBONext(w http.ResponseWriter, r *http.Request) {
-	var req BONextRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if req.Resources < 1 || req.Resources > maxResources {
-		http.Error(w, fmt.Sprintf("resources %d out of [1,%d]", req.Resources, maxResources), http.StatusBadRequest)
-		return
-	}
-	if len(req.Observations) > maxObservations {
-		http.Error(w, fmt.Sprintf("%d observations over the %d limit", len(req.Observations), maxObservations), http.StatusBadRequest)
-		return
-	}
-	dom := bo.Domain{N: req.Resources, RMin: req.RMin}
-	opt, err := bo.NewOptimizer(dom, bo.DefaultConfig(), sim.NewRNG(req.Seed))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	for _, o := range req.Observations {
-		if err := opt.Observe(o.Point, o.Cost); err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-	}
-	point, err := opt.Next()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, BONextResponse{Point: point})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already out; nothing more useful to do than log-level
-		// reporting, which this package leaves to the caller's middleware.
-		return
-	}
 }

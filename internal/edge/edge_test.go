@@ -1,17 +1,17 @@
 package edge
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"github.com/mar-hbo/hbo/internal/quality"
+	"github.com/mar-hbo/hbo/internal/obs"
 	"github.com/mar-hbo/hbo/internal/render"
-	"github.com/mar-hbo/hbo/internal/sim"
 )
 
-func newPair(t *testing.T, cacheCap int) (*Server, *Client, func()) {
+func newTestServer(t *testing.T) *Server {
 	t.Helper()
 	srv, err := NewServer([]render.ObjectSpec{
 		{Name: "apricot", MaxTriangles: 2000, Shape: render.ShapeBlob, ShapeSeed: 1, Roughness: 0.3, DistExp: 1},
@@ -20,19 +20,11 @@ func newPair(t *testing.T, cacheCap int) (*Server, *Client, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	client, err := NewClient(ts.URL, cacheCap)
-	if err != nil {
-		ts.Close()
-		t.Fatal(err)
-	}
-	return srv, client, ts.Close
+	return srv
 }
 
 func TestDecimateRoundTrip(t *testing.T) {
-	_, client, closeFn := newPair(t, 8)
-	defer closeFn()
-	m, err := client.Decimate("apricot", 0.5)
+	m, err := newTestServer(t).Decimate("apricot", 0.5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,146 +36,27 @@ func TestDecimateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecimateCache(t *testing.T) {
-	_, client, closeFn := newPair(t, 8)
-	defer closeFn()
-	if _, err := client.Decimate("apricot", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	// Same quantized ratio: cache hit, even with a tiny ratio difference.
-	if _, err := client.Decimate("apricot", 0.505); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := client.CacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-}
-
-func TestDecimateCacheEviction(t *testing.T) {
-	_, client, closeFn := newPair(t, 2)
-	defer closeFn()
-	ratios := []float64{0.3, 0.5, 0.7} // 3 entries into a 2-entry cache
-	for _, r := range ratios {
-		if _, err := client.Decimate("cabin", r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 0.3 was evicted; re-requesting it is a miss.
-	if _, err := client.Decimate("cabin", 0.3); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := client.CacheStats()
-	if hits != 0 || misses != 4 {
-		t.Fatalf("cache stats = %d/%d, want 0 hits, 4 misses", hits, misses)
-	}
-	// 0.7 is still resident.
-	if _, err := client.Decimate("cabin", 0.7); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := client.CacheStats(); h != 1 {
-		t.Fatalf("expected hit on resident entry, got %d", h)
-	}
-}
-
 func TestDecimateErrors(t *testing.T) {
-	_, client, closeFn := newPair(t, 4)
-	defer closeFn()
-	if _, err := client.Decimate("ghost", 0.5); err == nil || !strings.Contains(err.Error(), "404") {
+	srv := newTestServer(t)
+	if _, err := srv.Decimate("ghost", 0.5, false); err == nil || !strings.Contains(err.Error(), "unknown object") {
 		t.Fatalf("unknown object error = %v", err)
 	}
-	if _, err := client.Decimate("apricot", 0); err == nil {
+	if _, err := srv.Decimate("apricot", 0, false); err == nil {
 		t.Fatal("zero ratio accepted")
 	}
-	if _, err := client.Decimate("apricot", 1.5); err == nil {
+	if _, err := srv.Decimate("apricot", 1.5, true); err == nil {
 		t.Fatal("ratio > 1 accepted")
 	}
 }
 
-func TestTrainRoundTrip(t *testing.T) {
-	_, client, closeFn := newPair(t, 4)
-	defer closeFn()
-	truth := quality.Truth{Severity: 0.6, Gamma: 1.5, DistExp: 1.1}
-	rng := sim.NewRNG(3)
-	samples := quality.CollectSamples(truth,
-		[]float64{0.1, 0.3, 0.5, 0.7, 0.9, 1}, []float64{0.5, 1, 2, 4}, rng, 0.03)
-	p, err := client.Train("apricot", samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Error(1, 1) > 0.1 {
-		t.Fatalf("trained params give error %v at full quality", p.Error(1, 1))
-	}
-	if p.Error(0.2, 1) < 0.2 {
-		t.Fatalf("trained params give error %v at heavy decimation, want substantial", p.Error(0.2, 1))
-	}
-	// Unfittable sample sets surface as errors.
-	if _, err := client.Train("apricot", nil); err == nil {
-		t.Fatal("empty training set accepted")
-	}
-}
-
-func TestBONextRoundTrip(t *testing.T) {
-	_, client, closeFn := newPair(t, 4)
-	defer closeFn()
-	obs := []Observation{
-		{Point: []float64{0.5, 0.3, 0.2, 0.8}, Cost: 1.0},
-		{Point: []float64{0.1, 0.8, 0.1, 0.5}, Cost: 0.4},
-		{Point: []float64{0.3, 0.3, 0.4, 0.3}, Cost: 0.7},
-		{Point: []float64{0.2, 0.6, 0.2, 0.9}, Cost: 0.5},
-		{Point: []float64{0.6, 0.2, 0.2, 0.2}, Cost: 1.2},
-	}
-	point, err := client.BONext(3, 0.1, 42, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(point) != 4 {
-		t.Fatalf("point dim = %d", len(point))
-	}
-	sum := point[0] + point[1] + point[2]
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("returned proportions sum to %v", sum)
-	}
-	if point[3] < 0.1 || point[3] > 1 {
-		t.Fatalf("returned ratio %v out of bounds", point[3])
-	}
-	// Determinism: same database and seed yield the same suggestion.
-	again, err := client.BONext(3, 0.1, 42, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range point {
-		if point[i] != again[i] {
-			t.Fatalf("remote BO not deterministic: %v vs %v", point, again)
-		}
-	}
-	// Bad observations are rejected.
-	if _, err := client.BONext(3, 0.1, 1, []Observation{{Point: []float64{9, 9, 9, 9}, Cost: 1}}); err == nil {
-		t.Fatal("out-of-domain observation accepted")
-	}
-}
-
-func TestMeshPayloadRoundTrip(t *testing.T) {
-	spec := render.ObjectSpec{Name: "x", MaxTriangles: 500, Shape: render.ShapeSphere}
-	m, err := spec.Geometry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := FromMesh(m).ToMesh()
-	if back.TriangleCount() != m.TriangleCount() || len(back.Vertices) != len(m.Vertices) {
-		t.Fatal("payload round trip changed mesh size")
-	}
-	if back.Vertices[10] != m.Vertices[10] {
-		t.Fatal("payload round trip changed vertex data")
-	}
-}
-
 func TestNewClientValidation(t *testing.T) {
-	if _, err := NewClient("", 4); err == nil {
+	if _, err := NewClient(""); err == nil {
 		t.Fatal("empty base accepted")
 	}
-	if _, err := NewClient("http://x", 0); err == nil {
-		t.Fatal("zero cache accepted")
+	cfg := DefaultClientConfig()
+	cfg.Timeout = 0
+	if _, err := NewClientWithConfig("http://x", 0, cfg); err == nil {
+		t.Fatal("zero timeout accepted")
 	}
 }
 
@@ -204,23 +77,16 @@ func TestServerConcurrentDecimation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
 	// Hammer the same (lazily built) mesh from many goroutines; run with
-	// -race to catch cache races.
+	// -race to catch geometry-cache races.
 	const workers = 8
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		w := w
 		go func() {
-			client, err := NewClient(ts.URL, 4)
-			if err != nil {
-				errs <- err
-				return
-			}
 			for i := 0; i < 5; i++ {
 				ratio := 0.2 + 0.15*float64((w+i)%5)
-				if _, err := client.Decimate("apricot", ratio); err != nil {
+				if _, err := srv.Decimate("apricot", ratio, false); err != nil {
 					errs <- err
 					return
 				}
@@ -236,13 +102,12 @@ func TestServerConcurrentDecimation(t *testing.T) {
 }
 
 func TestDecimateFastPath(t *testing.T) {
-	_, client, closeFn := newPair(t, 8)
-	defer closeFn()
-	precise, err := client.Decimate("apricot", 0.3)
+	srv := newTestServer(t)
+	precise, err := srv.Decimate("apricot", 0.3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := client.DecimateFast("apricot", 0.3)
+	fast, err := srv.Decimate("apricot", 0.3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,118 +117,6 @@ func TestDecimateFastPath(t *testing.T) {
 	if fast.TriangleCount() > precise.TriangleCount()+100 {
 		t.Fatalf("fast path returned %d triangles vs target-bound %d", fast.TriangleCount(), precise.TriangleCount())
 	}
-	// Fast and precise results must not share cache entries.
-	hits, misses := client.CacheStats()
-	if hits != 0 || misses != 2 {
-		t.Fatalf("cache stats %d/%d: fast result aliased the precise one", hits, misses)
-	}
-	if _, err := client.DecimateFast("apricot", 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := client.CacheStats(); h != 1 {
-		t.Fatal("repeated fast request should hit the cache")
-	}
-}
-
-func TestClientServesSceneLOD(t *testing.T) {
-	// The edge client satisfies render.LODProvider: a scene can fetch its
-	// decimated geometry over the wire, with the local cache absorbing
-	// repeated ratios — the full Fig. 3 loop.
-	specs := []render.ObjectSpec{
-		{Name: "cabin", MaxTriangles: 1200, Shape: render.ShapeBox, ShapeSeed: 2, DistExp: 1},
-		{Name: "hammer", MaxTriangles: 1500, Shape: render.ShapeTorus, ShapeSeed: 3, DistExp: 1.2},
-	}
-	srv, err := NewServer(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client, err := NewClient(ts.URL, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ render.LODProvider = client
-
-	lib, err := render.NewLibrary(specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scene := render.NewScene(lib)
-	for _, sp := range specs {
-		if _, err := scene.Place(sp.Name, 1, 1.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, o := range scene.Objects() {
-		o.Triangles = o.Spec.MaxTriangles / 2
-	}
-	if err := scene.ApplyLOD(client, 0.02); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range scene.Objects() {
-		if o.Geometry == nil || o.Geometry.TriangleCount() == 0 {
-			t.Fatalf("object %s got no geometry over the wire", o.ID())
-		}
-	}
-	// Re-applying at the same ratios touches only the cache.
-	_, missesBefore := client.CacheStats()
-	for _, o := range scene.Objects() {
-		o.GeometryRatio = 0 // force refetch through the provider
-	}
-	if err := scene.ApplyLOD(client, 0.02); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := client.CacheStats()
-	if misses != missesBefore {
-		t.Fatalf("refetch at same ratios caused server round-trips: %d -> %d misses", missesBefore, misses)
-	}
-	if hits == 0 {
-		t.Fatal("no cache hits on refetch")
-	}
-}
-
-func TestServerRejectsOversizeBody(t *testing.T) {
-	srv, err := NewServer([]render.ObjectSpec{
-		{Name: "apricot", MaxTriangles: 500, Shape: render.ShapeSphere, DistExp: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	// A body past the request cap must come back 413, not be buffered.
-	body := `{"object":"` + strings.Repeat("x", (4<<20)+1024) + `"}`
-	resp, err := http.Post(ts.URL+"/decimate", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413", resp.StatusCode)
-	}
-}
-
-func TestServerValidatesBONextLimits(t *testing.T) {
-	srv, err := NewServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	for name, body := range map[string]string{
-		"zero resources": `{"resources":0,"rmin":0.1}`,
-		"huge resources": `{"resources":1000,"rmin":0.1}`,
-	} {
-		resp, err := http.Post(ts.URL+"/bo/next", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", name, resp.StatusCode)
-		}
-	}
 }
 
 func TestServerHealthz(t *testing.T) {
@@ -371,6 +124,8 @@ func TestServerHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.New()
+	srv.SetObserver(reg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -381,25 +136,13 @@ func TestServerHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status = %d", resp.StatusCode)
 	}
+	if n := reg.Snapshot().Counters["edge.server.requests.healthz"]; n != 1 {
+		t.Fatalf("instrumented healthz counted %d requests, want 1", n)
+	}
 }
 
 func TestServerRejectsNaNRatio(t *testing.T) {
-	srv, err := NewServer([]render.ObjectSpec{
-		{Name: "apricot", MaxTriangles: 500, Shape: render.ShapeSphere, DistExp: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	// JSON can't carry NaN directly, but a missing ratio decodes to 0 and
-	// must be rejected the same way.
-	resp, err := http.Post(ts.URL+"/decimate", "application/json", strings.NewReader(`{"object":"apricot"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	if _, err := newTestServer(t).Decimate("apricot", math.NaN(), false); err == nil {
+		t.Fatal("NaN ratio accepted")
 	}
 }

@@ -86,7 +86,7 @@ func TestAdmissionRejectHTTP(t *testing.T) {
 
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	ec, err := edge.NewClient(ts.URL, 4)
+	ec, err := edge.NewClient(ts.URL)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}

@@ -41,7 +41,7 @@ func benchService(b *testing.B) *httptest.Server {
 
 func benchEdgeClient(b *testing.B, baseURL string) *edge.Client {
 	b.Helper()
-	ec, err := edge.NewClient(baseURL, 4)
+	ec, err := edge.NewClient(baseURL)
 	if err != nil {
 		b.Fatalf("edge client: %v", err)
 	}

@@ -44,7 +44,7 @@ func startChaosService(t *testing.T, fsys snapstore.FS, dir string) *chaosHarnes
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	ec, err := edge.NewClient(ts.URL, 4)
+	ec, err := edge.NewClient(ts.URL)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}

@@ -31,6 +31,9 @@ type Client struct {
 	// not to speak the protocol) means the JSON POST routes.
 	stream *StreamClient
 
+	// opened records that an Open succeeded, so the LOD path knows the
+	// server holds the session before its first mesh fetch.
+	opened   bool
 	reopens  int
 	restores int
 
@@ -118,6 +121,18 @@ func (c *Client) Available() bool { return c.ec.Available() }
 // durable snapshot, and how many observations the server already holds —
 // the caller's cue to replay only the unseen tail of its history.
 func (c *Client) Open(ctx context.Context) (OpenResponse, error) {
+	resp, err := c.open(ctx)
+	if err != nil {
+		return resp, err
+	}
+	c.opened = true
+	if resp.Restored {
+		c.restores++
+	}
+	return resp, nil
+}
+
+func (c *Client) open(ctx context.Context) (OpenResponse, error) {
 	req := OpenRequest{ID: c.id, Resources: c.p.resources, RMin: c.p.rmin, Seed: c.p.seed, Init: c.p.init, Policy: c.p.policy}
 	if c.stream != nil {
 		resp, err := c.stream.Open(ctx, req)
@@ -260,9 +275,6 @@ func (b *Backend) BONextPoint(resources int, rmin float64, seed uint64, points [
 		if resp.Observations > len(points) {
 			return nil, fmt.Errorf("sessiond: server session holds %d observations, client only %d", resp.Observations, len(points))
 		}
-		if resp.Restored {
-			b.c.restores++
-		}
 		b.opened = true
 		// A warm-restarted (or still-live) server session already holds a
 		// prefix of our history; only the tail needs shipping.
@@ -308,9 +320,6 @@ func (b *Backend) readmit(points [][]float64, costs []float64) ([]float64, error
 	if resp.Observations > len(points) {
 		return nil, fmt.Errorf("sessiond: restored session holds %d observations, client only %d", resp.Observations, len(points))
 	}
-	if resp.Restored {
-		b.c.restores++
-	}
 	b.c.reopens++
 	b.c.metReopens.Inc()
 	for i := resp.Observations; i < len(points); i++ {
@@ -332,8 +341,18 @@ type LOD struct {
 // NewLOD wraps a session client as a level-of-detail provider.
 func NewLOD(ctx context.Context, c *Client) *LOD { return &LOD{c: c, ctx: ctx} }
 
-// Decimate implements render.LODProvider.
+// Decimate implements render.LODProvider. A scene can fetch geometry
+// before the Backend's first suggest opens the session, so it opens the
+// session itself when the client never has. Re-admission after an eviction
+// stays the Backend's job: an LOD-side re-open would recreate the session
+// behind the Backend's back, and the Backend would then ship its history
+// tail against the wrong server-side count.
 func (l *LOD) Decimate(object string, ratio float64) (*mesh.Mesh, error) {
+	if !l.c.opened {
+		if _, err := l.c.Open(l.ctx); err != nil {
+			return nil, err
+		}
+	}
 	return l.c.Decimate(l.ctx, object, ratio, false)
 }
 

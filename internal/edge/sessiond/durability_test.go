@@ -421,7 +421,7 @@ func TestDurabilityHTTP(t *testing.T) {
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	ec, err := edge.NewClient(ts.URL, 4)
+	ec, err := edge.NewClient(ts.URL)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}

@@ -10,10 +10,13 @@ import (
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/bo/policies"
-	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/mesh"
 )
 
-// Request-handling bounds, mirroring package edge's hardening.
+// Request-handling bounds. One client is a single MAR session, so even
+// generous bounds are tiny next to what an unvalidated request could cost:
+// an unbounded body pins memory and a handler that never finishes pins a
+// connection.
 const (
 	maxRequestBytes = 4 << 20
 	handlerTimeout  = 30 * time.Second
@@ -93,13 +96,49 @@ type DecimateRequest struct {
 	Fast   bool    `json:"fast,omitempty"`
 }
 
-// DecimateResponse is the edge wire mesh plus a cache-hit marker.
+// DecimateResponse is the wire mesh plus a cache-hit marker.
 type DecimateResponse struct {
-	Object    string           `json:"object"`
-	Ratio     float64          `json:"ratio"`
-	Triangles int              `json:"triangles"`
-	Cached    bool             `json:"cached"`
-	Mesh      edge.MeshPayload `json:"mesh"`
+	Object    string      `json:"object"`
+	Ratio     float64     `json:"ratio"`
+	Triangles int         `json:"triangles"`
+	Cached    bool        `json:"cached"`
+	Mesh      MeshPayload `json:"mesh"`
+}
+
+// MeshPayload is a wire-format triangle mesh.
+type MeshPayload struct {
+	Vertices  [][3]float64 `json:"vertices"`
+	Triangles [][3]int     `json:"triangles"`
+}
+
+// ToMesh converts the payload to a mesh.
+func (p MeshPayload) ToMesh() *mesh.Mesh {
+	m := &mesh.Mesh{
+		Vertices:  make([]mesh.Vec3, len(p.Vertices)),
+		Triangles: make([]mesh.Triangle, len(p.Triangles)),
+	}
+	for i, v := range p.Vertices {
+		m.Vertices[i] = mesh.Vec3{X: v[0], Y: v[1], Z: v[2]}
+	}
+	for i, t := range p.Triangles {
+		m.Triangles[i] = mesh.Triangle{t[0], t[1], t[2]}
+	}
+	return m
+}
+
+// FromMesh converts a mesh to its wire format.
+func FromMesh(m *mesh.Mesh) MeshPayload {
+	p := MeshPayload{
+		Vertices:  make([][3]float64, len(m.Vertices)),
+		Triangles: make([][3]int, len(m.Triangles)),
+	}
+	for i, v := range m.Vertices {
+		p.Vertices[i] = [3]float64{v.X, v.Y, v.Z}
+	}
+	for i, t := range m.Triangles {
+		p.Triangles[i] = [3]int{t[0], t[1], t[2]}
+	}
+	return p
 }
 
 // ShardStats is one stripe's live state.
@@ -138,8 +177,9 @@ type StatsResponse struct {
 	Durability *DurabilityStats `json:"durability,omitempty"`
 }
 
-// Register mounts the session routes on mux. Every POST handler runs behind
-// the same body cap and per-handler timeout as the core edge routes.
+// Register mounts the session routes on mux. Every JSON POST handler runs
+// behind a body cap and a per-handler timeout, so one abusive or stuck
+// request cannot pin the server's memory or connections.
 func (s *Service) Register(mux *http.ServeMux) {
 	mux.Handle("POST /session/open", guard(s.handleOpen))
 	mux.Handle("POST /session/suggest", guard(s.handleSuggest))
@@ -351,7 +391,7 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 		Ratio:     req.Ratio,
 		Triangles: m.TriangleCount(),
 		Cached:    cached,
-		Mesh:      edge.FromMesh(m),
+		Mesh:      FromMesh(m),
 	})
 }
 

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/mesh"
+	"github.com/mar-hbo/hbo/internal/render"
 )
 
 // stubDecimator fabricates a tiny valid mesh and counts calls, so cache
@@ -172,7 +174,7 @@ func TestStatzAndObserveValidation(t *testing.T) {
 		t.Fatalf("statz = %+v, want 1 session in 1 shard", stats)
 	}
 
-	ec, err := edge.NewClient(ts.URL, 4)
+	ec, err := edge.NewClient(ts.URL)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}
@@ -200,5 +202,82 @@ func TestStatzAndObserveValidation(t *testing.T) {
 	}{})
 	if err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+func TestMeshPayloadRoundTrip(t *testing.T) {
+	spec := render.ObjectSpec{Name: "x", MaxTriangles: 500, Shape: render.ShapeSphere}
+	m, err := spec.Geometry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := sessiond.FromMesh(m).ToMesh()
+	if back.TriangleCount() != m.TriangleCount() || len(back.Vertices) != len(m.Vertices) {
+		t.Fatal("payload round trip changed mesh size")
+	}
+	if back.Vertices[10] != m.Vertices[10] {
+		t.Fatal("payload round trip changed vertex data")
+	}
+}
+
+// countingDecimator counts the decimations that reach the catalog.
+type countingDecimator struct {
+	sessiond.Decimator
+	calls atomic.Int64
+}
+
+func (d *countingDecimator) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, error) {
+	d.calls.Add(1)
+	return d.Decimator.Decimate(object, ratio, fast)
+}
+
+// TestLODServesScene is the full Fig. 3 loop through render.LODProvider: a
+// scene fetches its decimated geometry over the wire before anything has
+// opened the session (the LOD opens it), and re-applying the same ratios is
+// served from the session's mesh cache without decimating again.
+func TestLODServesScene(t *testing.T) {
+	specs := []render.ObjectSpec{
+		{Name: "cabin", MaxTriangles: 1200, Shape: render.ShapeBox, ShapeSeed: 2, DistExp: 1},
+		{Name: "hammer", MaxTriangles: 1500, Shape: render.ShapeTorus, ShapeSeed: 3, DistExp: 1.2},
+	}
+	srv, err := edge.NewServer(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := &countingDecimator{Decimator: srv}
+	_, ts := newDecimatorService(t, dec)
+	lod := sessiond.NewLOD(context.Background(), newTestClient(t, ts.URL, "scene", 1))
+	var _ render.LODProvider = lod
+
+	lib, err := render.NewLibrary(specs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene := render.NewScene(lib)
+	for _, sp := range specs {
+		if _, err := scene.Place(sp.Name, 1, 1.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range scene.Objects() {
+		o.Triangles = o.Spec.MaxTriangles / 2
+	}
+	if err := scene.ApplyLOD(lod, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range scene.Objects() {
+		if o.Geometry == nil || o.Geometry.TriangleCount() == 0 {
+			t.Fatalf("object %s got no geometry over the wire", o.ID())
+		}
+	}
+	before := dec.calls.Load()
+	for _, o := range scene.Objects() {
+		o.GeometryRatio = 0 // force refetch through the provider
+	}
+	if err := scene.ApplyLOD(lod, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	if after := dec.calls.Load(); after != before {
+		t.Fatalf("refetch at same ratios decimated again: %d -> %d calls", before, after)
 	}
 }

@@ -45,7 +45,7 @@ func testCost(seed uint64, step int, point []float64) float64 {
 
 func newTestClient(t *testing.T, baseURL, id string, seed uint64) *sessiond.Client {
 	t.Helper()
-	ec, err := edge.NewClient(baseURL, 4)
+	ec, err := edge.NewClient(baseURL)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}

@@ -51,7 +51,7 @@ func newPolicyClient(t *testing.T, baseURL, id, policy string, seed uint64, stre
 		t.Fatalf("set policy %q: %v", policy, err)
 	}
 	if stream {
-		ec, err := edge.NewClient(baseURL, 4)
+		ec, err := edge.NewClient(baseURL)
 		if err != nil {
 			t.Fatalf("stream edge client: %v", err)
 		}

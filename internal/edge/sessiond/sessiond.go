@@ -1,10 +1,9 @@
-// Package sessiond is the multi-tenant session layer of the edge service:
-// where package edge's /bo/next route re-derives a fresh optimizer from the
-// full uploaded database on every call, sessiond keeps one HBO session per
-// connected client alive server-side — its GP history (the BO database and
-// the incrementally extended Cholesky factorization), its activation window
-// of recent rewards, and a per-session mesh-cache handle over the shared
-// object catalog.
+// Package sessiond is the edge service: it serves both halves of the
+// paper's Figure 3 edge — mesh decimation and the Bayesian-optimization
+// step — and keeps one HBO session per connected client alive server-side:
+// its GP history (the BO database and the incrementally extended Cholesky
+// factorization), its activation window of recent rewards, and a
+// per-session mesh cache over the shared object catalog.
 //
 // The store is sharded and lock-striped: a session's ID hashes to one of
 // Config.Shards shards, each holding an independent mutex, session map, and
@@ -23,7 +22,7 @@
 // stamp) and at most Shards GP computations run at once regardless of how
 // many clients are connected. Because every session owns a persistent
 // optimizer, each suggestion is an O(n²) incremental Cholesky extension
-// rather than the stateless route's from-scratch O(n³) refit.
+// rather than a from-scratch O(n³) refit of the uploaded history.
 //
 // Determinism contract: a session's suggestion stream is a pure function of
 // its (seed, init, observation sequence) — batching, shard placement, and

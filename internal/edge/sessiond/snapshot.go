@@ -337,9 +337,13 @@ func decodeSnapshot(blob []byte) (*snapshot, error) {
 			}
 			obj := string(r.take(objLen))
 			step := int(int32(r.u32()))
-			fast := r.u8() != 0
+			fast := r.u8()
+			if r.err == nil && fast > 1 {
+				// Only 0 and 1 re-encode to the same byte.
+				return nil, fmt.Errorf("sessiond: snapshot: manifest fast flag %d not 0 or 1", fast)
+			}
 			if r.err == nil {
-				s.manifest = append(s.manifest, meshKey{object: obj, ratioStep: step, fast: fast})
+				s.manifest = append(s.manifest, meshKey{object: obj, ratioStep: step, fast: fast == 1})
 			}
 		}
 	}

@@ -238,6 +238,16 @@ func TestSnapshotRejectsHostileCounts(t *testing.T) {
 			t.Fatal("trailing bytes accepted")
 		}
 	})
+	t.Run("manifest fast byte not 0 or 1", func(t *testing.T) {
+		withMesh := *s
+		withMesh.manifest = []meshKey{{object: "a", ratioStep: 10}}
+		m := encodeSnapshot(&withMesh)
+		m = m[:len(m)-4]
+		m[len(m)-1] = 2 // the entry's fast byte; the encoder writes only 0 or 1
+		if _, err := decodeSnapshot(rewrapCRC(m)); err == nil {
+			t.Fatal("non-canonical fast byte accepted")
+		}
+	})
 }
 
 // TestMeshCacheManifestRoundTrip pins the manifest contract: restoring a

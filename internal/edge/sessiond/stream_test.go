@@ -54,7 +54,7 @@ func attachStream(t *testing.T, sc *sessiond.Client, ec *edge.Client) *sessiond.
 
 func newStreamedClient(t *testing.T, baseURL, id string, seed uint64) (*sessiond.Client, *sessiond.StreamClient, *edge.Client) {
 	t.Helper()
-	ec, err := edge.NewClient(baseURL, 4)
+	ec, err := edge.NewClient(baseURL)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestStreamDuplicateObserveAcked(t *testing.T) {
 // reorder responses across sessions.
 func TestStreamMultiplexSharedClient(t *testing.T) {
 	_, ts := newStreamService(t)
-	ec, err := edge.NewClient(ts.URL, 4)
+	ec, err := edge.NewClient(ts.URL)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}

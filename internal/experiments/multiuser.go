@@ -9,7 +9,7 @@ import (
 
 	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/bo/policies"
-	"github.com/mar-hbo/hbo/internal/edge/sessiond/contend"
+	"github.com/mar-hbo/hbo/internal/experiments/contend"
 	"github.com/mar-hbo/hbo/internal/faults"
 	"github.com/mar-hbo/hbo/internal/loadgen"
 	"github.com/mar-hbo/hbo/internal/sim"

@@ -78,8 +78,6 @@ type Config struct {
 	// edge client and fault-injection transport), so per-session trajectories
 	// stay bit-identical to the JSON path.
 	UseStream bool
-	// CacheCap is each client's local mesh-cache capacity (16 when zero).
-	CacheCap int
 	// Policy selects the server-side optimizer policy for every session
 	// (see internal/bo/policies); empty keeps the GP-EI default.
 	Policy string
@@ -116,9 +114,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MoveDistance == 0 {
 		cfg.MoveDistance = 4.0
-	}
-	if cfg.CacheCap == 0 {
-		cfg.CacheCap = 16
 	}
 	return cfg
 }
@@ -275,7 +270,7 @@ func runOne(ctx context.Context, cfg Config, idx int, seed uint64) SessionResult
 	if faultsActive(cfg.Faults) {
 		ccfg.Transport = faults.NewTransport(ccfg.Transport, faultSeed, cfg.Faults)
 	}
-	ec, err := edge.NewClientWithConfig(cfg.BaseURL, cfg.CacheCap, ccfg)
+	ec, err := edge.NewClientWithConfig(cfg.BaseURL, 0, ccfg)
 	if err != nil {
 		res.Err = err.Error()
 		return res

@@ -5,9 +5,11 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/faults"
 	"github.com/mar-hbo/hbo/internal/loadgen"
+	"github.com/mar-hbo/hbo/internal/render"
 )
 
 // TestRunConcurrentWithFaults drives a multi-worker fleet through a seeded
@@ -59,6 +61,51 @@ func TestRunConcurrentWithFaults(t *testing.T) {
 	}
 	if rep.TotalRemote == 0 {
 		t.Error("no remote proposals recorded — the fleet never exercised the session BO path")
+	}
+}
+
+// TestRunLODCleanLinkNeverDegrades routes quality manipulation through the
+// session mesh caches on a fault-free link: no window may fall back to the
+// local decimator. The scene's first mesh fetch comes before the BO backend
+// has opened the session, so this pins the LOD path opening it first.
+func TestRunLODCleanLinkNeverDegrades(t *testing.T) {
+	var specs []render.ObjectSpec
+	for _, c := range append(render.SC1(), render.SC2()...) {
+		specs = append(specs, c.Spec)
+	}
+	srv, err := edge.NewServer(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := sessiond.New(sessiond.DefaultConfig(), srv)
+	if err != nil {
+		t.Fatalf("service: %v", err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	rep, err := loadgen.Run(context.Background(), loadgen.Config{
+		BaseURL:    ts.URL,
+		Sessions:   2,
+		Seed:       3,
+		Jobs:       2,
+		DurationMS: 30_000,
+		UseLOD:     true,
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, s := range rep.Sessions {
+		if s.Err != "" {
+			t.Errorf("session %s: %s", s.ID, s.Err)
+		}
+		if len(s.Samples) == 0 {
+			t.Errorf("session %s recorded no reward samples", s.ID)
+		}
+		if s.DegradedWindows != 0 {
+			t.Errorf("session %s: %d of %d windows degraded on a clean link", s.ID, s.DegradedWindows, len(s.Samples))
+		}
 	}
 }
 
