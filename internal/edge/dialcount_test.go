@@ -6,9 +6,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countDials wraps a transport's dialer with an atomic counter, keeping
@@ -27,7 +29,24 @@ func runDialLoad(t *testing.T, transport *http.Transport, sessions, calls int) i
 	t.Helper()
 	var dials atomic.Int64
 	countDials(transport, &dials)
+	// The handler holds each response until the whole wave has arrived, so
+	// every session holds its own connection at once. Otherwise a
+	// connection finishing early can be handed to a request that has
+	// already started dialing, and that dial lands in the pool as a spare.
+	var mu sync.Mutex
+	arrived, release := 0, make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		wave := release
+		if arrived++; arrived == sessions {
+			close(release)
+			arrived, release = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-wave:
+		case <-r.Context().Done():
+		}
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{}`)
 	}))
@@ -38,12 +57,25 @@ func runDialLoad(t *testing.T, transport *http.Transport, sessions, calls int) i
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	ctx := context.Background()
 	// Waves, not free-running loops: all sessions fire one call, then the
 	// connections sit idle until the next wave — the load generator's real
 	// cadence (every client computes between suggests). An undersized idle
 	// pool evicts most connections at each barrier and redials next wave.
 	for k := 0; k < calls; k++ {
+		// PostJSON returns once the body is read, but the transport's read
+		// loop hands the connection back to the idle pool a moment later.
+		// The barrier waits for every call's PutIdleConn (nil when pooled,
+		// an error when the pool turned it away), so the next wave never
+		// dials just because it raced a connection on its way back.
+		returned := make(chan struct{}, sessions)
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			PutIdleConn: func(error) {
+				select {
+				case returned <- struct{}{}:
+				default: // a retried call's extra return; the barrier needs only one per call
+				}
+			},
+		})
 		var wg sync.WaitGroup
 		errs := make(chan error, sessions)
 		for i := 0; i < sessions; i++ {
@@ -60,6 +92,14 @@ func runDialLoad(t *testing.T, transport *http.Transport, sessions, calls int) i
 		close(errs)
 		for err := range errs {
 			t.Fatalf("post (wave %d): %v", k, err)
+		}
+		deadline := time.After(10 * time.Second)
+		for i := 0; i < sessions; i++ {
+			select {
+			case <-returned:
+			case <-deadline:
+				t.Fatalf("wave %d: only %d of %d connections came back to the transport", k, i, sessions)
+			}
 		}
 	}
 	transport.CloseIdleConnections()

@@ -7,8 +7,8 @@ import (
 	"github.com/mar-hbo/hbo/internal/mesh"
 )
 
-// meshKey identifies one decimated variant, quantized to 2% ratio steps the
-// same way the edge client's cache does so the two tiers agree on identity.
+// meshKey identifies one decimated variant, quantized to 2% ratio steps so
+// nearby ratios share one cached mesh.
 type meshKey struct {
 	object    string
 	ratioStep int

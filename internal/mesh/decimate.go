@@ -1,10 +1,9 @@
 package mesh
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // quadric is a symmetric 4x4 error quadric stored as its upper triangle:
@@ -58,39 +57,67 @@ func (q *quadric) optimal() (Vec3, bool) {
 
 // collapse is a candidate edge contraction in the priority queue.
 type collapse struct {
-	u, v  int // vertex indices; v merges into u
-	cost  float64
-	pos   Vec3
-	verU  int // vertex versions at push time; stale entries are skipped
-	verV  int
-	index int
+	u, v int // vertex indices; v merges into u
+	cost float64
+	pos  Vec3
+	verU int // vertex versions at push time; stale entries are skipped
+	verV int
 }
 
-type collapseHeap []*collapse
-
-func (h collapseHeap) Len() int { return len(h) }
-
-// Less orders by cost with a deterministic (u, v) tie-break so equal-cost
+// less orders by cost with a deterministic (u, v) tie-break so equal-cost
 // collapses pop in the same order every run.
-func (h collapseHeap) Less(i, j int) bool {
+func (c *collapse) less(o *collapse) bool {
 	//lint:allow errlint exact equality is the tie-break trigger; a bits compare would split numerically equal costs
-	if h[i].cost != h[j].cost {
-		return h[i].cost < h[j].cost
+	if c.cost != o.cost {
+		return c.cost < o.cost
 	}
-	if h[i].u != h[j].u {
-		return h[i].u < h[j].u
+	if c.u != o.u {
+		return c.u < o.u
 	}
-	return h[i].v < h[j].v
+	return c.v < o.v
 }
-func (h collapseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *collapseHeap) Push(x any)   { c := x.(*collapse); c.index = len(*h); *h = append(*h, c) }
-func (h *collapseHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return c
+
+// collapseHeap is a binary min-heap of collapse values. push and pop make
+// exactly the comparisons and moves of container/heap's up and down.
+type collapseHeap []collapse
+
+func (h *collapseHeap) push(c collapse) {
+	*h = append(*h, c)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !c.less(&q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = c
+}
+
+func (h *collapseHeap) pop() collapse {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].less(&q[j]) {
+			j = j2
+		}
+		if !q[j].less(&x) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	*h = q[:n]
+	return top
 }
 
 // decimator holds the working state of one QEM simplification run.
@@ -100,10 +127,14 @@ type decimator struct {
 	version  []int
 	faces    []Triangle
 	faceOK   []bool
-	// vertFaces maps vertex -> set of incident live face indices.
-	vertFaces []map[int]struct{}
+	// vertFaces lists each vertex's live incident faces, in no particular
+	// order. The lists start carved from one degree-counted backing array;
+	// a list that outgrows its carve reallocates on append.
+	vertFaces [][]int
 	liveFaces int
 	queue     collapseHeap
+	// nbrs is apply's reused neighbour scratch.
+	nbrs []int
 }
 
 // Decimate simplifies the mesh to at most target triangles using
@@ -130,22 +161,33 @@ func Decimate(m *Mesh, target int) (*Mesh, error) {
 }
 
 func newDecimator(m *Mesh) *decimator {
+	nv, nf := len(m.Vertices), len(m.Triangles)
 	d := &decimator{
 		verts:     append([]Vec3(nil), m.Vertices...),
-		quadrics:  make([]quadric, len(m.Vertices)),
-		version:   make([]int, len(m.Vertices)),
+		quadrics:  make([]quadric, nv),
+		version:   make([]int, nv),
 		faces:     append([]Triangle(nil), m.Triangles...),
-		faceOK:    make([]bool, len(m.Triangles)),
-		vertFaces: make([]map[int]struct{}, len(m.Vertices)),
-		liveFaces: len(m.Triangles),
+		faceOK:    make([]bool, nf),
+		vertFaces: make([][]int, nv),
+		liveFaces: nf,
+		queue:     make(collapseHeap, 0, 2*nf), // seeding pushes ~1.5 edges per face
 	}
-	for i := range d.vertFaces {
-		d.vertFaces[i] = make(map[int]struct{})
+	degree := make([]int, nv)
+	for _, t := range d.faces {
+		for _, v := range t {
+			degree[v]++
+		}
+	}
+	backing := make([]int, 3*nf)
+	off := 0
+	for v, n := range degree {
+		d.vertFaces[v] = backing[off : off : off+n]
+		off += n
 	}
 	for fi, t := range d.faces {
 		d.faceOK[fi] = true
 		for _, v := range t {
-			d.vertFaces[v][fi] = struct{}{}
+			d.vertFaces[v] = append(d.vertFaces[v], fi)
 		}
 		a, b, c := d.verts[t[0]], d.verts[t[1]], d.verts[t[2]]
 		n := b.Sub(a).Cross(c.Sub(a))
@@ -159,24 +201,36 @@ func newDecimator(m *Mesh) *decimator {
 			d.quadrics[v].addPlane(n.X, n.Y, n.Z, off)
 		}
 	}
-	// Seed the queue with every edge once (u < v).
-	seen := make(map[[2]int]struct{})
-	for _, t := range d.faces {
+	// Seed the queue with every edge once (u < v), in first-seen order: an
+	// edge of face fi is new unless an earlier face also holds it. The face
+	// lists are still in ascending face order here.
+	for fi, t := range d.faces {
 		edges := [3][2]int{{t[0], t[1]}, {t[1], t[2]}, {t[2], t[0]}}
 		for _, e := range edges {
 			u, v := e[0], e[1]
 			if u > v {
 				u, v = v, u
 			}
-			key := [2]int{u, v}
-			if _, dup := seen[key]; dup {
-				continue
+			if !d.edgeBefore(u, v, fi) {
+				d.pushCollapse(u, v)
 			}
-			seen[key] = struct{}{}
-			d.pushCollapse(u, v)
 		}
 	}
 	return d
+}
+
+// edgeBefore reports whether a face before fi holds both u and v; it relies
+// on u's face list being in ascending order.
+func (d *decimator) edgeBefore(u, v, fi int) bool {
+	for _, fj := range d.vertFaces[u] {
+		if fj >= fi {
+			return false
+		}
+		if contains(d.faces[fj], v) {
+			return true
+		}
+	}
+	return false
 }
 
 func (d *decimator) pushCollapse(u, v int) {
@@ -200,7 +254,7 @@ func (d *decimator) pushCollapse(u, v int) {
 	if cost < 0 {
 		cost = 0 // numeric noise on flat regions
 	}
-	heap.Push(&d.queue, &collapse{
+	d.queue.push(collapse{
 		u: u, v: v, cost: cost, pos: pos,
 		verU: d.version[u], verV: d.version[v],
 	})
@@ -209,8 +263,8 @@ func (d *decimator) pushCollapse(u, v int) {
 // step performs the cheapest valid collapse; it returns false when the queue
 // is exhausted.
 func (d *decimator) step() bool {
-	for d.queue.Len() > 0 {
-		c := heap.Pop(&d.queue).(*collapse)
+	for len(d.queue) > 0 {
+		c := d.queue.pop()
 		if c.verU != d.version[c.u] || c.verV != d.version[c.v] {
 			continue // stale entry
 		}
@@ -220,29 +274,28 @@ func (d *decimator) step() bool {
 		if !d.sharesEdge(c.u, c.v) {
 			continue // edge disappeared through earlier collapses
 		}
-		if d.wouldFlip(c) {
+		if d.wouldFlip(&c) {
 			// Penalize instead of dropping forever: requeue with the
 			// midpoint, which flips less often, unless already midpoint.
 			mid := d.verts[c.u].Add(d.verts[c.v]).Scale(0.5)
 			if mid != c.pos {
-				c2 := *c
-				c2.pos = mid
-				c2.cost = c.cost + 1e-6
-				heap.Push(&d.queue, &c2)
-				continue
+				c.pos = mid
+				c.cost += 1e-6
+				d.queue.push(c)
 			}
 			continue
 		}
-		d.apply(c)
+		d.apply(&c)
 		return true
 	}
 	return false
 }
 
-// sharesEdge reports whether u and v still share a live face.
+// sharesEdge reports whether u and v still share a live face: each list
+// holds exactly its vertex's live faces, so some face of u contains v.
 func (d *decimator) sharesEdge(u, v int) bool {
-	for fi := range d.vertFaces[u] {
-		if _, ok := d.vertFaces[v][fi]; ok {
+	for _, fi := range d.vertFaces[u] {
+		if contains(d.faces[fi], v) {
 			return true
 		}
 	}
@@ -252,8 +305,8 @@ func (d *decimator) sharesEdge(u, v int) bool {
 // wouldFlip reports whether moving u and v to the collapse position inverts
 // any surviving incident face normal.
 func (d *decimator) wouldFlip(c *collapse) bool {
-	check := func(vertex, other int) bool {
-		for fi := range d.vertFaces[vertex] {
+	check := func(vertex int) bool {
+		for _, fi := range d.vertFaces[vertex] {
 			t := d.faces[fi]
 			// Faces containing both endpoints disappear; skip them.
 			if contains(t, c.u) && contains(t, c.v) {
@@ -276,81 +329,81 @@ func (d *decimator) wouldFlip(c *collapse) bool {
 		}
 		return false
 	}
-	return check(c.u, c.v) || check(c.v, c.u)
+	return check(c.u) || check(c.v)
 }
 
 func contains(t Triangle, v int) bool { return t[0] == v || t[1] == v || t[2] == v }
+
+// kill retires face fi, dropping it from the face lists of its vertices
+// other than skip (whose list the caller is discarding).
+func (d *decimator) kill(fi, skip int) {
+	d.faceOK[fi] = false
+	d.liveFaces--
+	for _, w := range d.faces[fi] {
+		if w == skip {
+			continue
+		}
+		list := d.vertFaces[w]
+		for k, f := range list {
+			if f == fi {
+				last := len(list) - 1
+				list[k] = list[last]
+				d.vertFaces[w] = list[:last]
+				break
+			}
+		}
+	}
+}
 
 // apply performs the collapse: v merges into u at the optimal position.
 func (d *decimator) apply(c *collapse) {
 	u, v := c.u, c.v
 	d.verts[u] = c.pos
-	q := d.quadrics[v]
-	d.quadrics[u].add(&q)
+	d.quadrics[u].add(&d.quadrics[v])
 	d.version[u]++
 	d.version[v]++
 
-	// Kill faces containing both endpoints.
-	for fi := range d.vertFaces[v] {
-		t := d.faces[fi]
-		if contains(t, u) {
-			if d.faceOK[fi] {
-				d.faceOK[fi] = false
-				d.liveFaces--
-			}
-			for _, w := range t {
-				delete(d.vertFaces[w], fi)
-			}
-		}
-	}
-	// Rewire v's remaining faces to u.
-	for fi := range d.vertFaces[v] {
+	// One pass over v's faces: a face shared with u dies; any other is
+	// rewired to u, and dies too if the rewire left it degenerate.
+	for _, fi := range d.vertFaces[v] {
 		t := &d.faces[fi]
+		if contains(*t, u) {
+			d.kill(fi, v)
+			continue
+		}
 		for k := range t {
 			if t[k] == v {
 				t[k] = u
 			}
 		}
-		// The rewire may have created a degenerate face if u already
-		// appeared; kill it.
 		if t[0] == t[1] || t[1] == t[2] || t[0] == t[2] {
-			if d.faceOK[fi] {
-				d.faceOK[fi] = false
-				d.liveFaces--
-			}
-			for _, w := range *t {
-				delete(d.vertFaces[w], fi)
-			}
+			d.kill(fi, v)
 			continue
 		}
-		d.vertFaces[u][fi] = struct{}{}
+		d.vertFaces[u] = append(d.vertFaces[u], fi)
 	}
-	d.vertFaces[v] = make(map[int]struct{})
+	d.vertFaces[v] = nil
 
-	// Refresh collapse candidates around u, visiting neighbours in a
-	// deterministic order (map iteration order must not influence heap
-	// insertion sequence, or same-seed runs would produce different
-	// meshes).
-	neighborSet := make(map[int]struct{})
-	for fi := range d.vertFaces[u] {
+	// Refresh collapse candidates around u, visiting neighbours in sorted
+	// order so the heap insertion sequence is deterministic.
+	nbrs := d.nbrs[:0]
+	for _, fi := range d.vertFaces[u] {
 		for _, w := range d.faces[fi] {
 			if w != u {
-				neighborSet[w] = struct{}{}
+				nbrs = append(nbrs, w)
 			}
 		}
 	}
-	neighbors := make([]int, 0, len(neighborSet))
-	for w := range neighborSet {
-		neighbors = append(neighbors, w)
-	}
-	sort.Ints(neighbors)
-	for _, w := range neighbors {
+	slices.Sort(nbrs)
+	nbrs = slices.Compact(nbrs)
+	for _, w := range nbrs {
 		a, b := u, w
 		if a > b {
 			a, b = b, a
 		}
 		d.pushCollapse(a, b)
 	}
+	d.nbrs = nbrs
 }
 
 // extract builds the simplified mesh from the live faces.

@@ -240,6 +240,25 @@ func TestDecimateMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestDecimateAllocs fences the decimator's flat working state: one
+// half-resolution pass over a 3k-triangle blob must stay far below the
+// per-face and per-collapse map churn of a map-backed implementation
+// (~15k allocations).
+func TestDecimateAllocs(t *testing.T) {
+	m, err := Blob(3000, 7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := DecimateToRatio(m, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6000 {
+		t.Fatalf("Decimate made %.0f allocations, want <= 6000", allocs)
+	}
+}
+
 func TestVecOps(t *testing.T) {
 	a := Vec3{1, 0, 0}
 	b := Vec3{0, 1, 0}
