@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSessionRequestDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/wire/
+	$(GO) test -run=^$$ -fuzz=FuzzMeshDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/wire/
 
 # cover runs the full suite with coverage and prints the per-function
 # summary; the HTML report lands in cover.html. It then enforces a coverage

@@ -299,7 +299,16 @@ func retryable(err error) bool {
 // It is the extension point the session service's client builds on, so
 // every session route shares one link-health view.
 func (c *Client) PostJSON(ctx context.Context, path string, req, resp any) error {
-	return c.post(ctx, path, req, resp)
+	return c.post(ctx, path, req, func(body []byte) error { return decodeJSON(body, resp) })
+}
+
+// PostJSONDecode is PostJSON for a route whose 200 body is not JSON (the
+// session service's binary mesh payload): the whole bounded body is handed
+// to decode instead. A decode error is a mangled response like malformed
+// JSON — retried as a transient link fault — so decode must be safe to
+// call again, and the body it sees is valid only during the call.
+func (c *Client) PostJSONDecode(ctx context.Context, path string, req any, decode func(body []byte) error) error {
+	return c.post(ctx, path, req, decode)
 }
 
 // Execute runs one idempotent operation under the client's full
@@ -361,13 +370,13 @@ func (c *Client) Execute(ctx context.Context, label string, op func(ctx context.
 // post sends one idempotent JSON POST through Execute. When the breaker is
 // open the call fails fast with ErrUnavailable, and the caller's local
 // fallback takes over.
-func (c *Client) post(ctx context.Context, path string, req, resp any) error {
+func (c *Client) post(ctx context.Context, path string, req any, decode func([]byte) error) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("edge: encoding %s request: %w", path, err)
 	}
 	return c.Execute(ctx, path, func(ctx context.Context) error {
-		return c.attempt(ctx, path, body, resp)
+		return c.attempt(ctx, path, body, decode)
 	})
 }
 
@@ -423,20 +432,33 @@ func (c *Client) wait(ctx context.Context, delay time.Duration) error {
 	}
 }
 
-// attempt runs one HTTP round trip under the per-attempt timeout, with a
-// bounded response read that rejects oversize bodies and trailing garbage
-// after the JSON document.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any) error {
+// attempt runs one HTTP round trip under the per-attempt timeout, reads
+// the response body whole under the size bound, and hands it to decode.
+// The body is read and the connection released before decoding starts.
+func (c *Client) attempt(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
+	buf, err := c.roundTrip(ctx, path, body)
+	if err != nil {
+		return err
+	}
+	if err := decode(buf); err != nil {
+		return fmt.Errorf("decoding response: %w", err)
+	}
+	return nil
+}
+
+// roundTrip POSTs body and returns a 200 response's body, or a typed
+// statusError for any other status.
+func (c *Client) roundTrip(ctx context.Context, path string, body []byte) ([]byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	httpResp, err := c.http.Do(httpReq)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, io.LimitReader(httpResp.Body, 4096))
@@ -444,41 +466,51 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any
 	}()
 	if httpResp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		return &statusError{
+		return nil, &statusError{
 			status:     httpResp.Status,
 			code:       httpResp.StatusCode,
 			msg:        string(bytes.TrimSpace(msg)),
 			retryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
 		}
 	}
-	limited := &countingReader{r: io.LimitReader(httpResp.Body, c.cfg.MaxResponseBytes+1)}
-	dec := json.NewDecoder(limited)
-	if err := dec.Decode(resp); err != nil {
-		if limited.n > c.cfg.MaxResponseBytes {
-			return fmt.Errorf("response exceeds %d-byte limit", c.cfg.MaxResponseBytes)
+	return readBody(httpResp, c.cfg.MaxResponseBytes)
+}
+
+// readBody reads a response body whole, rejecting one over limit bytes. A
+// declared Content-Length sizes the buffer exactly — one allocation, no
+// doubling growth — and one over the limit fails before any byte is read;
+// a body of unknown length falls back to a bounded ReadAll.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 {
+		if n > limit {
+			return nil, fmt.Errorf("response of %d bytes exceeds %d-byte limit", n, limit)
 		}
-		return fmt.Errorf("decoding response: %w", err)
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, fmt.Errorf("reading response: %w", err)
+		}
+		return buf, nil
 	}
-	if limited.n > c.cfg.MaxResponseBytes {
-		return fmt.Errorf("response exceeds %d-byte limit", c.cfg.MaxResponseBytes)
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("reading response: %w", err)
 	}
-	// A valid document must be the whole body: trailing garbage means a
-	// corrupted or concatenated payload, which must not be trusted.
+	if int64(len(buf)) > limit {
+		return nil, fmt.Errorf("response exceeds %d-byte limit", limit)
+	}
+	return buf, nil
+}
+
+// decodeJSON decodes one JSON document into resp. The document must be the
+// whole body: trailing garbage means a corrupted or concatenated payload,
+// which must not be trusted.
+func decodeJSON(body []byte, resp any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := dec.Decode(resp); err != nil {
+		return err
+	}
 	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after JSON response")
 	}
 	return nil
-}
-
-// countingReader counts bytes so oversize responses are detected even when
-// the JSON document itself parses.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/mar-hbo/hbo/internal/bo/policies"
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/mesh"
 	"github.com/mar-hbo/hbo/internal/obs"
 )
@@ -89,11 +90,11 @@ func (c *Client) SetObserver(reg *obs.Registry) {
 }
 
 // SetStream attaches a stream transport for the session calls
-// (open/suggest/observe/close — decimate stays on JSON, mesh payloads are
-// not frame traffic). The StreamClient may be shared across many session
-// clients; it multiplexes them over one connection. Against a server
-// without the stream route, every call transparently falls back to the
-// JSON path after one cheap probe. Passing nil detaches.
+// (open/suggest/observe/close — decimate stays a POST, its binary mesh
+// payload is not frame traffic). The StreamClient may be shared across
+// many session clients; it multiplexes them over one connection. Against
+// a server without the stream route, every call transparently falls back
+// to the JSON path after one cheap probe. Passing nil detaches.
 func (c *Client) SetStream(sc *StreamClient) { c.stream = sc }
 
 // useJSON reports whether err is the stream transport saying "this server
@@ -215,15 +216,19 @@ func (c *Client) CloseSession(ctx context.Context) error {
 }
 
 // Decimate fetches a decimated mesh through the session's server-side mesh
-// cache. The returned mesh is the caller's to mutate.
+// cache. The binary payload is decoded and validated inside the retried
+// attempt, so a corrupted or truncated body (CRC or length mismatch) is
+// retried like any mangled response and never returned. The returned mesh
+// is the caller's to mutate.
 func (c *Client) Decimate(ctx context.Context, object string, ratio float64, fast bool) (*mesh.Mesh, error) {
-	var resp DecimateResponse
-	if err := c.ec.PostJSON(ctx, "/session/decimate", DecimateRequest{ID: c.id, Object: object, Ratio: ratio, Fast: fast}, &resp); err != nil {
+	var m *mesh.Mesh
+	err := c.ec.PostJSONDecode(ctx, "/session/decimate", DecimateRequest{ID: c.id, Object: object, Ratio: ratio, Fast: fast},
+		func(body []byte) (err error) {
+			m, err = wire.DecodeMesh(body)
+			return err
+		})
+	if err != nil {
 		return nil, err
-	}
-	m := resp.Mesh.ToMesh()
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("sessiond: server returned invalid mesh: %w", err)
 	}
 	return m, nil
 }

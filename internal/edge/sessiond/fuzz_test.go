@@ -11,6 +11,7 @@ import (
 
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/render"
 )
 
@@ -38,8 +39,10 @@ const fuzzOpen = `{"id":"fuzz","resources":3,"rmin":0.1,"seed":7,"init":5}`
 // request decoding and validation. Each input runs against a fresh service
 // holding one open session, so a failure reproduces from its own bytes. The
 // service must never panic, must answer with a plausible HTTP status, and
-// any 200 must carry a well-formed JSON document — whatever the body holds:
-// truncated JSON, out-of-range numbers, unknown sessions or objects.
+// any 200 must carry a well-formed body — a mesh payload that decodes from
+// /session/decimate, a JSON document from every other route — whatever the
+// request holds: truncated JSON, out-of-range numbers, unknown sessions or
+// objects.
 func FuzzSessionRequestDecode(f *testing.F) {
 	seeds := []struct {
 		endpoint byte
@@ -84,7 +87,16 @@ func FuzzSessionRequestDecode(f *testing.F) {
 		if rec.Code < 200 || rec.Code > 599 {
 			t.Fatalf("%s returned impossible status %d", path, rec.Code)
 		}
-		if rec.Code == http.StatusOK && !json.Valid(rec.Body.Bytes()) {
+		if rec.Code != http.StatusOK {
+			return
+		}
+		if path == "/session/decimate" {
+			if _, err := wire.DecodeMesh(rec.Body.Bytes()); err != nil {
+				t.Fatalf("%s answered 200 with an undecodable mesh payload: %v", path, err)
+			}
+			return
+		}
+		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%s answered 200 with malformed JSON %q", path, rec.Body.Bytes())
 		}
 	})

@@ -10,7 +10,13 @@ import (
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/bo/policies"
-	"github.com/mar-hbo/hbo/internal/mesh"
+)
+
+// The decimate route's binary response: its media type, and the header
+// reporting what the session's mesh cache did ("hit" or "miss").
+const (
+	MeshContentType = "application/x-hbo-mesh"
+	MeshCacheHeader = "X-Mesh-Cache"
 )
 
 // Request-handling bounds. One client is a single MAR session, so even
@@ -88,57 +94,14 @@ type CloseResponse struct {
 }
 
 // DecimateRequest fetches a decimated mesh through the session's private
-// mesh cache.
+// mesh cache. The 200 response body is the binary mesh payload
+// (wire.AppendMesh, DESIGN.md §14), served verbatim from the cache on a
+// hit; its X-Mesh-Cache header says "hit" or "miss".
 type DecimateRequest struct {
 	ID     string  `json:"id"`
 	Object string  `json:"object"`
 	Ratio  float64 `json:"ratio"`
 	Fast   bool    `json:"fast,omitempty"`
-}
-
-// DecimateResponse is the wire mesh plus a cache-hit marker.
-type DecimateResponse struct {
-	Object    string      `json:"object"`
-	Ratio     float64     `json:"ratio"`
-	Triangles int         `json:"triangles"`
-	Cached    bool        `json:"cached"`
-	Mesh      MeshPayload `json:"mesh"`
-}
-
-// MeshPayload is a wire-format triangle mesh.
-type MeshPayload struct {
-	Vertices  [][3]float64 `json:"vertices"`
-	Triangles [][3]int     `json:"triangles"`
-}
-
-// ToMesh converts the payload to a mesh.
-func (p MeshPayload) ToMesh() *mesh.Mesh {
-	m := &mesh.Mesh{
-		Vertices:  make([]mesh.Vec3, len(p.Vertices)),
-		Triangles: make([]mesh.Triangle, len(p.Triangles)),
-	}
-	for i, v := range p.Vertices {
-		m.Vertices[i] = mesh.Vec3{X: v[0], Y: v[1], Z: v[2]}
-	}
-	for i, t := range p.Triangles {
-		m.Triangles[i] = mesh.Triangle{t[0], t[1], t[2]}
-	}
-	return m
-}
-
-// FromMesh converts a mesh to its wire format.
-func FromMesh(m *mesh.Mesh) MeshPayload {
-	p := MeshPayload{
-		Vertices:  make([][3]float64, len(m.Vertices)),
-		Triangles: make([][3]int, len(m.Triangles)),
-	}
-	for i, v := range m.Vertices {
-		p.Vertices[i] = [3]float64{v.X, v.Y, v.Z}
-	}
-	for i, t := range m.Triangles {
-		p.Triangles[i] = [3]int{t[0], t[1], t[2]}
-	}
-	return p
 }
 
 // ShardStats is one stripe's live state.
@@ -375,24 +338,29 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
 		return
 	}
-	m, cached, err := sess.decimate(s.dec, req.Object, req.Ratio, req.Fast)
+	payload, cached, err := sess.decimate(s.dec, req.Object, req.Ratio, req.Fast)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		code := http.StatusNotFound
+		if errors.Is(err, errMeshEncode) {
+			code = http.StatusInternalServerError
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
+	h := w.Header()
+	h.Set("Content-Type", MeshContentType)
+	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	if cached {
 		s.metMeshHits.Inc()
+		h.Set(MeshCacheHeader, "hit")
 	} else {
 		s.metMeshMisses.Inc()
+		h.Set(MeshCacheHeader, "miss")
 	}
 	s.metDecimates.Inc()
-	writeJSON(w, DecimateResponse{
-		Object:    req.Object,
-		Ratio:     req.Ratio,
-		Triangles: m.TriangleCount(),
-		Cached:    cached,
-		Mesh:      FromMesh(m),
-	})
+	// Headers are out once Write starts; a failed write is the client's
+	// (retried) problem, as for the JSON routes.
+	_, _ = w.Write(payload)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

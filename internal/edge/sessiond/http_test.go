@@ -205,21 +205,6 @@ func TestStatzAndObserveValidation(t *testing.T) {
 	}
 }
 
-func TestMeshPayloadRoundTrip(t *testing.T) {
-	spec := render.ObjectSpec{Name: "x", MaxTriangles: 500, Shape: render.ShapeSphere}
-	m, err := spec.Geometry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := sessiond.FromMesh(m).ToMesh()
-	if back.TriangleCount() != m.TriangleCount() || len(back.Vertices) != len(m.Vertices) {
-		t.Fatal("payload round trip changed mesh size")
-	}
-	if back.Vertices[10] != m.Vertices[10] {
-		t.Fatal("payload round trip changed vertex data")
-	}
-}
-
 // countingDecimator counts the decimations that reach the catalog.
 type countingDecimator struct {
 	sessiond.Decimator

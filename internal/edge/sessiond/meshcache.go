@@ -2,9 +2,11 @@ package sessiond
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
 	"math"
 
-	"github.com/mar-hbo/hbo/internal/mesh"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
 // meshKey identifies one decimated variant, quantized to 2% ratio steps so
@@ -20,9 +22,10 @@ func meshKeyFor(object string, ratio float64, fast bool) meshKey {
 }
 
 // meshCache is a session's private decimation LRU — the "mesh-cache handle"
-// each session carries. Evicting the session releases the whole cache at
-// once. Not safe for concurrent use on its own; the owning session's mutex
-// guards it.
+// each session carries. It holds each variant as its encoded wire payload
+// (wire.AppendMesh), so a hit is served verbatim with no encode. Evicting
+// the session releases the whole cache at once. Not safe for concurrent use
+// on its own; the owning session's mutex guards it.
 type meshCache struct {
 	cap     int
 	entries map[meshKey]*list.Element
@@ -32,37 +35,39 @@ type meshCache struct {
 }
 
 type meshEntry struct {
-	key meshKey
-	m   *mesh.Mesh
+	key     meshKey
+	payload []byte // encoded mesh; nil for a restored manifest placeholder
 }
 
 func newMeshCache(capacity int) *meshCache {
 	return &meshCache{cap: capacity, entries: make(map[meshKey]*list.Element), lru: list.New()}
 }
 
-// get returns the cached mesh for key, or nil. A manifest placeholder
-// (entry present, mesh nil) counts as a miss: the variant's identity
+// get returns the cached payload for key, or nil. A manifest placeholder
+// (entry present, payload nil) counts as a miss: the variant's identity
 // survived a snapshot but its geometry did not, so it must be re-decimated.
-func (c *meshCache) get(key meshKey) *mesh.Mesh {
+// The returned bytes are shared with every later hit and must not be
+// mutated.
+func (c *meshCache) get(key meshKey) []byte {
 	if el, ok := c.entries[key]; ok {
-		if m := el.Value.(*meshEntry).m; m != nil {
+		if p := el.Value.(*meshEntry).payload; p != nil {
 			c.hits++
 			c.lru.MoveToFront(el)
-			return m
+			return p
 		}
 	}
 	c.misses++
 	return nil
 }
 
-// put inserts a mesh, evicting the LRU entry beyond capacity.
-func (c *meshCache) put(key meshKey, m *mesh.Mesh) {
+// put inserts an encoded mesh, evicting the LRU entry beyond capacity.
+func (c *meshCache) put(key meshKey, payload []byte) {
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*meshEntry).m = m
+		el.Value.(*meshEntry).payload = payload
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&meshEntry{key: key, m: m})
+	c.entries[key] = c.lru.PushFront(&meshEntry{key: key, payload: payload})
 	for c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
@@ -99,19 +104,28 @@ func (c *meshCache) restoreManifest(keys []meshKey) {
 	}
 }
 
-// decimate serves a decimated mesh through the session's cache, falling
-// back to the shared Decimator on a miss.
-func (sess *session) decimate(dec Decimator, object string, ratio float64, fast bool) (*mesh.Mesh, bool, error) {
+// errMeshEncode marks a decimator output the mesh payload cannot carry (an
+// invalid mesh): a server fault, unlike an unknown object.
+var errMeshEncode = errors.New("sessiond: decimator returned an unencodable mesh")
+
+// decimate serves a decimated mesh's wire payload through the session's
+// cache. A miss decimates through the shared Decimator and encodes once
+// into an exactly sized buffer; a hit returns the cached bytes untouched.
+func (sess *session) decimate(dec Decimator, object string, ratio float64, fast bool) ([]byte, bool, error) {
 	key := meshKeyFor(object, ratio, fast)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if m := sess.meshes.get(key); m != nil {
-		return m, true, nil
+	if p := sess.meshes.get(key); p != nil {
+		return p, true, nil
 	}
 	m, err := dec.Decimate(object, ratio, fast)
 	if err != nil {
 		return nil, false, err
 	}
-	sess.meshes.put(key, m)
-	return m, false, nil
+	p, err := wire.AppendMesh(make([]byte, 0, wire.MeshSize(m)), m)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %v", errMeshEncode, err)
+	}
+	sess.meshes.put(key, p)
+	return p, false, nil
 }

@@ -23,6 +23,9 @@
 // input buffer for byte-slice fields and reuses the Frame's Point capacity,
 // AppendFrame appends into a caller-owned buffer, and Reader/Writer keep
 // reusable scratch (pool one per stream via GetReader/GetWriter).
+//
+// The package also codes the /session/decimate response body, one
+// decimated mesh in the same style (AppendMesh/DecodeMesh, mesh.go).
 package wire
 
 import (
