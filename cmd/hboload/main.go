@@ -40,7 +40,6 @@ func main() {
 	initSamples := flag.Int("init", 3, "BO init samples per activation")
 	iters := flag.Int("iters", 6, "BO iterations per activation")
 	useLOD := flag.Bool("lod", false, "route quality manipulation through the server's session mesh cache")
-	useStream := flag.Bool("stream", false, "use the binary /session/stream transport (falls back to JSON against old servers)")
 	moveAt := flag.Float64("move-at", 0, "scripted user movement time in virtual ms (0 = half the duration, negative = never)")
 	moveDist := flag.Float64("move-dist", 4.0, "user-object distance after the scripted movement (m)")
 	retries := flag.Int("retries", edge.DefaultClientConfig().MaxRetries, "edge client retries per call")
@@ -70,7 +69,6 @@ func main() {
 		MoveAtMS:     *moveAt,
 		MoveDistance: *moveDist,
 		UseLOD:       *useLOD,
-		UseStream:    *useStream,
 		Faults: faults.Plan{
 			DropRate:        *faultDrop,
 			ServerErrorRate: *fault500,

@@ -3,7 +3,6 @@ package edge
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -238,11 +237,11 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("returned %s: %s", e.status, e.msg)
 }
 
-// NewStatusError builds the same typed error the JSON transport produces
-// for a non-2xx response. The stream path maps its Error frames through
-// this, so server rejections carry one error taxonomy whatever the
-// transport: StatusCode extracts the code, the retry policy treats 5xx as
-// transient, and a Retry-After hint survives into the backoff computation.
+// NewStatusError builds the same typed error a non-2xx response produces.
+// The session client maps its Error frames through this, so server
+// rejections carry one error taxonomy whatever the carrier: StatusCode
+// extracts the code, the retry policy treats 5xx as transient, and a
+// Retry-After hint survives into the backoff computation.
 func NewStatusError(code int, msg string, retryAfter time.Duration) error {
 	return &statusError{
 		status:     fmt.Sprintf("%d %s", code, http.StatusText(code)),
@@ -253,9 +252,8 @@ func NewStatusError(code int, msg string, retryAfter time.Duration) error {
 }
 
 // PermanentError marks an error as categorically non-retryable, whatever
-// its underlying cause. The stream client uses it when a server simply has
-// no /session/stream route: retrying cannot help, and the caller falls back
-// to the JSON path instead.
+// its underlying cause. The stream client uses it for calls issued after
+// Close: retrying cannot help, and no cooldown will either.
 type PermanentError struct{ Err error }
 
 func (e *PermanentError) Error() string { return e.Err.Error() }
@@ -293,32 +291,29 @@ func retryable(err error) bool {
 	return true
 }
 
-// PostJSON sends one idempotent JSON POST through the client's full
-// fault-tolerance stack — per-attempt timeouts, retries with backoff and
-// Retry-After honoring, circuit breaker — decoding the response into resp.
-// It is the extension point the session service's client builds on, so
-// every session route shares one link-health view.
-func (c *Client) PostJSON(ctx context.Context, path string, req, resp any) error {
-	return c.post(ctx, path, req, func(body []byte) error { return decodeJSON(body, resp) })
-}
-
-// PostJSONDecode is PostJSON for a route whose 200 body is not JSON (the
-// session service's binary mesh payload): the whole bounded body is handed
-// to decode instead. A decode error is a mangled response like malformed
-// JSON — retried as a transient link fault — so decode must be safe to
-// call again, and the body it sees is valid only during the call.
-func (c *Client) PostJSONDecode(ctx context.Context, path string, req any, decode func(body []byte) error) error {
-	return c.post(ctx, path, req, decode)
+// Post sends one idempotent POST of a pre-encoded body through the
+// client's full fault-tolerance stack: per-attempt timeouts, retries with
+// backoff and Retry-After honoring, and the circuit breaker. A 200
+// response's whole bounded body is handed to decode. A decode error is a
+// mangled response, retried as a transient link fault, so decode must be
+// safe to call again; it owns the body it is handed (each attempt reads a
+// fresh one). A decode error carrying a status (NewStatusError) is treated
+// exactly like a response with that HTTP status. Every session route
+// shares one link-health view through this call.
+func (c *Client) Post(ctx context.Context, path, contentType string, body []byte, decode func(body []byte) error) error {
+	return c.Execute(ctx, path, func(ctx context.Context) error {
+		return c.attempt(ctx, path, contentType, body, decode)
+	})
 }
 
 // Execute runs one idempotent operation under the client's full
 // fault-tolerance stack: circuit-breaker admission, capped exponential
 // backoff with deterministic jitter between attempts, Retry-After honoring,
 // and breaker accounting of every outcome. It is the transport-agnostic
-// core of PostJSON, exposed so the session stream path shares the same
-// link-health view — a stream reconnect and a JSON retry are the same event
-// to the breaker. op must be safe to call again after a failure. label
-// names the operation in errors (the JSON path passes its route).
+// core of Post, exposed so the multiplexed session stream shares the same
+// link-health view — a stream reconnect and a retried POST are the same
+// event to the breaker. op must be safe to call again after a failure.
+// label names the operation in errors (Post passes its route).
 func (c *Client) Execute(ctx context.Context, label string, op func(ctx context.Context) error) error {
 	c.metCalls.Inc()
 	if !c.breaker.allow() {
@@ -352,7 +347,7 @@ func (c *Client) Execute(ctx context.Context, label string, op func(ctx context.
 		}
 		c.metAttemptFailures.Inc()
 		// A Permanent error is a condition of the call, not of the link
-		// (e.g. "this server has no stream route") — failing fast is right,
+		// (e.g. "this stream client was closed") — failing fast is right,
 		// but counting it toward opening the breaker would punish a healthy
 		// link for something no retry or cooldown can change.
 		var pe *PermanentError
@@ -367,29 +362,16 @@ func (c *Client) Execute(ctx context.Context, label string, op func(ctx context.
 	return fmt.Errorf("edge: %s %w", label, lastErr)
 }
 
-// post sends one idempotent JSON POST through Execute. When the breaker is
-// open the call fails fast with ErrUnavailable, and the caller's local
-// fallback takes over.
-func (c *Client) post(ctx context.Context, path string, req any, decode func([]byte) error) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("edge: encoding %s request: %w", path, err)
-	}
-	return c.Execute(ctx, path, func(ctx context.Context) error {
-		return c.attempt(ctx, path, body, decode)
-	})
-}
-
 // HTTPClient exposes the underlying HTTP client, so sibling transports (the
-// session stream) ride the same connection pool, fault-injection transport,
-// and dialer as the JSON path.
+// multiplexed session stream) ride the same connection pool,
+// fault-injection transport, and dialer as Post.
 func (c *Client) HTTPClient() *http.Client { return c.http }
 
 // BaseURL returns the server base URL this client was built for.
 func (c *Client) BaseURL() string { return c.base }
 
 // AttemptTimeout returns the per-attempt timeout, so sibling transports can
-// bound their own attempts identically to the JSON path.
+// bound their own attempts identically to Post.
 func (c *Client) AttemptTimeout() time.Duration { return c.cfg.Timeout }
 
 // parseRetryAfter reads an integer-seconds Retry-After value (the only form
@@ -435,12 +417,15 @@ func (c *Client) wait(ctx context.Context, delay time.Duration) error {
 // attempt runs one HTTP round trip under the per-attempt timeout, reads
 // the response body whole under the size bound, and hands it to decode.
 // The body is read and the connection released before decoding starts.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
-	buf, err := c.roundTrip(ctx, path, body)
+func (c *Client) attempt(ctx context.Context, path, contentType string, body []byte, decode func([]byte) error) error {
+	buf, err := c.roundTrip(ctx, path, contentType, body)
 	if err != nil {
 		return err
 	}
 	if err := decode(buf); err != nil {
+		if _, ok := StatusCode(err); ok {
+			return err
+		}
 		return fmt.Errorf("decoding response: %w", err)
 	}
 	return nil
@@ -448,14 +433,14 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, decode f
 
 // roundTrip POSTs body and returns a 200 response's body, or a typed
 // statusError for any other status.
-func (c *Client) roundTrip(ctx context.Context, path string, body []byte) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set("Content-Type", contentType)
 	httpResp, err := c.http.Do(httpReq)
 	if err != nil {
 		return nil, err
@@ -499,18 +484,4 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 		return nil, fmt.Errorf("response exceeds %d-byte limit", limit)
 	}
 	return buf, nil
-}
-
-// decodeJSON decodes one JSON document into resp. The document must be the
-// whole body: trailing garbage means a corrupted or concatenated payload,
-// which must not be trusted.
-func decodeJSON(body []byte, resp any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(resp); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after JSON response")
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,10 +48,30 @@ func newStubServer() *httptest.Server {
 	return httptest.NewServer(mux)
 }
 
+// postJSON posts req as JSON through Post and decodes a 200 body into
+// resp. The body must be exactly one JSON document: trailing data means a
+// corrupted or concatenated payload, which must not be trusted.
+func postJSON(ctx context.Context, c *Client, path string, req, resp any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return c.Post(ctx, path, "application/json", body, func(b []byte) error {
+		dec := json.NewDecoder(bytes.NewReader(b))
+		if err := dec.Decode(resp); err != nil {
+			return err
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return errors.New("trailing data after JSON response")
+		}
+		return nil
+	})
+}
+
 // echo posts n to the stub route and checks the reply.
 func echo(ctx context.Context, c *Client, n int) error {
 	var resp echoMsg
-	if err := c.PostJSON(ctx, "/echo", echoMsg{N: n}, &resp); err != nil {
+	if err := postJSON(ctx, c, "/echo", echoMsg{N: n}, &resp); err != nil {
 		return err
 	}
 	if resp.N != n {
@@ -229,12 +250,45 @@ func TestClientErrorsNotRetried(t *testing.T) {
 	client, tr, closeFn := newFaultyPair(t, faults.Plan{}, 1, nil)
 	defer closeFn()
 	var resp echoMsg
-	err := client.PostJSON(context.Background(), "/missing", echoMsg{N: 7}, &resp)
+	err := postJSON(context.Background(), client, "/missing", echoMsg{N: 7}, &resp)
 	if code, ok := StatusCode(err); !ok || code != http.StatusNotFound {
 		t.Fatalf("unknown route: err = %v", err)
 	}
 	if tr.Requests() != 1 {
 		t.Fatalf("404 was retried: %d requests", tr.Requests())
+	}
+}
+
+// TestPostDecodeStatusError checks that a decoder reporting a typed status
+// (how the session client surfaces a server's Error frame inside a 200
+// body) is treated exactly like that HTTP status: a 4xx fails at once with
+// its code, and a 503 is retried honoring its Retry-After hint.
+func TestPostDecodeStatusError(t *testing.T) {
+	var slept []time.Duration
+	client, tr, closeFn := newFaultyPair(t, faults.Plan{}, 1, func(cfg *ClientConfig) {
+		cfg.MaxRetries = 2
+		cfg.Sleep = func(d time.Duration) { slept = append(slept, d) }
+	})
+	defer closeFn()
+	body := []byte(`{"n":1}`)
+	notFound := func([]byte) error { return NewStatusError(http.StatusNotFound, "gone", 0) }
+	err := client.Post(context.Background(), "/echo", "application/json", body, notFound)
+	if code, ok := StatusCode(err); !ok || code != http.StatusNotFound {
+		t.Fatalf("decoded 404 = %v, want status 404", err)
+	}
+	if tr.Requests() != 1 {
+		t.Fatalf("decoded 404 was retried: %d requests", tr.Requests())
+	}
+	busy := func([]byte) error { return NewStatusError(http.StatusServiceUnavailable, "full", 3*time.Second) }
+	err = client.Post(context.Background(), "/echo", "application/json", body, busy)
+	if code, ok := StatusCode(err); !ok || code != http.StatusServiceUnavailable {
+		t.Fatalf("decoded 503 = %v, want status 503", err)
+	}
+	if tr.Requests() != 4 {
+		t.Fatalf("decoded 503 made %d requests in all, want 1 + 3 attempts", tr.Requests())
+	}
+	if len(slept) != 2 || slept[0] != 3*time.Second || slept[1] != 3*time.Second {
+		t.Fatalf("backoffs = %v, want the 3s Retry-After hint twice", slept)
 	}
 }
 

@@ -62,7 +62,7 @@ func runDialLoad(t *testing.T, transport *http.Transport, sessions, calls int) i
 	// cadence (every client computes between suggests). An undersized idle
 	// pool evicts most connections at each barrier and redials next wave.
 	for k := 0; k < calls; k++ {
-		// PostJSON returns once the body is read, but the transport's read
+		// Post returns once the body is read, but the transport's read
 		// loop hands the connection back to the idle pool a moment later.
 		// The barrier waits for every call's PutIdleConn (nil when pooled,
 		// an error when the pool turned it away), so the next wave never
@@ -83,7 +83,7 @@ func runDialLoad(t *testing.T, transport *http.Transport, sessions, calls int) i
 			go func() {
 				defer wg.Done()
 				var resp struct{}
-				if err := c.PostJSON(ctx, "/echo", struct{}{}, &resp); err != nil {
+				if err := postJSON(ctx, c, "/echo", struct{}{}, &resp); err != nil {
 					errs <- err
 				}
 			}()

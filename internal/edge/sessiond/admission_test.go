@@ -1,13 +1,17 @@
 package sessiond
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
 // stalledService builds a Service whose shard workers are never started, so
@@ -73,8 +77,21 @@ func fillQueue(t *testing.T, svc *Service, sess *session) {
 	}
 }
 
-// TestAdmissionRejectHTTP checks the HTTP face of a rejection: 503 with the
-// configured Retry-After hint in whole seconds.
+// suggestClient builds a session client for the stalled service's session
+// "a" over the default single-frame carrier.
+func suggestClient(t *testing.T, ec *edge.Client) *Client {
+	t.Helper()
+	sc, err := NewClient(ec, "a", 3, 0.1, 1, 5)
+	if err != nil {
+		t.Fatalf("session client: %v", err)
+	}
+	return sc
+}
+
+// TestAdmissionRejectHTTP checks the wire face of a rejection: a
+// single-frame suggest POST is answered with an Error frame carrying 503 and
+// the configured Retry-After hint in whole seconds, which the session client
+// surfaces as a typed 503.
 func TestAdmissionRejectHTTP(t *testing.T) {
 	const retryAfterSec = 3
 	svc := stalledService(t, 2, retryAfterSec)
@@ -86,12 +103,36 @@ func TestAdmissionRejectHTTP(t *testing.T) {
 
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	ec, err := edge.NewClient(ts.URL)
+	req, err := wire.AppendFrame(nil, &wire.Frame{Type: wire.TSuggestReq, ID: []byte("a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp, err := http.Post(ts.URL+streamPath, frameContentType, bytes.NewReader(req))
+	if err != nil {
+		t.Fatalf("suggest post: %v", err)
+	}
+	body, err := io.ReadAll(hresp.Body)
+	_ = hresp.Body.Close()
+	if err != nil {
+		t.Fatalf("reading suggest response: %v", err)
+	}
+	var f wire.Frame
+	err = decodeOneFrame(body, &f)
+	if code, ok := edge.StatusCode(err); !ok || code != http.StatusServiceUnavailable {
+		t.Fatalf("suggest response = %v, want a 503 Error frame", err)
+	}
+	if f.RetryAfterSec != retryAfterSec {
+		t.Fatalf("Retry-After = %ds, want %ds", f.RetryAfterSec, retryAfterSec)
+	}
+
+	// No retries: TestClientHonorsRetryAfter covers the hinted backoff.
+	cfg := edge.DefaultClientConfig()
+	cfg.MaxRetries = 0
+	ec, err := edge.NewClientWithConfig(ts.URL, 0, cfg)
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}
-	var resp SuggestResponse
-	err = ec.PostJSON(context.Background(), "/session/suggest", SuggestRequest{ID: "a"}, &resp)
+	_, err = suggestClient(t, ec).Suggest(context.Background())
 	if err == nil {
 		t.Fatal("suggest against a full queue succeeded, want 503")
 	}
@@ -129,8 +170,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}
-	var resp SuggestResponse
-	err = ec.PostJSON(context.Background(), "/session/suggest", SuggestRequest{ID: "a"}, &resp)
+	_, err = suggestClient(t, ec).Suggest(context.Background())
 	if code, ok := edge.StatusCode(err); !ok || code != 503 {
 		t.Fatalf("suggest = %v, want terminal 503", err)
 	}
@@ -170,9 +210,9 @@ func TestBreakerOpensOnSustainedRejects(t *testing.T) {
 		t.Fatalf("edge client: %v", err)
 	}
 	ctx := context.Background()
+	sc := suggestClient(t, ec)
 	for i := 0; i < threshold; i++ {
-		var resp SuggestResponse
-		err := ec.PostJSON(ctx, "/session/suggest", SuggestRequest{ID: "a"}, &resp)
+		_, err := sc.Suggest(ctx)
 		if code, ok := edge.StatusCode(err); !ok || code != 503 {
 			t.Fatalf("reject %d = %v, want 503", i, err)
 		}
@@ -180,8 +220,7 @@ func TestBreakerOpensOnSustainedRejects(t *testing.T) {
 	if ec.Available() {
 		t.Fatalf("circuit still closed after %d consecutive rejections", threshold)
 	}
-	var resp SuggestResponse
-	err = ec.PostJSON(ctx, "/session/suggest", SuggestRequest{ID: "a"}, &resp)
+	_, err = sc.Suggest(ctx)
 	if !errors.Is(err, edge.ErrUnavailable) {
 		t.Fatalf("call with open circuit = %v, want ErrUnavailable", err)
 	}

@@ -87,18 +87,11 @@ func suggestOne(sess *session) suggestResult {
 	return suggestResult{point: point, observations: sess.opt.Observations()}
 }
 
-// observe records one (point, cost) pair into the session's GP history and
-// activation window, returning the database size and the session's mutation
-// count since its last snapshot (the periodic-snapshot trigger input).
-func (sess *session) observe(point []float64, cost float64) (int, int, error) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.observeLocked(point, cost)
-}
-
-// observeLocked is observe's body for callers already holding sess.mu (the
-// stream path's indexed observe checks the database size under the same
-// lock acquisition as the append).
+// observeLocked records one (point, cost) pair into the session's GP
+// history and activation window, returning the database size and the
+// session's mutation count since its last snapshot (the periodic-snapshot
+// trigger input). The caller holds sess.mu (observeAt checks the
+// idempotency index under the same lock acquisition as the append).
 //
 //hbo:noalloc
 func (sess *session) observeLocked(point []float64, cost float64) (int, int, error) {

@@ -11,12 +11,13 @@ import (
 	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 )
 
-// The suggest benchmarks compare the two transports over the same server
-// and the same server-side work. Sessions are held in the BO init phase
-// (suggests without observes never leave it), so each round trip costs the
-// server one shard dispatch and one domain sample — the measured difference
-// is the transport: JSON POST with per-call encoding and header traffic
-// versus length-prefixed binary frames on one long-lived stream.
+// The suggest benchmarks compare the two carriers of a session op's frame
+// over the same server and the same server-side work. Sessions are held in
+// the BO init phase (suggests without observes never leave it), so each
+// round trip costs the server one shard dispatch and one domain sample —
+// the measured difference is the carrier: one single-frame POST per call,
+// with its HTTP request and header traffic, versus frames multiplexed on
+// one long-lived stream.
 
 func benchService(b *testing.B) *httptest.Server {
 	b.Helper()
@@ -72,10 +73,10 @@ func benchSuggestLoop(b *testing.B, sc *sessiond.Client) {
 	}
 }
 
-func BenchmarkSuggestJSON(b *testing.B) {
+func BenchmarkSuggestOneShot(b *testing.B) {
 	ts := benchService(b)
 	ec := benchEdgeClient(b, ts.URL)
-	sc := benchOpen(b, ec, nil, "bench-json")
+	sc := benchOpen(b, ec, nil, "bench-oneshot")
 	b.ReportAllocs()
 	b.ResetTimer()
 	benchSuggestLoop(b, sc)
@@ -101,7 +102,7 @@ func BenchmarkSuggestStream(b *testing.B) {
 // several responses per flush.
 const benchSessionsPerCore = 8
 
-func BenchmarkSuggestJSONParallel(b *testing.B) {
+func BenchmarkSuggestOneShotParallel(b *testing.B) {
 	ts := benchService(b)
 	ec := benchEdgeClient(b, ts.URL)
 	var n atomic.Int64
@@ -109,7 +110,7 @@ func BenchmarkSuggestJSONParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		sc := benchOpen(b, ec, nil, fmt.Sprintf("bench-json-p%02d", n.Add(1)))
+		sc := benchOpen(b, ec, nil, fmt.Sprintf("bench-oneshot-p%02d", n.Add(1)))
 		ctx := context.Background()
 		for pb.Next() {
 			if _, err := sc.Suggest(ctx); err != nil {

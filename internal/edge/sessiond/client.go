@@ -2,7 +2,8 @@ package sessiond
 
 import (
 	"context"
-	"errors"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,6 +14,13 @@ import (
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/mesh"
 	"github.com/mar-hbo/hbo/internal/obs"
+)
+
+// The session-op route and its media type: every open/suggest/observe/close
+// is one wire frame POSTed here, alone or on a multiplexed stream.
+const (
+	streamPath       = "/session/stream"
+	frameContentType = "application/octet-stream"
 )
 
 // Client drives one server-side session through an edge.Client, inheriting
@@ -27,9 +35,8 @@ type Client struct {
 	id string
 	p  params
 
-	// stream, when set, carries open/suggest/observe/close as binary frames
-	// over one multiplexed connection; nil (and any server that turns out
-	// not to speak the protocol) means the JSON POST routes.
+	// stream, when set, multiplexes the session-op frames over one shared
+	// connection; nil POSTs each frame alone.
 	stream *StreamClient
 
 	// opened records that an Open succeeded, so the LOD path knows the
@@ -89,17 +96,14 @@ func (c *Client) SetObserver(reg *obs.Registry) {
 	}
 }
 
-// SetStream attaches a stream transport for the session calls
-// (open/suggest/observe/close — decimate stays a POST, its binary mesh
-// payload is not frame traffic). The StreamClient may be shared across
-// many session clients; it multiplexes them over one connection. Against
-// a server without the stream route, every call transparently falls back
-// to the JSON path after one cheap probe. Passing nil detaches.
+// SetStream multiplexes the session ops (open/suggest/observe/close) over
+// sc's one shared connection instead of POSTing each op's frame alone.
+// Decimate stays a POST either way: its binary mesh payload is not frame
+// traffic. The StreamClient may be shared across many session clients, and
+// its owner closes it; both carriers send the same frames to the same
+// server handler, so the choice never changes an answer. Passing nil
+// detaches.
 func (c *Client) SetStream(sc *StreamClient) { c.stream = sc }
-
-// useJSON reports whether err is the stream transport saying "this server
-// does not speak the protocol" — the cue to serve the call over JSON.
-func useJSON(err error) bool { return errors.Is(err, ErrStreamUnsupported) }
 
 // ID returns the session identifier.
 func (c *Client) ID() string { return c.id }
@@ -116,6 +120,24 @@ func (c *Client) Restores() int { return c.restores }
 // Available reports whether the underlying link would currently attempt
 // work (circuit not open).
 func (c *Client) Available() bool { return c.ec.Available() }
+
+// OpenResponse reports the open outcome. Existing means the session was
+// already live with identical parameters and was kept as-is; Restored means
+// it was re-hydrated from a durable snapshot; Evicted names the LRU victim
+// this open displaced ("" when the shard had room). Observations is the
+// session's current database size — after a restore, the client replays
+// only the history past this point instead of all of it.
+// Ephemeral marks a session whose policy cannot snapshot (it carries state
+// the snapshot format cannot express): eviction drops it and re-admission
+// rebuilds via the client's full replay.
+type OpenResponse struct {
+	ID           string
+	Existing     bool
+	Restored     bool
+	Evicted      string
+	Observations int
+	Ephemeral    bool
+}
 
 // Open creates (or idempotently re-finds) the server-side session. The
 // response says whether the session was already live, was restored from a
@@ -134,21 +156,32 @@ func (c *Client) Open(ctx context.Context) (OpenResponse, error) {
 }
 
 func (c *Client) open(ctx context.Context) (OpenResponse, error) {
-	req := OpenRequest{ID: c.id, Resources: c.p.resources, RMin: c.p.rmin, Seed: c.p.seed, Init: c.p.init, Policy: c.p.policy}
-	if c.stream != nil {
-		resp, err := c.stream.Open(ctx, req)
-		if err == nil || !useJSON(err) {
-			return resp, err
-		}
+	call := c.request(wire.TOpenReq)
+	defer putCall(call)
+	call.req.Resources = uint32(c.p.resources)
+	call.req.RMin = c.p.rmin
+	call.req.Seed = c.p.seed
+	call.req.Init = uint32(c.p.init)
+	if c.p.policy != "" {
+		call.req.Flags |= wire.FlagPolicy
+		call.req.Policy = append(call.req.Policy[:0], c.p.policy...)
 	}
-	var resp OpenResponse
-	if err := c.ec.PostJSON(ctx, "/session/open", req, &resp); err != nil {
+	if err := c.roundTrip(ctx, "session open", call, wire.TOpenResp); err != nil {
 		return OpenResponse{}, err
 	}
-	return resp, nil
+	r := &call.resp
+	return OpenResponse{
+		ID:           c.id,
+		Existing:     r.Flags&wire.FlagExisting != 0,
+		Restored:     r.Flags&wire.FlagRestored != 0,
+		Evicted:      string(r.Evicted),
+		Observations: int(r.Observations),
+		Ephemeral:    r.Flags&wire.FlagEphemeral != 0,
+	}, nil
 }
 
-// Suggest returns the session's next configuration to evaluate.
+// Suggest returns the session's next configuration to evaluate. The
+// returned point is the caller's to keep.
 func (c *Client) Suggest(ctx context.Context) ([]float64, error) {
 	if c.metSuggestMS == nil {
 		return c.suggest(ctx)
@@ -160,24 +193,15 @@ func (c *Client) Suggest(ctx context.Context) ([]float64, error) {
 }
 
 func (c *Client) suggest(ctx context.Context) ([]float64, error) {
-	var resp SuggestResponse
-	if c.stream != nil {
-		sresp, err := c.stream.Suggest(ctx, c.id)
-		if err == nil {
-			resp = sresp
-		} else if !useJSON(err) {
-			return nil, err
-		}
+	call := c.request(wire.TSuggestReq)
+	defer putCall(call)
+	if err := c.roundTrip(ctx, "session suggest", call, wire.TSuggestResp); err != nil {
+		return nil, err
 	}
-	if resp.Point == nil {
-		if err := c.ec.PostJSON(ctx, "/session/suggest", SuggestRequest{ID: c.id}, &resp); err != nil {
-			return nil, err
-		}
+	if len(call.resp.Point) != c.p.resources+1 {
+		return nil, fmt.Errorf("sessiond: server returned %d-dim point, want %d", len(call.resp.Point), c.p.resources+1)
 	}
-	if len(resp.Point) != c.p.resources+1 {
-		return nil, fmt.Errorf("sessiond: server returned %d-dim point, want %d", len(resp.Point), c.p.resources+1)
-	}
-	return resp.Point, nil
+	return append([]float64(nil), call.resp.Point...), nil
 }
 
 // Observe records one measured (point, cost) pair into the session's GP
@@ -188,31 +212,101 @@ func (c *Client) Observe(ctx context.Context, point []float64, cost float64) err
 
 // ObserveAt is Observe with an idempotency index: the 0-based database slot
 // this observation belongs in (how many observations the server held when
-// it was measured). Over the stream transport a retried observe whose
-// first send actually landed is acknowledged rather than double-applied;
-// the JSON path has no index field and appends unconditionally, as it
-// always has. index < 0 means "always append" on both transports.
+// it was measured). A retried observe whose first send actually landed —
+// its response lost to a drop, a truncation or a severed stream — is
+// acknowledged rather than double-applied, on either carrier. index < 0
+// sends wire.NoIndex, which always appends.
 func (c *Client) ObserveAt(ctx context.Context, index int, point []float64, cost float64) error {
-	if c.stream != nil {
-		_, err := c.stream.Observe(ctx, c.id, index, point, cost)
-		if err == nil || !useJSON(err) {
-			return err
-		}
+	call := c.request(wire.TObserveReq)
+	defer putCall(call)
+	call.req.Index = wire.NoIndex
+	if index >= 0 {
+		call.req.Index = uint32(index)
 	}
-	var resp ObserveResponse
-	return c.ec.PostJSON(ctx, "/session/observe", ObserveRequest{ID: c.id, Point: point, Cost: cost}, &resp)
+	call.req.Cost = cost
+	call.req.Point = append(call.req.Point[:0], point...)
+	return c.roundTrip(ctx, "session observe", call, wire.TObserveResp)
 }
 
-// CloseSession tears the server-side session down.
+// CloseSession tears the server-side session down. Closing a session the
+// server no longer holds succeeds.
 func (c *Client) CloseSession(ctx context.Context) error {
+	call := c.request(wire.TCloseReq)
+	defer putCall(call)
+	return c.roundTrip(ctx, "session close", call, wire.TCloseResp)
+}
+
+// request takes a pooled call whose request frame is a t for this session;
+// the caller fills the type's remaining fields and returns it with putCall.
+func (c *Client) request(t wire.Type) *streamCall {
+	call := getCall()
+	call.req.Type = t
+	call.req.ID = append(call.req.ID[:0], c.id...)
+	return call
+}
+
+// roundTrip carries call.req to the server and leaves its response frame,
+// which must be a want, in call.resp. With a stream attached the frame
+// rides that multiplexed connection; otherwise it is the whole body of one
+// POST to /session/stream, whose response must be exactly one frame. Both
+// run under the edge client's retry/backoff/breaker stack, and an Error
+// frame comes back as the typed status error a non-2xx response produces.
+// op names the call in errors.
+func (c *Client) roundTrip(ctx context.Context, op string, call *streamCall, want wire.Type) error {
+	var err error
 	if c.stream != nil {
-		_, err := c.stream.CloseSession(ctx, c.id)
-		if err == nil || !useJSON(err) {
-			return err
-		}
+		err = c.stream.do(ctx, op, call)
+	} else {
+		err = c.postFrame(ctx, call)
 	}
-	var resp CloseResponse
-	return c.ec.PostJSON(ctx, "/session/close", CloseRequest{ID: c.id}, &resp)
+	if err != nil {
+		return err
+	}
+	if call.resp.Type != want {
+		return fmt.Errorf("sessiond: server answered %s with a %v frame", op, call.resp.Type)
+	}
+	return nil
+}
+
+// postFrame sends call.req as a single-frame POST. The request body is
+// encoded fresh: the HTTP transport may still hold it after a failed
+// attempt returns, so it must not be pooled.
+func (c *Client) postFrame(ctx context.Context, call *streamCall) error {
+	body, err := wire.AppendFrame(nil, &call.req)
+	if err != nil {
+		return err
+	}
+	return c.ec.Post(ctx, streamPath, frameContentType, body, func(resp []byte) error {
+		return decodeOneFrame(resp, &call.resp)
+	})
+}
+
+// decodeOneFrame decodes a response body that must hold exactly one
+// length-prefixed frame. f's byte fields alias body, which the caller owns.
+// An Error frame decodes to its typed status error. Any other shape — an
+// empty body (the server refused the request frame), a truncated or
+// corrupted frame, trailing bytes — is a mangled response.
+func decodeOneFrame(body []byte, f *wire.Frame) error {
+	if len(body) < 4 {
+		return fmt.Errorf("sessiond: %d-byte response holds no frame", len(body))
+	}
+	if n := binary.LittleEndian.Uint32(body); int64(n) != int64(len(body)-4) {
+		return fmt.Errorf("sessiond: response of %d bytes is not one %d-byte frame", len(body)-4, n)
+	}
+	if err := wire.DecodeFrame(body[4:], f); err != nil {
+		return err
+	}
+	if f.Type == wire.TError {
+		return errorFrame(f)
+	}
+	return nil
+}
+
+// errorFrame maps a server's Error frame onto the typed error a non-2xx
+// response produces, so StatusCode, Retry-After honoring and the
+// eviction/readmit logic work the same on both carriers.
+func errorFrame(f *wire.Frame) error {
+	return edge.NewStatusError(int(f.Status), string(f.Msg), time.Duration(f.RetryAfterSec)*time.Second)
 }
 
 // Decimate fetches a decimated mesh through the session's server-side mesh
@@ -221,12 +315,15 @@ func (c *Client) CloseSession(ctx context.Context) error {
 // retried like any mangled response and never returned. The returned mesh
 // is the caller's to mutate.
 func (c *Client) Decimate(ctx context.Context, object string, ratio float64, fast bool) (*mesh.Mesh, error) {
+	req, err := json.Marshal(DecimateRequest{ID: c.id, Object: object, Ratio: ratio, Fast: fast})
+	if err != nil {
+		return nil, err
+	}
 	var m *mesh.Mesh
-	err := c.ec.PostJSONDecode(ctx, "/session/decimate", DecimateRequest{ID: c.id, Object: object, Ratio: ratio, Fast: fast},
-		func(body []byte) (err error) {
-			m, err = wire.DecodeMesh(body)
-			return err
-		})
+	err = c.ec.Post(ctx, "/session/decimate", "application/json", req, func(body []byte) (err error) {
+		m, err = wire.DecodeMesh(body)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -286,8 +383,8 @@ func (b *Backend) BONextPoint(resources int, rmin float64, seed uint64, points [
 		b.sent = resp.Observations
 	}
 	for b.sent < len(points) {
-		// The slot index doubles as the idempotency index: over the stream
-		// transport a retry after a lost response cannot double-apply.
+		// The slot index doubles as the idempotency index: a retry after a
+		// lost response cannot double-apply.
 		if err := b.c.ObserveAt(b.ctx, b.sent, points[b.sent], costs[b.sent]); err != nil {
 			if evicted(err) {
 				return b.readmit(points, costs)

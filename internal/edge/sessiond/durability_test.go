@@ -11,6 +11,7 @@ import (
 	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/snapstore"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func driveSession(t *testing.T, sess *session, rounds int) {
 		if res.err != nil {
 			t.Fatalf("suggest %d: %v", i, res.err)
 		}
-		if _, _, err := sess.observe(res.point, driveCost(res.point)); err != nil {
+		if _, _, _, err := sess.observeAt(wire.NoIndex, res.point, driveCost(res.point)); err != nil {
 			t.Fatalf("observe %d: %v", i, err)
 		}
 	}
@@ -155,7 +156,7 @@ func TestDurabilityEvictionDemotesAndRestores(t *testing.T) {
 		if err := mirror.Observe(want, driveCost(want)); err != nil {
 			t.Fatalf("mirror Observe: %v", err)
 		}
-		if _, _, err := sess2.observe(got.point, driveCost(got.point)); err != nil {
+		if _, _, _, err := sess2.observeAt(wire.NoIndex, got.point, driveCost(got.point)); err != nil {
 			t.Fatalf("restored observe: %v", err)
 		}
 	}
@@ -200,7 +201,7 @@ func TestDurabilityWarmRestart(t *testing.T) {
 		t.Fatalf("Restores = %d, want %d", d.Restores, len(ids))
 	}
 	for i, id := range ids {
-		sess, ok := svc2.peek(id)
+		sess, ok := svc2.peekBytes([]byte(id))
 		if !ok {
 			t.Fatalf("session %s not live after warm restart", id)
 		}
@@ -405,9 +406,10 @@ func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestDurabilityHTTP drives the durability tier end to end over HTTP:
-// SnapshotEvery-triggered saves, the statz durability block, and the
-// Observations field clients use for tail-only replay.
+// TestDurabilityHTTP drives the durability tier end to end over HTTP
+// through the session client: SnapshotEvery-triggered saves, the statz
+// durability block, and the Observations field clients use for tail-only
+// replay.
 func TestDurabilityHTTP(t *testing.T) {
 	store := snapstore.NewMemStore()
 	cfg := DefaultConfig()
@@ -425,11 +427,14 @@ func TestDurabilityHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}
+	sc, err := NewClient(ec, "h", 3, 0.1, 7, 5)
+	if err != nil {
+		t.Fatalf("session client: %v", err)
+	}
 	ctx := context.Background()
 
-	var open OpenResponse
-	req := OpenRequest{ID: "h", Resources: 3, RMin: 0.1, Seed: 7, Init: 5}
-	if err := ec.PostJSON(ctx, "/session/open", req, &open); err != nil {
+	open, err := sc.Open(ctx)
+	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	if open.Existing || open.Restored || open.Observations != 0 {
@@ -437,17 +442,16 @@ func TestDurabilityHTTP(t *testing.T) {
 	}
 	const rounds = 4
 	for i := 0; i < rounds; i++ {
-		var sug SuggestResponse
-		if err := ec.PostJSON(ctx, "/session/suggest", SuggestRequest{ID: "h"}, &sug); err != nil {
+		point, err := sc.Suggest(ctx)
+		if err != nil {
 			t.Fatalf("suggest %d: %v", i, err)
 		}
-		var obsr ObserveResponse
-		or := ObserveRequest{ID: "h", Point: sug.Point, Cost: driveCost(sug.Point)}
-		if err := ec.PostJSON(ctx, "/session/observe", or, &obsr); err != nil {
+		if err := sc.ObserveAt(ctx, i, point, driveCost(point)); err != nil {
 			t.Fatalf("observe %d: %v", i, err)
 		}
-		if obsr.Observations != i+1 {
-			t.Fatalf("observe %d reported %d observations", i, obsr.Observations)
+		// A re-open of the live session reports its database size.
+		if open, err = sc.Open(ctx); err != nil || !open.Existing || open.Observations != i+1 {
+			t.Fatalf("re-open after observe %d = %+v (err %v), want existing with %d observations", i, open, err, i+1)
 		}
 	}
 	// SnapshotEvery=1: every observe saved.
@@ -472,7 +476,7 @@ func TestDurabilityHTTP(t *testing.T) {
 	sh.mu.Lock()
 	delete(sh.sessions, "h")
 	sh.mu.Unlock()
-	if err := ec.PostJSON(ctx, "/session/open", req, &open); err != nil {
+	if open, err = sc.Open(ctx); err != nil {
 		t.Fatalf("re-open: %v", err)
 	}
 	if !open.Restored || open.Observations != rounds {

@@ -2,7 +2,7 @@ package sessiond_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,49 +27,73 @@ var fuzzCatalog = sync.OnceValue(func() *edge.Server {
 	return srv
 })
 
-// sessionRoutes are the JSON POST routes FuzzSessionRequestDecode targets,
-// indexed by the input's endpoint byte.
-var sessionRoutes = []string{"/session/open", "/session/suggest", "/session/observe", "/session/close", "/session/decimate"}
+// fuzzRoutes are the POST routes FuzzSessionRequestDecode targets, indexed
+// by the input's endpoint byte: the JSON decimate route and the frame route
+// every session op travels.
+var fuzzRoutes = []string{"/session/decimate", "/session/stream"}
 
-// fuzzOpen is the session every fuzz input finds already open, so suggest,
-// observe and decimate bodies reach past the session lookup.
-const fuzzOpen = `{"id":"fuzz","resources":3,"rmin":0.1,"seed":7,"init":5}`
+// fuzzFrames encodes frames back to back, as one request body.
+func fuzzFrames(tb testing.TB, frames ...wire.Frame) []byte {
+	tb.Helper()
+	var b []byte
+	for i := range frames {
+		var err error
+		if b, err = wire.AppendFrame(b, &frames[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return b
+}
+
+// fuzzOpen opens the session every fuzz input finds already open, so
+// suggest, observe, close and decimate bodies reach past the session lookup.
+var fuzzOpen = wire.Frame{Type: wire.TOpenReq, ID: []byte("fuzz"), Resources: 3, RMin: 0.1, Seed: 7, Init: 5}
 
 // FuzzSessionRequestDecode throws arbitrary bodies at each session route's
 // request decoding and validation. Each input runs against a fresh service
 // holding one open session, so a failure reproduces from its own bytes. The
 // service must never panic, must answer with a plausible HTTP status, and
 // any 200 must carry a well-formed body — a mesh payload that decodes from
-// /session/decimate, a JSON document from every other route — whatever the
-// request holds: truncated JSON, out-of-range numbers, unknown sessions or
-// objects.
+// /session/decimate, whole frames up to a clean EOF from /session/stream —
+// whatever the request holds: truncated JSON or frames, flipped CRCs,
+// out-of-range numbers, unknown sessions or objects.
 func FuzzSessionRequestDecode(f *testing.F) {
-	seeds := []struct {
-		endpoint byte
-		body     string
-	}{
-		{0, `{"id":"other","resources":3,"rmin":0.1,"seed":1}`},
-		{0, `{"id":"fuzz","resources":3,"rmin":0.1,"seed":7,"init":5,"policy":"gp-ei"}`},
-		{0, `{"id":"","resources":3,"rmin":0.1}`},
-		{0, `{"id":"x","resources":-1,"rmin":2,"policy":"nope"}`},
-		{1, `{"id":"fuzz"}`},
-		{1, `{"id":"ghost"}`},
-		{2, `{"id":"fuzz","point":[0.2,0.3,0.5,0.6],"cost":0.4}`},
-		{2, `{"id":"fuzz","point":[9,9],"cost":1e999}`},
-		{2, `{"id":"fuzz","point":null,"cost":0}`},
-		{3, `{"id":"fuzz"}`},
-		{4, `{"id":"fuzz","object":"fuzzy","ratio":0.5}`},
-		{4, `{"id":"fuzz","object":"fuzzy","ratio":0.1,"fast":true}`},
-		{4, `{"id":"fuzz","object":"missing","ratio":0.5}`},
-		{4, `{"id":"fuzz","object":"fuzzy","ratio":-1}`},
-		{0, `{`},
-		{1, `null`},
-		{2, `[]`},
-		{5, ``},
+	jsonSeeds := []string{
+		`{"id":"fuzz","object":"fuzzy","ratio":0.5}`,
+		`{"id":"fuzz","object":"fuzzy","ratio":0.1,"fast":true}`,
+		`{"id":"fuzz","object":"missing","ratio":0.5}`,
+		`{"id":"fuzz","object":"fuzzy","ratio":-1}`,
+		`{"id":"ghost","object":"fuzzy","ratio":0.5}`,
+		`{`,
+		`null`,
+		``,
 	}
-	for _, s := range seeds {
-		f.Add(s.endpoint, []byte(s.body))
+	for _, s := range jsonSeeds {
+		f.Add(byte(0), []byte(s))
 	}
+	point := []float64{0.2, 0.3, 0.5, 0.6}
+	frameSeeds := [][]wire.Frame{
+		{{Type: wire.TOpenReq, ID: []byte("other"), Resources: 3, RMin: 0.1, Seed: 1}},
+		{{Type: wire.TOpenReq, Flags: wire.FlagPolicy, ID: []byte("fuzz"), Resources: 3, RMin: 0.1, Seed: 7, Init: 5, Policy: []byte("gp-ei")}},
+		{{Type: wire.TOpenReq, ID: []byte("x"), Resources: 99, RMin: 2, Flags: wire.FlagPolicy, Policy: []byte("nope")}},
+		{{Type: wire.TSuggestReq, ID: []byte("fuzz")}},
+		{{Type: wire.TSuggestReq, ID: []byte("ghost")}},
+		{{Type: wire.TObserveReq, ID: []byte("fuzz"), Index: 0, Cost: 0.4, Point: point}},
+		{{Type: wire.TObserveReq, ID: []byte("fuzz"), Index: 3, Cost: 0.4, Point: point}},
+		{{Type: wire.TObserveReq, ID: []byte("fuzz"), Index: wire.NoIndex, Cost: 1, Point: []float64{9, 9}}},
+		{{Type: wire.TCloseReq, ID: []byte("fuzz")}},
+		{{Type: wire.TSuggestResp, Point: point}},
+		{
+			{Type: wire.TSuggestReq, Seq: 1, ID: []byte("fuzz")},
+			{Type: wire.TObserveReq, Seq: 2, ID: []byte("fuzz"), Index: 0, Cost: 0.4, Point: point},
+			{Type: wire.TSuggestReq, Seq: 3, ID: []byte("fuzz")},
+			{Type: wire.TCloseReq, Seq: 4, ID: []byte("fuzz")},
+		},
+	}
+	for _, frames := range frameSeeds {
+		f.Add(byte(1), fuzzFrames(f, frames...))
+	}
+	f.Add(byte(1), []byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, endpoint byte, body []byte) {
 		cfg := sessiond.DefaultConfig()
 		cfg.Shards = 1
@@ -79,10 +103,10 @@ func FuzzSessionRequestDecode(f *testing.F) {
 		}
 		defer svc.Close()
 		h := svc.Handler()
-		if code := post(h, "/session/open", []byte(fuzzOpen)).Code; code != http.StatusOK {
-			t.Fatalf("opening the fuzz session: status %d", code)
+		if rec := post(h, "/session/stream", fuzzFrames(t, fuzzOpen)); rec.Code != http.StatusOK || !answeredWith(rec, wire.TOpenResp) {
+			t.Fatalf("opening the fuzz session: status %d, body %x", rec.Code, rec.Body.Bytes())
 		}
-		path := sessionRoutes[int(endpoint)%len(sessionRoutes)]
+		path := fuzzRoutes[int(endpoint)%len(fuzzRoutes)]
 		rec := post(h, path, body)
 		if rec.Code < 200 || rec.Code > 599 {
 			t.Fatalf("%s returned impossible status %d", path, rec.Code)
@@ -96,35 +120,56 @@ func FuzzSessionRequestDecode(f *testing.F) {
 			}
 			return
 		}
-		if !json.Valid(rec.Body.Bytes()) {
-			t.Fatalf("%s answered 200 with malformed JSON %q", path, rec.Body.Bytes())
+		fr := wire.NewReader(bytes.NewReader(rec.Body.Bytes()))
+		var out wire.Frame
+		for {
+			err := fr.Next(&out)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s answered 200 with a body that is not whole frames: %v (%x)", path, err, rec.Body.Bytes())
+			}
 		}
 	})
 }
 
+// answeredWith reports whether rec's body is exactly one frame of type t.
+func answeredWith(rec *httptest.ResponseRecorder, t wire.Type) bool {
+	fr := wire.NewReader(bytes.NewReader(rec.Body.Bytes()))
+	var f wire.Frame
+	if fr.Next(&f) != nil || f.Type != t {
+		return false
+	}
+	return fr.Next(&f) == io.EOF
+}
+
 func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	contentType := "application/json"
+	if path == "/session/stream" {
+		contentType = "application/octet-stream"
+	}
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
 }
 
-// TestSessionRoutesRejectOversizeBody pins the body cap: a request past 4
-// MiB must come back 413 from every JSON route, not be buffered. The body
+// TestSessionRoutesRejectOversizeBody pins the body cap on the JSON decimate
+// route: a request past 4 MiB must come back 413, not be buffered. The body
 // is valid-prefix JSON (one giant string), so the decoder keeps reading
-// until the cap trips rather than failing on the first byte.
+// until the cap trips rather than failing on the first byte. The frame
+// route needs no cap: the wire codec bounds every frame.
 func TestSessionRoutesRejectOversizeBody(t *testing.T) {
 	_, ts := newDecimatorService(t, &stubDecimator{})
 	body := `{"id":"` + strings.Repeat("x", (4<<20)+1024) + `"}`
-	for _, path := range sessionRoutes {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: status = %d, want 413", path, resp.StatusCode)
-		}
+	resp, err := http.Post(ts.URL+"/session/decimate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("decimate: status = %d, want 413", resp.StatusCode)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"github.com/mar-hbo/hbo/internal/bo/policies"
 )
 
 // The decimate route's binary response: its media type, and the header
@@ -27,71 +25,6 @@ const (
 	maxRequestBytes = 4 << 20
 	handlerTimeout  = 30 * time.Second
 )
-
-// OpenRequest creates (or idempotently re-finds) a session. Init is the BO
-// init-sample budget; zero means the paper's 5. Policy names the optimizer
-// entrant (see internal/bo/policies); empty (or "gp-ei") means the paper's
-// GP-EI default.
-type OpenRequest struct {
-	ID        string  `json:"id"`
-	Resources int     `json:"resources"`
-	RMin      float64 `json:"rmin"`
-	Seed      uint64  `json:"seed"`
-	Init      int     `json:"init,omitempty"`
-	Policy    string  `json:"policy,omitempty"`
-}
-
-// OpenResponse reports the open outcome. Existing means the session was
-// already live with identical parameters and was kept as-is; Restored means
-// it was re-hydrated from a durable snapshot; Evicted names the LRU victim
-// this open displaced ("" when the shard had room). Observations is the
-// session's current database size — after a restore, the client replays
-// only the history past this point instead of all of it.
-// Ephemeral marks a session whose policy cannot snapshot (it carries state
-// the snapshot format cannot express): eviction drops it and re-admission
-// rebuilds via the client's full replay.
-type OpenResponse struct {
-	ID           string `json:"id"`
-	Existing     bool   `json:"existing,omitempty"`
-	Restored     bool   `json:"restored,omitempty"`
-	Evicted      string `json:"evicted,omitempty"`
-	Observations int    `json:"observations"`
-	Ephemeral    bool   `json:"ephemeral,omitempty"`
-}
-
-// SuggestRequest asks for the session's next configuration.
-type SuggestRequest struct {
-	ID string `json:"id"`
-}
-
-// SuggestResponse carries the suggested point and the database size it was
-// drawn against.
-type SuggestResponse struct {
-	Point        []float64 `json:"point"`
-	Observations int       `json:"observations"`
-}
-
-// ObserveRequest records one measured (point, cost) pair.
-type ObserveRequest struct {
-	ID    string    `json:"id"`
-	Point []float64 `json:"point"`
-	Cost  float64   `json:"cost"`
-}
-
-// ObserveResponse echoes the database size after the append.
-type ObserveResponse struct {
-	Observations int `json:"observations"`
-}
-
-// CloseRequest tears a session down.
-type CloseRequest struct {
-	ID string `json:"id"`
-}
-
-// CloseResponse reports whether the session existed.
-type CloseResponse struct {
-	Closed bool `json:"closed"`
-}
 
 // DecimateRequest fetches a decimated mesh through the session's private
 // mesh cache. The 200 response body is the binary mesh payload
@@ -140,14 +73,12 @@ type StatsResponse struct {
 	Durability *DurabilityStats `json:"durability,omitempty"`
 }
 
-// Register mounts the session routes on mux. Every JSON POST handler runs
-// behind a body cap and a per-handler timeout, so one abusive or stuck
-// request cannot pin the server's memory or connections.
+// Register mounts the session routes on mux: /session/stream carries every
+// session op (open, suggest, observe, close) as wire frames, the decimate
+// route serves meshes, and statz reports live state. The JSON decimate
+// handler runs behind a body cap and a per-handler timeout, so one abusive
+// or stuck request cannot pin the server's memory or connections.
 func (s *Service) Register(mux *http.ServeMux) {
-	mux.Handle("POST /session/open", guard(s.handleOpen))
-	mux.Handle("POST /session/suggest", guard(s.handleSuggest))
-	mux.Handle("POST /session/observe", guard(s.handleObserve))
-	mux.Handle("POST /session/close", guard(s.handleClose))
 	mux.Handle("POST /session/decimate", guard(s.handleDecimate))
 	// The stream route is deliberately unguarded: TimeoutHandler neither
 	// supports Flush nor tolerates a response that outlives the timeout, and
@@ -199,126 +130,6 @@ func validID(id string) error {
 	return nil
 }
 
-func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
-	var req OpenRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	if err := validID(req.ID); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	p := params{
-		resources: req.Resources,
-		rmin:      req.RMin,
-		seed:      req.Seed,
-		init:      req.Init,
-		policy:    policies.Canonical(req.Policy),
-	}
-	if p.init == 0 {
-		p.init = 5
-	}
-	if err := p.validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sess, res, err := s.open(req.ID, p)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if res.existing {
-		s.metReopens.Inc()
-	} else {
-		s.metOpens.Inc()
-	}
-	if res.evicted != "" {
-		s.metEvictions.Inc()
-	}
-	s.metSessions.Set(float64(s.sessionCount()))
-	writeJSON(w, OpenResponse{
-		ID:           req.ID,
-		Existing:     res.existing,
-		Restored:     res.restored,
-		Evicted:      res.evicted,
-		Observations: sess.observations(),
-		Ephemeral:    !sess.durable,
-	})
-}
-
-func (s *Service) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	var req SuggestRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	sess, ok := s.peek(req.ID)
-	if !ok {
-		s.metUnknown.Inc()
-		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
-		return
-	}
-	job := &suggestJob{sess: sess, reply: make(chan suggestResult, 1)}
-	if !s.enqueueSuggest(sess, job) {
-		s.metRejects.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSec))
-		http.Error(w, "sessiond: suggest queue full, retry later", http.StatusServiceUnavailable)
-		return
-	}
-	select {
-	case res := <-job.reply:
-		if res.err != nil {
-			http.Error(w, res.err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.metSuggests.Inc()
-		writeJSON(w, SuggestResponse{Point: res.point, Observations: res.observations})
-	case <-r.Context().Done():
-		// The worker will still serve the job; the abandoned reply lands in
-		// the buffered channel and is garbage collected with it.
-		http.Error(w, "sessiond: client went away", http.StatusServiceUnavailable)
-	}
-}
-
-func (s *Service) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req ObserveRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	sess, ok := s.lookup(req.ID)
-	if !ok {
-		s.metUnknown.Inc()
-		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
-		return
-	}
-	if math.IsNaN(req.Cost) || math.IsInf(req.Cost, 0) {
-		http.Error(w, fmt.Sprintf("sessiond: non-finite cost %v", req.Cost), http.StatusUnprocessableEntity)
-		return
-	}
-	n, dirty, err := sess.observe(req.Point, req.Cost)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	s.metObserves.Inc()
-	if s.cfg.SnapshotEvery > 0 && dirty >= s.cfg.SnapshotEvery {
-		s.saveSession(sess)
-	}
-	writeJSON(w, ObserveResponse{Observations: n})
-}
-
-func (s *Service) handleClose(w http.ResponseWriter, r *http.Request) {
-	var req CloseRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	closed := s.remove(req.ID)
-	if closed {
-		s.metCloses.Inc()
-		s.metSessions.Set(float64(s.sessionCount()))
-	}
-	writeJSON(w, CloseResponse{Closed: closed})
-}
-
 func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 	var req DecimateRequest
 	if !decodeRequest(w, r, &req) {
@@ -359,7 +170,7 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metDecimates.Inc()
 	// Headers are out once Write starts; a failed write is the client's
-	// (retried) problem, as for the JSON routes.
+	// (retried) problem.
 	_, _ = w.Write(payload)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -150,8 +151,8 @@ func TestDecimateErrors(t *testing.T) {
 	})
 }
 
-// TestStatzAndObserveValidation covers /session/statz and the observe
-// route's input validation.
+// TestStatzAndObserveValidation covers /session/statz and the observe op's
+// input validation, through the session client's single-frame carrier.
 func TestStatzAndObserveValidation(t *testing.T) {
 	svc, ts := newDecimatorService(t, nil)
 	_ = svc
@@ -174,22 +175,22 @@ func TestStatzAndObserveValidation(t *testing.T) {
 		t.Fatalf("statz = %+v, want 1 session in 1 shard", stats)
 	}
 
-	ec, err := edge.NewClient(ts.URL)
-	if err != nil {
-		t.Fatalf("edge client: %v", err)
-	}
 	point, err := sc.Suggest(ctx)
 	if err != nil {
 		t.Fatalf("suggest: %v", err)
 	}
 	// A point outside the domain is a 422.
-	var oresp sessiond.ObserveResponse
-	err = ec.PostJSON(ctx, "/session/observe", sessiond.ObserveRequest{ID: "s", Point: []float64{-1, -1, -1, -1}, Cost: 0.5}, &oresp)
+	err = sc.Observe(ctx, []float64{-1, -1, -1, -1}, 0.5)
 	if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {
 		t.Fatalf("observe out-of-domain = %v, want 422", err)
 	}
+	// A non-finite cost is a 422.
+	err = sc.Observe(ctx, point, math.Inf(1))
+	if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {
+		t.Fatalf("observe infinite cost = %v, want 422", err)
+	}
 	// Unknown session observe is a 404.
-	err = ec.PostJSON(ctx, "/session/observe", sessiond.ObserveRequest{ID: "ghost", Point: point, Cost: 0.5}, &oresp)
+	err = newTestClient(t, ts.URL, "ghost", 1).Observe(ctx, point, 0.5)
 	if code, ok := edge.StatusCode(err); !ok || code != http.StatusNotFound {
 		t.Fatalf("observe unknown session = %v, want 404", err)
 	}
@@ -197,10 +198,7 @@ func TestStatzAndObserveValidation(t *testing.T) {
 	if err := sc.CloseSession(ctx); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	err = ec.PostJSON(ctx, "/session/close", sessiond.CloseRequest{ID: "s"}, &struct {
-		Closed bool `json:"closed"`
-	}{})
-	if err != nil {
+	if err := sc.CloseSession(ctx); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
 }

@@ -95,18 +95,18 @@ func drivePolicySteps(t *testing.T, ctx context.Context, sc *sessiond.Client, re
 }
 
 // TestLinUCBSessionSurvivesEviction drives a linucb session over both
-// transports through the full durability lifecycle: open with an explicit
+// carriers (single-frame POSTs and a multiplexed stream) through the full durability lifecycle: open with an explicit
 // policy, build history, get evicted by an intruder in a size-1 shard,
 // re-open from the snapshot (Restored=true), and continue bit-identically
 // with an uninterrupted reference policy. This is the acceptance criterion:
-// a non-default policy serves suggest/observe over JSON and stream and
+// a non-default policy serves suggest/observe over either carrier and
 // survives eviction/re-admission.
 func TestLinUCBSessionSurvivesEviction(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		stream bool
 	}{
-		{"json", false},
+		{"oneshot", false},
 		{"stream", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,7 +161,7 @@ func TestLinUCBSessionSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestEphemeralPolicySession checks the cmaes contract on both transports:
+// TestEphemeralPolicySession checks the cmaes contract on both carriers:
 // the open response carries the ephemeral marker, eviction writes no
 // snapshot, and a re-open starts a fresh session (Restored=false) whose
 // suggestion stream equals a fresh reference policy's.
@@ -170,7 +170,7 @@ func TestEphemeralPolicySession(t *testing.T) {
 		name   string
 		stream bool
 	}{
-		{"json", false},
+		{"oneshot", false},
 		{"stream", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

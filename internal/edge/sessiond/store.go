@@ -160,16 +160,6 @@ func (s *Service) lookup(id string) (*session, bool) {
 	return sess, true
 }
 
-// peek finds a session without touching it — enqueueing a suggest does not
-// count as use until the batch drain actually serves it.
-func (s *Service) peek(id string) (*session, bool) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[id]
-	return sess, ok
-}
-
 // lookupBytes is lookup for an ID aliasing a decode buffer: the
 // map index through string(id) compiles to a no-copy lookup, so the stream
 // hot path never materializes the ID as a string.
@@ -188,7 +178,9 @@ func (s *Service) lookupBytes(id []byte) (*session, bool) {
 	return sess, true
 }
 
-// peekBytes is peek for an ID aliasing a decode buffer.
+// peekBytes finds a session without touching it — enqueueing a suggest
+// does not count as use until the batch drain actually serves it. The ID
+// may alias a decode buffer.
 //
 //hbo:noalloc
 func (s *Service) peekBytes(id []byte) (*session, bool) {

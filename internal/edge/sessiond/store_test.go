@@ -105,11 +105,11 @@ func TestOpenSemantics(t *testing.T) {
 		t.Fatalf("sessionCount = %d after eviction, want 2", svc.sessionCount())
 	}
 	// The evicted session is gone; the survivors are reachable.
-	if _, ok := svc.peek("a"); ok {
+	if _, ok := svc.peekBytes([]byte("a")); ok {
 		t.Fatal("evicted session a still reachable")
 	}
 	for _, id := range []string{"b", "c"} {
-		if _, ok := svc.peek(id); !ok {
+		if _, ok := svc.peekBytes([]byte(id)); !ok {
 			t.Fatalf("session %s unreachable after unrelated eviction", id)
 		}
 	}

@@ -1,54 +1,36 @@
 package sessiond
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
-// ErrStreamUnsupported reports that the server has no /session/stream route
-// (or speaks an incompatible wire version). The condition is permanent for
-// the life of the StreamClient: the first detection switches it into JSON
-// mode, every later call fails fast with this error, and Client treats the
-// error as "use the JSON path" — old servers keep working with zero
-// configuration.
-var ErrStreamUnsupported = errors.New("sessiond: server does not support the session stream")
-
 // errStreamClientClosed fails calls issued after Close.
 var errStreamClientClosed = errors.New("sessiond: stream client closed")
-
-type streamMode int
-
-const (
-	modeUnknown streamMode = iota // no probe yet: first call dials
-	modeStream                    // server speaks the stream protocol
-	modeJSON                      // server does not; permanent fallback
-)
 
 // StreamClient multiplexes session calls from any number of sessions over
 // one binary stream connection per server (DESIGN.md §14). Every call runs
 // through the owning edge.Client's Execute, so the retry/backoff/breaker
-// machinery governs stream traffic exactly as it governs JSON posts — a
-// dead connection surfaces as a failed attempt, and the retry's next
-// attempt transparently redials. Safe for concurrent use.
+// machinery governs stream traffic exactly as it governs single-frame
+// POSTs — a dead connection surfaces as a failed attempt, and the retry's
+// next attempt transparently redials. Attach one to session clients with
+// Client.SetStream; whoever builds it owns it and must Close it. Safe for
+// concurrent use.
 type StreamClient struct {
 	ec *edge.Client
 
-	// dialMu serializes dialing (and the first-contact support probe), so a
-	// burst of first calls against a JSON-only server costs one failed
-	// probe, not one per caller — never enough to trip the breaker.
-	dialMu sync.Mutex //hbo:lockleaf single-flight dial: serializing the blocking probe is this mutex's entire job
+	// dialMu serializes dialing, so a burst of first calls (or of retries
+	// after a drop) opens one stream, not one per caller.
+	dialMu sync.Mutex //hbo:lockleaf single-flight dial: serializing the blocking dial is this mutex's entire job
 
 	mu     sync.Mutex
-	mode   streamMode
 	conn   *streamConn
 	closed bool
 }
@@ -61,21 +43,6 @@ func NewStreamClient(ec *edge.Client) (*StreamClient, error) {
 		return nil, fmt.Errorf("sessiond: nil edge client")
 	}
 	return &StreamClient{ec: ec}, nil
-}
-
-// Mode reports the negotiated transport: "stream", "json", or "unknown"
-// before first contact.
-func (sc *StreamClient) Mode() string {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	switch sc.mode {
-	case modeStream:
-		return "stream"
-	case modeJSON:
-		return "json"
-	default:
-		return "unknown"
-	}
 }
 
 // Close tears down the live connection (the server sees EOF and ends the
@@ -92,9 +59,10 @@ func (sc *StreamClient) Close() error {
 	return nil
 }
 
-// streamCall is one in-flight request/response pair. Pooled; the reply
-// channel is allocated once and reused, and both frames keep their slice
-// capacity across uses.
+// streamCall is one session op in flight on either carrier: its request and
+// response frames, plus the reply channel the stream multiplexer completes
+// it on. Pooled; the channel is allocated once, and both frames keep their
+// slice capacity across uses.
 type streamCall struct {
 	req  wire.Frame
 	resp wire.Frame
@@ -187,11 +155,7 @@ func (cn *streamConn) readLoop() {
 			continue
 		}
 		if f.Type == wire.TError {
-			// Server rejections map onto the same typed errors the JSON
-			// transport produces, so StatusCode, Retry-After honoring, and
-			// the eviction/readmit logic work unchanged.
-			c.done <- edge.NewStatusError(int(f.Status), string(f.Msg),
-				time.Duration(f.RetryAfterSec)*time.Second)
+			c.done <- errorFrame(&f)
 			continue
 		}
 		c.resp.CopyFrom(&f)
@@ -251,10 +215,8 @@ func (cn *streamConn) roundTrip(ctx context.Context, c *streamCall) error {
 	}
 }
 
-// getConn returns the live connection, dialing (and handshaking) if there
-// is none. A server found not to speak the protocol flips the client into
-// permanent JSON mode; the sentinel is wrapped Permanent so the retry loop
-// fails fast instead of burning attempts on a condition retries cannot fix.
+// getConn returns the live connection, dialing if there is none. A closed
+// client fails Permanent, so the retry loop gives up at once.
 func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 	sc.dialMu.Lock()
 	defer sc.dialMu.Unlock()
@@ -262,10 +224,6 @@ func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 	if sc.closed {
 		sc.mu.Unlock()
 		return nil, edge.Permanent(errStreamClientClosed)
-	}
-	if sc.mode == modeJSON {
-		sc.mu.Unlock()
-		return nil, edge.Permanent(ErrStreamUnsupported)
 	}
 	if cn := sc.conn; cn != nil && !cn.dead() {
 		sc.mu.Unlock()
@@ -275,12 +233,6 @@ func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 
 	cn, err := sc.dial(ctx)
 	if err != nil {
-		if errors.Is(err, ErrStreamUnsupported) {
-			sc.mu.Lock()
-			sc.mode = modeJSON
-			sc.mu.Unlock()
-			return nil, edge.Permanent(ErrStreamUnsupported)
-		}
 		return nil, err
 	}
 	sc.mu.Lock()
@@ -289,82 +241,27 @@ func (sc *StreamClient) getConn(ctx context.Context) (*streamConn, error) {
 		cn.fail(errStreamClientClosed)
 		return nil, edge.Permanent(errStreamClientClosed)
 	}
-	sc.mode = modeStream
 	sc.conn = cn
 	sc.mu.Unlock()
 	return cn, nil
 }
 
-// probe runs the Hello version handshake as one ordinary finite POST: a
-// single Hello frame as the whole request body. This is deliberately NOT
-// the streaming exchange — an old server without the route would sit on an
-// endless request body waiting for EOF before it could even deliver its
-// 404, deadlocking against a client waiting for that response. A finite
-// probe gets an answer from every server: new ones echo a Hello frame,
-// old ones 404 cleanly, version mismatches come back as a typed refusal.
-func (sc *StreamClient) probe(ctx context.Context) error {
-	var hello wire.Frame
-	hello.Type = wire.THelloReq
-	hello.Version = wire.Version
-	body, err := wire.AppendFrame(nil, &hello)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sc.ec.BaseURL()+"/session/stream", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := sc.ec.HTTPClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("sessiond: stream probe: %w", err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		_ = resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-		// No such route: an old server. Distinct from a session-level 404 —
-		// this must never look like an eviction to the readmit logic.
-		return ErrStreamUnsupported
-	default:
-		return fmt.Errorf("sessiond: stream probe: server returned %s", resp.Status)
-	}
-	fr := wire.NewReader(resp.Body)
-	var f wire.Frame
-	if err := fr.Next(&f); err != nil {
-		return fmt.Errorf("sessiond: stream probe: %w", err)
-	}
-	if f.Type != wire.THelloResp || f.Version != wire.Version {
-		// Including a TError refusal for an unsupported version: whatever
-		// this server speaks, it is not our protocol.
-		return ErrStreamUnsupported
-	}
-	return nil
-}
-
-// dial verifies protocol support with a finite probe, then opens the
-// long-lived streaming exchange. ctx bounds only the dial — the
-// established stream outlives the dialing call, living on a detached
+// dial opens the long-lived streaming exchange. ctx bounds only the dial —
+// the established stream outlives the dialing call, living on a detached
 // context until fail tears it down.
 func (sc *StreamClient) dial(ctx context.Context) (*streamConn, error) {
-	if err := sc.probe(ctx); err != nil {
-		return nil, err
-	}
 	connCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	// If the dialing attempt dies before the exchange is established, kill
 	// it; once Do returns the watchdog is detached.
 	stop := context.AfterFunc(ctx, cancel)
 	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(connCtx, http.MethodPost, sc.ec.BaseURL()+"/session/stream", pr)
+	req, err := http.NewRequestWithContext(connCtx, http.MethodPost, sc.ec.BaseURL()+streamPath, pr)
 	if err != nil {
 		stop()
 		cancel()
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", frameContentType)
 	resp, err := sc.ec.HTTPClient().Do(req)
 	if err != nil {
 		stop()
@@ -373,8 +270,6 @@ func (sc *StreamClient) dial(ctx context.Context) (*streamConn, error) {
 		return nil, fmt.Errorf("sessiond: stream dial: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		// The probe just said this route exists; anything but 200 here is a
-		// transient server problem, not "unsupported".
 		stop()
 		cancel()
 		_ = pw.Close()
@@ -396,16 +291,8 @@ func (sc *StreamClient) dial(ctx context.Context) (*streamConn, error) {
 // do runs one stream round trip under the edge client's full
 // fault-tolerance stack. A connection lost mid-call is just a failed
 // attempt: the retry redials through getConn, and the breaker sees stream
-// and JSON failures as one health signal.
+// and single-frame failures as one health signal.
 func (sc *StreamClient) do(ctx context.Context, label string, c *streamCall) error {
-	sc.mu.Lock()
-	latchedJSON := sc.mode == modeJSON
-	sc.mu.Unlock()
-	if latchedJSON {
-		// Already negotiated down: fail fast without touching the retry
-		// stack, so the JSON fallback costs nothing per call.
-		return ErrStreamUnsupported
-	}
 	return sc.ec.Execute(ctx, label, func(ctx context.Context) error {
 		actx, cancel := context.WithTimeout(ctx, sc.ec.AttemptTimeout())
 		defer cancel()
@@ -415,95 +302,4 @@ func (sc *StreamClient) do(ctx context.Context, label string, c *streamCall) err
 		}
 		return cn.roundTrip(actx, c)
 	})
-}
-
-// Open creates (or idempotently re-finds) the server-side session over the
-// stream; the response is identical to the JSON route's.
-func (sc *StreamClient) Open(ctx context.Context, req OpenRequest) (OpenResponse, error) {
-	c := getCall()
-	defer putCall(c)
-	c.req.Type = wire.TOpenReq
-	c.req.ID = append(c.req.ID[:0], req.ID...)
-	c.req.Resources = uint32(req.Resources)
-	c.req.RMin = req.RMin
-	c.req.Seed = req.Seed
-	c.req.Init = uint32(req.Init)
-	if req.Policy != "" {
-		c.req.Flags |= wire.FlagPolicy
-		c.req.Policy = append(c.req.Policy[:0], req.Policy...)
-	}
-	if err := sc.do(ctx, "stream open", c); err != nil {
-		return OpenResponse{}, err
-	}
-	if c.resp.Type != wire.TOpenResp {
-		return OpenResponse{}, fmt.Errorf("sessiond: server answered open with frame type %d", c.resp.Type)
-	}
-	return OpenResponse{
-		ID:           req.ID,
-		Existing:     c.resp.Flags&wire.FlagExisting != 0,
-		Restored:     c.resp.Flags&wire.FlagRestored != 0,
-		Evicted:      string(c.resp.Evicted),
-		Observations: int(c.resp.Observations),
-		Ephemeral:    c.resp.Flags&wire.FlagEphemeral != 0,
-	}, nil
-}
-
-// Suggest asks for the session's next configuration. The returned point is
-// the caller's to keep.
-func (sc *StreamClient) Suggest(ctx context.Context, id string) (SuggestResponse, error) {
-	c := getCall()
-	defer putCall(c)
-	c.req.Type = wire.TSuggestReq
-	c.req.ID = append(c.req.ID[:0], id...)
-	if err := sc.do(ctx, "stream suggest", c); err != nil {
-		return SuggestResponse{}, err
-	}
-	if c.resp.Type != wire.TSuggestResp {
-		return SuggestResponse{}, fmt.Errorf("sessiond: server answered suggest with frame type %d", c.resp.Type)
-	}
-	return SuggestResponse{
-		Point:        append([]float64(nil), c.resp.Point...),
-		Observations: int(c.resp.Observations),
-	}, nil
-}
-
-// Observe records one (point, cost) pair. index is the 0-based database
-// slot the observation belongs in (the count of observations the server
-// held when it was measured); a retried observe whose first send actually
-// landed is then acknowledged instead of double-applied. index < 0 sends
-// wire.NoIndex — the JSON route's unconditional append.
-func (sc *StreamClient) Observe(ctx context.Context, id string, index int, point []float64, cost float64) (ObserveResponse, error) {
-	c := getCall()
-	defer putCall(c)
-	c.req.Type = wire.TObserveReq
-	c.req.ID = append(c.req.ID[:0], id...)
-	if index < 0 {
-		c.req.Index = wire.NoIndex
-	} else {
-		c.req.Index = uint32(index)
-	}
-	c.req.Cost = cost
-	c.req.Point = append(c.req.Point[:0], point...)
-	if err := sc.do(ctx, "stream observe", c); err != nil {
-		return ObserveResponse{}, err
-	}
-	if c.resp.Type != wire.TObserveResp {
-		return ObserveResponse{}, fmt.Errorf("sessiond: server answered observe with frame type %d", c.resp.Type)
-	}
-	return ObserveResponse{Observations: int(c.resp.Observations)}, nil
-}
-
-// CloseSession tears the server-side session down.
-func (sc *StreamClient) CloseSession(ctx context.Context, id string) (CloseResponse, error) {
-	c := getCall()
-	defer putCall(c)
-	c.req.Type = wire.TCloseReq
-	c.req.ID = append(c.req.ID[:0], id...)
-	if err := sc.do(ctx, "stream close", c); err != nil {
-		return CloseResponse{}, err
-	}
-	if c.resp.Type != wire.TCloseResp {
-		return CloseResponse{}, fmt.Errorf("sessiond: server answered close with frame type %d", c.resp.Type)
-	}
-	return CloseResponse{Closed: c.resp.Closed}, nil
 }

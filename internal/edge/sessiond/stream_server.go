@@ -13,22 +13,24 @@ import (
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
-// Server side of the session stream (DESIGN.md §14). One POST to
-// /session/stream is one long-lived full-duplex exchange: the client ships
-// binary request frames down the request body, the server ships response
-// frames back in request order, and neither side pays per-call HTTP
-// overhead again for the life of the stream.
+// Server side of the session stream (DESIGN.md §14), the one server path
+// for session ops. One POST to /session/stream is one full-duplex exchange:
+// the client ships binary request frames down the request body, the server
+// ships response frames back in request order. A multiplexed client keeps
+// the exchange open for the life of its connection and never pays per-call
+// HTTP overhead again; a single-frame POST is the same exchange ending
+// after one frame, answered by exactly one frame.
 //
 // Concurrency shape: the handler goroutine reads and dispatches frames —
 // opens, observes, and closes run inline (they are cheap, and inline
 // execution preserves the per-session operation order the determinism
-// contract needs); suggests are enqueued into the same shard batch workers
-// the JSON path uses, behind the same admission control. A single writer
-// goroutine drains an ordered queue of response slots, waiting on each
-// suggest's worker reply in turn, so responses leave in exactly the order
-// their requests arrived — a stronger guarantee than the per-session
-// ordering clients rely on — while queued suggests from many sessions still
-// batch in the shard workers concurrently.
+// contract needs); suggests are enqueued into the shard batch workers,
+// behind the admission control. A single writer goroutine drains an
+// ordered queue of response slots, waiting on each suggest's worker reply
+// in turn, so responses leave in exactly the order their requests arrived —
+// a stronger guarantee than the per-session ordering clients rely on —
+// while queued suggests from many sessions still batch in the shard
+// workers concurrently.
 const (
 	// streamOutDepth bounds responses in flight between the reader and the
 	// writer goroutine; a full queue blocks frame intake (backpressure)
@@ -64,8 +66,9 @@ func getPending() *streamPending {
 
 func putPending(p *streamPending) { pendingPool.Put(p) }
 
-// errFrame turns p into an application-level error response carrying the
-// HTTP status the JSON path would have sent.
+// errFrame turns p into an application-level error response. The status is
+// an HTTP status code, so the client maps it onto the same typed error a
+// non-2xx response produces (404 readmit, 503 + Retry-After, 422).
 func errFrame(p *streamPending, status int, msg string, retryAfter uint32) {
 	p.f.Type = wire.TError
 	p.f.Status = uint16(status)
@@ -137,8 +140,6 @@ func (s *Service) streamRead(body io.Reader, out chan<- *streamPending) {
 		p := getPending()
 		p.f.Seq = f.Seq
 		switch f.Type {
-		case wire.THelloReq:
-			s.streamHello(&f, p)
 		case wire.TOpenReq:
 			s.streamOpen(&f, p)
 		case wire.TSuggestReq:
@@ -198,21 +199,7 @@ func (s *Service) streamWriter(w io.Writer, rc *http.ResponseController, out <-c
 	}
 }
 
-// streamHello answers version negotiation: the server states the version it
-// will speak. A client version this server does not know is refused with an
-// error frame, and the client falls back to the JSON path.
-func (s *Service) streamHello(req *wire.Frame, p *streamPending) {
-	if req.Version != wire.Version {
-		errFrame(p, http.StatusHTTPVersionNotSupported,
-			fmt.Sprintf("sessiond: unsupported wire version %d (server speaks %d)", req.Version, wire.Version), 0)
-		return
-	}
-	p.f.Type = wire.THelloResp
-	p.f.Version = wire.Version
-}
-
-// streamOpen is the frame twin of handleOpen: same validation, same open
-// state machine, same metrics.
+// streamOpen validates an OpenReq and runs the open state machine.
 func (s *Service) streamOpen(req *wire.Frame, p *streamPending) {
 	id := string(req.ID)
 	if err := validID(id); err != nil {
@@ -261,9 +248,9 @@ func (s *Service) streamOpen(req *wire.Frame, p *streamPending) {
 	p.f.Observations = uint32(sess.observations())
 }
 
-// streamSuggest enqueues into the shard batch workers behind the same
-// admission control as the JSON route; the writer goroutine completes the
-// response when the worker replies.
+// streamSuggest enqueues into the shard batch workers behind the admission
+// control; the writer goroutine completes the response when the worker
+// replies.
 func (s *Service) streamSuggest(req *wire.Frame, p *streamPending) {
 	sess, ok := s.peekBytes(req.ID)
 	if !ok {
@@ -280,9 +267,10 @@ func (s *Service) streamSuggest(req *wire.Frame, p *streamPending) {
 	p.suggest = true
 }
 
-// streamObserve is the frame twin of handleObserve, plus the idempotency
-// index: a replayed observe (already-applied index) is acknowledged without
-// a second append, which is what makes reconnect-time retries safe.
+// streamObserve validates an ObserveReq and applies it under its
+// idempotency index: a replayed observe (already-applied index) is
+// acknowledged without a second append, which is what makes a retry after a
+// lost response safe on either carrier.
 func (s *Service) streamObserve(req *wire.Frame, p *streamPending) {
 	sess, ok := s.lookupBytes(req.ID)
 	if !ok {
@@ -309,11 +297,10 @@ func (s *Service) streamObserve(req *wire.Frame, p *streamPending) {
 
 // observeAt records one (point, cost) pair with an idempotency index: the
 // caller states which database slot (0-based) the observation should land
-// in. wire.NoIndex skips the check (the JSON path's always-append
-// behavior). An index below the current size is a replay of an observation
-// the session already holds — acknowledged (dup=true) without a second
-// append, so a client retrying an observe whose response was lost to a
-// dropped connection cannot double-apply it. An index beyond the current
+// in. wire.NoIndex skips the check and always appends. An index below the
+// current size is a replay of an observation the session already holds —
+// acknowledged (dup=true) without a second append, so a client retrying an
+// observe whose response was lost cannot double-apply it. An index beyond the current
 // size is a gap (the client skipped an observation) and is rejected.
 func (sess *session) observeAt(index uint32, point []float64, cost float64) (n, dirty int, dup bool, err error) {
 	sess.mu.Lock()
@@ -331,7 +318,8 @@ func (sess *session) observeAt(index uint32, point []float64, cost float64) (n, 
 	return n, dirty, false, err
 }
 
-// streamClose is the frame twin of handleClose.
+// streamClose tears a session down; closing an unknown session reports
+// Closed=false rather than failing.
 func (s *Service) streamClose(req *wire.Frame, p *streamPending) {
 	closed := s.remove(string(req.ID))
 	if closed {

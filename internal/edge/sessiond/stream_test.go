@@ -40,19 +40,9 @@ func newStreamService(t *testing.T) (*sessiond.Service, *httptest.Server) {
 	return svc, ts
 }
 
-// attachStream gives a session client a stream transport of its own.
-func attachStream(t *testing.T, sc *sessiond.Client, ec *edge.Client) *sessiond.StreamClient {
-	t.Helper()
-	stream, err := sessiond.NewStreamClient(ec)
-	if err != nil {
-		t.Fatalf("stream client: %v", err)
-	}
-	sc.SetStream(stream)
-	t.Cleanup(func() { _ = stream.Close() })
-	return stream
-}
-
-func newStreamedClient(t *testing.T, baseURL, id string, seed uint64) (*sessiond.Client, *sessiond.StreamClient, *edge.Client) {
+// newStreamedClient builds a session client multiplexed over a stream
+// client of its own, closed at test cleanup.
+func newStreamedClient(t *testing.T, baseURL, id string, seed uint64) (*sessiond.Client, *edge.Client) {
 	t.Helper()
 	ec, err := edge.NewClient(baseURL)
 	if err != nil {
@@ -62,169 +52,73 @@ func newStreamedClient(t *testing.T, baseURL, id string, seed uint64) (*sessiond
 	if err != nil {
 		t.Fatalf("session client: %v", err)
 	}
-	return sc, attachStream(t, sc, ec), ec
-}
-
-// driveSession runs steps suggest→observe rounds against a reference
-// optimizer, failing on the first bitwise divergence.
-func driveSession(t *testing.T, ctx context.Context, sc *sessiond.Client, seed uint64, from, to int) {
-	t.Helper()
-	ref := refOptimizer(t, seed)
-	refPoints := make([][]float64, 0, to)
-	for k := 0; k < to; k++ {
-		want, err := ref.Next()
-		if err != nil {
-			t.Fatalf("reference next %d: %v", k, err)
-		}
-		refPoints = append(refPoints, want)
-		if k < from {
-			// Catch the reference up to where the server session already is.
-			if err := ref.Observe(want, testCost(seed, k, want)); err != nil {
-				t.Fatalf("reference observe %d: %v", k, err)
-			}
-			continue
-		}
-		got, err := sc.Suggest(ctx)
-		if err != nil {
-			t.Fatalf("suggest %d: %v", k, err)
-		}
-		for d := range want {
-			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-				t.Fatalf("step %d dim %d: got %x want %x", k, d, math.Float64bits(got[d]), math.Float64bits(want[d]))
-			}
-		}
-		cost := testCost(seed, k, want)
-		if err := sc.ObserveAt(ctx, k, want, cost); err != nil {
-			t.Fatalf("observe %d: %v", k, err)
-		}
-		if err := ref.Observe(want, cost); err != nil {
-			t.Fatalf("reference observe %d: %v", k, err)
-		}
+	stream, err := sessiond.NewStreamClient(ec)
+	if err != nil {
+		t.Fatalf("stream client: %v", err)
 	}
-	_ = refPoints
+	sc.SetStream(stream)
+	t.Cleanup(func() { _ = stream.Close() })
+	return sc, ec
 }
 
-// TestStreamMatchesJSONBitIdentical drives two same-seeded sessions through
-// the same server, one over JSON POSTs and one over the binary stream, and
-// requires bitwise-identical suggestion trajectories — the stream transport
-// must be a pure transport swap, invisible to the optimizer.
-func TestStreamMatchesJSONBitIdentical(t *testing.T) {
+// TestStreamMatchesOneShotBitIdentical drives two same-seeded sessions
+// through the same server, one POSTing each op as a single frame and one
+// multiplexed over a stream, and requires bitwise-identical suggestion
+// trajectories matching a local reference — the carrier must be invisible
+// to the optimizer.
+func TestStreamMatchesOneShotBitIdentical(t *testing.T) {
 	_, ts := newStreamService(t)
 	ctx := context.Background()
 	const seed = 4242
 	const steps = 8
 
-	jsonClient := newTestClient(t, ts.URL, "wire-json", seed)
-	if _, err := jsonClient.Open(ctx); err != nil {
-		t.Fatalf("json open: %v", err)
+	oneShot := newTestClient(t, ts.URL, "wire-oneshot", seed)
+	if _, err := oneShot.Open(ctx); err != nil {
+		t.Fatalf("one-shot open: %v", err)
 	}
-	streamClient, stream, _ := newStreamedClient(t, ts.URL, "wire-stream", seed)
-	if _, err := streamClient.Open(ctx); err != nil {
+	streamed, _ := newStreamedClient(t, ts.URL, "wire-stream", seed)
+	if _, err := streamed.Open(ctx); err != nil {
 		t.Fatalf("stream open: %v", err)
 	}
 
-	refJSON := refOptimizer(t, seed)
+	ref := refOptimizer(t, seed)
 	for k := 0; k < steps; k++ {
-		pj, err := jsonClient.Suggest(ctx)
+		po, err := oneShot.Suggest(ctx)
 		if err != nil {
-			t.Fatalf("json suggest %d: %v", k, err)
+			t.Fatalf("one-shot suggest %d: %v", k, err)
 		}
-		ps, err := streamClient.Suggest(ctx)
+		ps, err := streamed.Suggest(ctx)
 		if err != nil {
 			t.Fatalf("stream suggest %d: %v", k, err)
 		}
-		want, err := refJSON.Next()
+		want, err := ref.Next()
 		if err != nil {
 			t.Fatalf("reference %d: %v", k, err)
 		}
 		for d := range want {
 			wb := math.Float64bits(want[d])
-			if math.Float64bits(pj[d]) != wb {
-				t.Fatalf("json step %d dim %d diverged from reference", k, d)
+			if math.Float64bits(po[d]) != wb {
+				t.Fatalf("one-shot step %d dim %d: got %x want %x", k, d, math.Float64bits(po[d]), wb)
 			}
 			if math.Float64bits(ps[d]) != wb {
 				t.Fatalf("stream step %d dim %d: got %x want %x", k, d, math.Float64bits(ps[d]), wb)
 			}
 		}
 		cost := testCost(seed, k, want)
-		if err := jsonClient.Observe(ctx, want, cost); err != nil {
-			t.Fatalf("json observe %d: %v", k, err)
+		if err := oneShot.ObserveAt(ctx, k, want, cost); err != nil {
+			t.Fatalf("one-shot observe %d: %v", k, err)
 		}
-		if err := streamClient.ObserveAt(ctx, k, want, cost); err != nil {
+		if err := streamed.ObserveAt(ctx, k, want, cost); err != nil {
 			t.Fatalf("stream observe %d: %v", k, err)
 		}
-		if err := refJSON.Observe(want, cost); err != nil {
+		if err := ref.Observe(want, cost); err != nil {
 			t.Fatalf("reference observe %d: %v", k, err)
 		}
 	}
-	if got := stream.Mode(); got != "stream" {
-		t.Fatalf("stream client negotiated mode %q, want stream", got)
-	}
-	if err := streamClient.CloseSession(ctx); err != nil {
-		t.Fatalf("stream close: %v", err)
-	}
-}
-
-// TestStreamFallbackOldServer points a stream-enabled client at a server
-// without the /session/stream route (an old binary: its mux 404s unknown
-// paths). Every call must transparently fall back to JSON, the negotiated
-// mode must latch to "json", and — critically — the failed probe must not
-// trip the circuit breaker, because a missing route is not link failure.
-func TestStreamFallbackOldServer(t *testing.T) {
-	svc, err := sessiond.New(sessiond.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatalf("service: %v", err)
-	}
-	defer svc.Close()
-	full := svc.Handler()
-	oldServer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/session/stream" {
-			http.NotFound(w, r)
-			return
+	for _, sc := range []*sessiond.Client{oneShot, streamed} {
+		if err := sc.CloseSession(ctx); err != nil {
+			t.Fatalf("%s close: %v", sc.ID(), err)
 		}
-		full.ServeHTTP(w, r)
-	}))
-	defer oldServer.Close()
-
-	ctx := context.Background()
-	const seed = 99
-	sc, stream, ec := newStreamedClient(t, oldServer.URL, "old-srv", seed)
-	if _, err := sc.Open(ctx); err != nil {
-		t.Fatalf("open via fallback: %v", err)
-	}
-	driveSession(t, ctx, sc, seed, 0, 4)
-	if err := sc.CloseSession(ctx); err != nil {
-		t.Fatalf("close via fallback: %v", err)
-	}
-	if got := stream.Mode(); got != "json" {
-		t.Fatalf("negotiated mode %q, want json", got)
-	}
-	bs := ec.BreakerStats()
-	if bs.State != edge.BreakerClosed {
-		t.Fatalf("breaker state %v after fallback, want closed", bs.State)
-	}
-	if bs.ShortCircuits != 0 {
-		t.Fatalf("breaker short-circuited %d calls during fallback", bs.ShortCircuits)
-	}
-	// "No stream route" is a property of the server, not link sickness: the
-	// probe must not register breaker failures at all.
-	if bs.Failures != 0 {
-		t.Fatalf("fallback recorded %d breaker failures, want 0", bs.Failures)
-	}
-}
-
-// TestJSONClientAgainstStreamServer pins the other compatibility direction:
-// a plain JSON client (no stream attached) against a stream-capable server.
-func TestJSONClientAgainstStreamServer(t *testing.T) {
-	_, ts := newStreamService(t)
-	ctx := context.Background()
-	sc := newTestClient(t, ts.URL, "json-only", 7)
-	if _, err := sc.Open(ctx); err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	driveSession(t, ctx, sc, 7, 0, 3)
-	if err := sc.CloseSession(ctx); err != nil {
-		t.Fatalf("close: %v", err)
 	}
 }
 
@@ -236,7 +130,7 @@ func TestStreamReconnectAfterDrop(t *testing.T) {
 	_, ts := newStreamService(t)
 	ctx := context.Background()
 	const seed = 31337
-	sc, stream, ec := newStreamedClient(t, ts.URL, "dropper", seed)
+	sc, ec := newStreamedClient(t, ts.URL, "dropper", seed)
 	if _, err := sc.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -268,22 +162,20 @@ func TestStreamReconnectAfterDrop(t *testing.T) {
 			t.Fatalf("reference observe %d: %v", k, err)
 		}
 	}
-	if got := stream.Mode(); got != "stream" {
-		t.Fatalf("mode %q after reconnects, want stream — a drop must not demote to JSON", got)
-	}
 	if bs := ec.BreakerStats(); bs.State != edge.BreakerClosed {
 		t.Fatalf("breaker state %v after reconnects, want closed", bs.State)
 	}
 }
 
 // TestStreamDuplicateObserveAcked replays an already-applied indexed observe
-// — what a reconnect retry does when the first send landed but its response
-// was lost — and requires the server to acknowledge without double-applying.
+// over the stream — what a reconnect retry does when the first send landed
+// but its response was lost — and requires the server to acknowledge
+// without double-applying.
 func TestStreamDuplicateObserveAcked(t *testing.T) {
 	_, ts := newStreamService(t)
 	ctx := context.Background()
 	const seed = 555
-	sc, stream, _ := newStreamedClient(t, ts.URL, "dup", seed)
+	sc, _ := newStreamedClient(t, ts.URL, "dup", seed)
 	if _, err := sc.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -291,24 +183,32 @@ func TestStreamDuplicateObserveAcked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("suggest: %v", err)
 	}
-	resp, err := stream.Observe(ctx, "dup", 0, point, 0.25)
-	if err != nil {
+	// held re-opens the live session, which reports its database size.
+	held := func(what string) int {
+		t.Helper()
+		resp, err := sc.Open(ctx)
+		if err != nil || !resp.Existing {
+			t.Fatalf("%s: re-open = %+v (err %v), want the live session", what, resp, err)
+		}
+		return resp.Observations
+	}
+	if err := sc.ObserveAt(ctx, 0, point, 0.25); err != nil {
 		t.Fatalf("first observe: %v", err)
 	}
-	if resp.Observations != 1 {
-		t.Fatalf("first observe: server holds %d observations, want 1", resp.Observations)
+	if n := held("first observe"); n != 1 {
+		t.Fatalf("first observe: server holds %d observations, want 1", n)
 	}
 	// The replay: same index, same payload. Must ack, not append.
-	resp, err = stream.Observe(ctx, "dup", 0, point, 0.25)
-	if err != nil {
+	if err := sc.ObserveAt(ctx, 0, point, 0.25); err != nil {
 		t.Fatalf("replayed observe: %v", err)
 	}
-	if resp.Observations != 1 {
-		t.Fatalf("replayed observe appended: server holds %d observations, want 1", resp.Observations)
+	if n := held("replayed observe"); n != 1 {
+		t.Fatalf("replayed observe appended: server holds %d observations, want 1", n)
 	}
 	// A gap — index beyond the database — must be rejected, not applied.
-	if _, err := stream.Observe(ctx, "dup", 5, point, 0.25); err == nil {
-		t.Fatal("gapped observe index accepted")
+	err = sc.ObserveAt(ctx, 5, point, 0.25)
+	if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {
+		t.Fatalf("gapped observe index = %v, want 422", err)
 	}
 	// The session must still be coherent: reference fed the point once.
 	ref := refOptimizer(t, seed)
@@ -461,7 +361,7 @@ func TestStreamDecodeErrorAccounting(t *testing.T) {
 func TestStreamStatz(t *testing.T) {
 	svc, ts := newStreamService(t)
 	ctx := context.Background()
-	sc, _, _ := newStreamedClient(t, ts.URL, "statz", 12)
+	sc, _ := newStreamedClient(t, ts.URL, "statz", 12)
 	if _, err := sc.Open(ctx); err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -469,8 +369,8 @@ func TestStreamStatz(t *testing.T) {
 		t.Fatalf("suggest: %v", err)
 	}
 	st := svc.Streams()
-	// Hello + open + suggest at minimum, each answered.
-	if st.FramesIn < 3 || st.FramesOut < 3 {
+	// Open + suggest at minimum, each answered.
+	if st.FramesIn < 2 || st.FramesOut < 2 {
 		t.Fatalf("stream stats undercount traffic: %+v", st)
 	}
 	if st.Open != 1 {

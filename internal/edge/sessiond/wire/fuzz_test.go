@@ -24,6 +24,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0}, 16))
 	f.Add([]byte{1, 5, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 0, 0})
+	// The retired version-handshake frames (types 1 and 2), exactly as
+	// they were once encoded, CRC intact; TestDecodeRejects pins that the
+	// decoder now refuses their type codes.
+	f.Add([]byte{1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0x4b, 0x1b, 0xfb, 0x67})
+	f.Add([]byte{1, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0x85, 0x77, 0x31, 0xda})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fr Frame

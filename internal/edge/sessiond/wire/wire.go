@@ -1,12 +1,12 @@
 // Package wire is the compact deterministic binary codec for the session
-// service's hot messages (DESIGN.md §14). Where the JSON POST path pays a
-// full HTTP request plus marshal/unmarshal per suggest, the stream path
-// moves little-endian length-prefixed frames over one persistent
-// connection:
+// service's session ops (DESIGN.md §14). Every open/suggest/observe/close
+// is one little-endian length-prefixed frame, carried either on a
+// multiplexed /session/stream connection or as the whole body of a
+// single-frame POST to the same route:
 //
 //	length  u32  bytes that follow (header + payload + crc)
 //	version u8   wire protocol version (currently 1)
-//	type    u8   frame type (Hello/Open/Suggest/Observe/Close/Error)
+//	type    u8   frame type (Open/Suggest/Observe/Close/Error)
 //	flags   u16  type-specific bits; unknown bits are rejected
 //	seq     u64  request sequence echoed on the matching response
 //	payload ...  type-specific, fixed layout (no varints, no maps)
@@ -38,19 +38,19 @@ import (
 	"sync"
 )
 
-// Version is the wire protocol version this package speaks. Hello frames
-// negotiate it explicitly; every frame header carries it so a decoder can
-// refuse a future layout loudly instead of misparsing it.
+// Version is the wire protocol version this package speaks. Every frame
+// header carries it so a decoder can refuse a future layout loudly instead
+// of misparsing it.
 const Version = 1
 
 // Type identifies a frame's layout and meaning.
 type Type uint8
 
 // Frame types. Requests are odd, their responses even, so a corrupted
-// direction bit cannot silently turn one into the other.
+// direction bit cannot silently turn one into the other. Codes 1 and 2 are
+// retired (a version handshake no peer sends any more) and decode as
+// unknown types.
 const (
-	THelloReq    Type = 1
-	THelloResp   Type = 2
 	TOpenReq     Type = 3
 	TOpenResp    Type = 4
 	TSuggestReq  Type = 5
@@ -64,10 +64,6 @@ const (
 
 func (t Type) String() string {
 	switch t {
-	case THelloReq:
-		return "HelloReq"
-	case THelloResp:
-		return "HelloResp"
 	case TOpenReq:
 		return "OpenReq"
 	case TOpenResp:
@@ -112,8 +108,8 @@ const (
 )
 
 // NoIndex is the ObserveReq index meaning "no idempotency information:
-// always append". Indexed observes (the stream client's normal mode) let
-// the server drop duplicate replays after a reconnect.
+// always append". Indexed observes (the session client's normal mode) let
+// the server drop duplicate replays after a retry or reconnect.
 const NoIndex = ^uint32(0)
 
 // Decoder armor bounds. Semantic validation (session-id length, domain
@@ -144,9 +140,6 @@ type Frame struct {
 	Flags uint16
 	Seq   uint64
 
-	// Hello req/resp.
-	Version uint16
-
 	// OpenReq: ID, Resources, RMin, Seed, Init, and (under FlagPolicy) the
 	// optimizer-policy name.
 	// SuggestReq, CloseReq: ID.
@@ -170,8 +163,8 @@ type Frame struct {
 	Closed bool
 
 	// Error: an application-level failure for Seq's request. Status carries
-	// the HTTP status code the JSON path would have sent, so both transports
-	// share one error taxonomy; RetryAfterSec mirrors the Retry-After hint.
+	// an HTTP status code, so frame rejections and HTTP-level failures share
+	// one error taxonomy; RetryAfterSec is the Retry-After hint.
 	Status        uint16
 	RetryAfterSec uint32
 	Msg           []byte
@@ -230,8 +223,6 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint16(dst, f.Flags)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	switch f.Type {
-	case THelloReq, THelloResp:
-		dst = binary.LittleEndian.AppendUint16(dst, f.Version)
 	case TOpenReq:
 		dst = appendBytes16(dst, f.ID)
 		dst = binary.LittleEndian.AppendUint32(dst, f.Resources)
@@ -275,7 +266,7 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 // validateFrame rejects frames the canonical encoding cannot represent.
 func validateFrame(f *Frame) error {
 	switch f.Type {
-	case THelloReq, THelloResp, TOpenReq, TOpenResp, TSuggestReq, TSuggestResp,
+	case TOpenReq, TOpenResp, TSuggestReq, TSuggestResp,
 		TObserveReq, TObserveResp, TCloseReq, TCloseResp, TError:
 	default:
 		return fmt.Errorf("wire: unknown frame type %d", f.Type)
@@ -435,8 +426,6 @@ func DecodeFrame(buf []byte, f *Frame) error {
 		return err
 	}
 	switch f.Type {
-	case THelloReq, THelloResp:
-		f.Version = r.u16()
 	case TOpenReq:
 		f.ID = r.bytes16("id", maxIDLen)
 		f.Resources = r.u32()

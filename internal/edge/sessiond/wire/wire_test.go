@@ -11,8 +11,6 @@ import (
 // sampleFrames returns one representative frame of every type.
 func sampleFrames() []Frame {
 	return []Frame{
-		{Type: THelloReq, Seq: 1, Version: Version},
-		{Type: THelloResp, Seq: 1, Version: Version},
 		{Type: TOpenReq, Seq: 2, ID: []byte("c0001"), Resources: 3, RMin: 0.1, Seed: 42, Init: 5},
 		{Type: TOpenReq, Seq: 2, Flags: FlagPolicy, ID: []byte("c0001"), Resources: 3, RMin: 0.1, Seed: 42, Init: 5, Policy: []byte("linucb")},
 		{Type: TOpenResp, Seq: 2, Flags: FlagExisting | FlagRestored, Observations: 7, Evicted: []byte("c0009")},
@@ -82,7 +80,7 @@ func assertFrameEqual(t *testing.T, want, got *Frame) {
 	if want.Resources != got.Resources || want.Seed != got.Seed || want.Init != got.Init ||
 		want.Index != got.Index || want.Observations != got.Observations ||
 		want.Closed != got.Closed || want.Status != got.Status ||
-		want.RetryAfterSec != got.RetryAfterSec || want.Version != got.Version {
+		want.RetryAfterSec != got.RetryAfterSec {
 		t.Fatalf("%v: scalar fields mismatch: want %+v got %+v", want.Type, want, got)
 	}
 }
@@ -107,6 +105,11 @@ func TestDecodeRejects(t *testing.T) {
 	badType := append([]byte(nil), body...)
 	badType[1] = 200
 	cases["unknown type"] = recrc(badType)
+
+	// Codes 1 and 2 once carried a version handshake; they stay retired.
+	retired := append([]byte(nil), body...)
+	retired[1] = 1
+	cases["retired type"] = recrc(retired)
 
 	badFlags := append([]byte(nil), body...)
 	binary.LittleEndian.PutUint16(badFlags[2:], 0x8000)

@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files from the current o
 
 // runFixed executes the fixed golden configuration against a fresh session
 // service and returns the byte-exact trajectory dump.
-func runFixed(t *testing.T, useStream bool) []byte {
+func runFixed(t *testing.T) []byte {
 	t.Helper()
 	svc, err := sessiond.New(sessiond.DefaultConfig(), nil)
 	if err != nil {
@@ -34,7 +34,6 @@ func runFixed(t *testing.T, useStream bool) []byte {
 		Seed:       7,
 		Jobs:       1,
 		DurationMS: 30_000,
-		UseStream:  useStream,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -62,8 +61,8 @@ func runFixed(t *testing.T, useStream bool) []byte {
 //
 //	go test ./internal/loadgen -run TestGoldenTrajectories -update
 func TestGoldenTrajectories(t *testing.T) {
-	first := runFixed(t, false)
-	second := runFixed(t, false)
+	first := runFixed(t)
+	second := runFixed(t)
 	if !bytes.Equal(first, second) {
 		t.Fatalf("two identical runs diverged:\n%s", firstDiff(first, second))
 	}
@@ -87,24 +86,6 @@ func TestGoldenTrajectories(t *testing.T) {
 		t.Fatalf("trajectories drifted from golden file %s:\n%s\n"+
 			"If the change is intentional, regenerate with -update.",
 			golden, firstDiff(want, first))
-	}
-}
-
-// TestGoldenTrajectoriesStream reruns the exact golden configuration over
-// the binary stream transport and holds it to the same checked-in bytes: the
-// wire protocol must be invisible to every trajectory, hex float bits
-// included. There is deliberately no separate stream golden file — JSON and
-// stream runs share one truth.
-func TestGoldenTrajectoriesStream(t *testing.T) {
-	got := runFixed(t, true)
-	golden := filepath.Join("testdata", "trajectories.golden")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update on TestGoldenTrajectories): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("stream-transport trajectories diverged from golden file %s:\n%s",
-			golden, firstDiff(want, got))
 	}
 }
 

@@ -4,7 +4,8 @@
 // Each client is one full paper-stack session: a seeded scenario build
 // (device + object set + taskset), a fault-tolerant edge.Client (optionally
 // behind a seeded faults.Transport), a server-side BO session driven through
-// sessiond.Backend, and a core.Session running the event-based activation
+// sessiond.Backend — each session op one single-frame POST to
+// /session/stream — and a core.Session running the event-based activation
 // policy over virtual time. Mid-run the user "walks away" from the placed
 // objects — a scripted distance change that drifts the reward and forces a
 // re-activation, so every client exercises the suggest/observe path more
@@ -71,18 +72,12 @@ type Config struct {
 	// UseLOD routes quality manipulation through the server's per-session
 	// mesh cache, with a local decimator as degradation fallback.
 	UseLOD bool
-	// UseStream carries each session's open/suggest/observe/close traffic
-	// over the binary /session/stream transport instead of JSON POSTs,
-	// falling back to JSON automatically against servers without the route.
-	// Each client gets its own stream connection (it already has its own
-	// edge client and fault-injection transport), so per-session trajectories
-	// stay bit-identical to the JSON path.
-	UseStream bool
 	// Policy selects the server-side optimizer policy for every session
 	// (see internal/bo/policies); empty keeps the GP-EI default.
 	Policy string
 	// Faults, when non-zero, wraps every client's transport in a seeded
-	// fault injector.
+	// fault injector. Every session op and mesh fetch is one HTTP request,
+	// so the injector draws once per op and a seed replays the same faults.
 	Faults faults.Plan
 	// Client overrides the edge client tuning (timeouts, retries, breaker).
 	// The jitter seed is always re-derived per client.
@@ -295,15 +290,6 @@ func runOne(ctx context.Context, cfg Config, idx int, seed uint64) SessionResult
 	}
 	if cfg.Observer != nil {
 		sc.SetObserver(cfg.Observer)
-	}
-	if cfg.UseStream {
-		stream, err := sessiond.NewStreamClient(ec)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		sc.SetStream(stream)
-		defer func() { _ = stream.Close() }()
 	}
 	built.Runtime.SetBOBackend(sessiond.NewBackend(ctx, sc), boSeed)
 	if cfg.UseLOD {
