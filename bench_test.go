@@ -11,6 +11,7 @@ package hbo_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -378,13 +379,16 @@ func BenchmarkGPPredictLoop(b *testing.B) {
 }
 
 // benchSuggestion measures one EI suggestion over the given number of
-// observations at a fixed candidate-scoring parallelism.
-func benchSuggestion(b *testing.B, jobs, observations int) {
+// observations. procs > 0 pins GOMAXPROCS (and with it the candidate-scoring
+// parallelism) for the benchmark; 0 leaves it alone.
+func benchSuggestion(b *testing.B, procs, observations int) {
+	if procs > 0 {
+		prev := runtime.GOMAXPROCS(procs)
+		b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	rng := sim.NewRNG(1)
 	dom := bo.Domain{N: 3, RMin: 0.1}
-	cfg := bo.DefaultConfig()
-	cfg.Jobs = jobs
-	opt, err := bo.NewOptimizer(dom, cfg, rng)
+	opt, err := bo.NewOptimizer(dom, bo.DefaultConfig(), rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,8 +407,9 @@ func benchSuggestion(b *testing.B, jobs, observations int) {
 	}
 }
 
-// BenchmarkBOSuggestionSerial scores the candidate pool on one goroutine;
-// BenchmarkBOSuggestionParallel uses GOMAXPROCS workers. Both produce
+// BenchmarkBOSuggestionSerial scores the candidate pool on one goroutine
+// (GOMAXPROCS pinned to 1); BenchmarkBOSuggestionParallel uses GOMAXPROCS
+// workers. Both produce
 // bit-identical suggestions. The Warm55 pair scores at n=55, the late end of
 // a 60-iteration session, where candidate scoring dominates the suggest.
 func BenchmarkBOSuggestionSerial(b *testing.B)         { benchSuggestion(b, 1, 20) }

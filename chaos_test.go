@@ -43,10 +43,7 @@ func chaosEdge(tb testing.TB, spec scenario.Spec, hbo core.Config, cfg edge.Clie
 		tb.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	stop = func() {
-		ts.Close()
-		svc.Close()
-	}
+	stop = ts.Close
 	if ec, err = edge.NewClientWithConfig(ts.URL, 0, cfg); err == nil {
 		sc, err = sessiond.NewClient(ec, "chaos", tasks.NumResources, hbo.RMin, 42, hbo.InitSamples)
 	}

@@ -46,9 +46,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-	shards := flag.Int("session-shards", 8, "session store lock stripes (and suggest workers)")
+	shards := flag.Int("session-shards", 8, "session store lock stripes")
 	perShard := flag.Int("session-capacity", 64, "sessions per shard before LRU eviction")
-	queue := flag.Int("session-queue", 32, "pending suggests per shard before admission rejects")
+	queue := flag.Int("session-queue", 32, "suggests in flight per shard before admission rejects")
 	storeDir := flag.String("store-dir", "", "durable session-store directory (empty disables durability)")
 	fsync := flag.Bool("fsync", false, "fsync the session store after every append (with -store-dir)")
 	snapEvery := flag.Int("snapshot-every", 1, "snapshot a session after this many mutations; 0 saves only on eviction and drain (with -store-dir)")
@@ -123,7 +123,7 @@ func run(ctx context.Context, addr string, drain time.Duration, sessCfg sessiond
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Printf("hboedge: serving %d objects on %s (POST /session/{open,suggest,observe,close,decimate,stream}; GET /healthz, /metricsz, /session/statz, /debug/vars, /debug/pprof)\n", len(specs), addr)
+	fmt.Printf("hboedge: serving %d objects on %s (POST /session/{stream,decimate}; GET /healthz, /metricsz, /session/statz, /debug/vars, /debug/pprof)\n", len(specs), addr)
 	select {
 	case err := <-serveErr:
 		return err
@@ -138,10 +138,9 @@ func run(ctx context.Context, addr string, drain time.Duration, sessCfg sessiond
 	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	// All connections are drained; now it is safe to stop the suggest
-	// workers and flush every dirty session to the store (a no-op without
-	// one) so the next start warm-restarts from exactly this state.
-	sess.Close()
+	// All connections are drained; flush every dirty session to the store
+	// (a no-op without one) so the next start warm-restarts from exactly
+	// this state.
 	sess.Flush()
 	return nil
 }

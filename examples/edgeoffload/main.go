@@ -51,7 +51,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer svc.Close()
 	reg := obs.New()
 	svc.SetObserver(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

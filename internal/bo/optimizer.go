@@ -131,11 +131,6 @@ type Config struct {
 	// suggestion by maximizing the log marginal likelihood over a small
 	// grid, instead of using the fixed LengthScale.
 	AutoLengthScale bool
-	// Jobs bounds the worker goroutines scoring the candidate pool; 0
-	// means GOMAXPROCS. Candidates are pre-drawn sequentially from the
-	// seeded RNG and the argmax breaks ties by lowest index, so the
-	// suggestion is bit-identical for every Jobs value.
-	Jobs int
 }
 
 // DefaultConfig returns the paper-matching configuration.
@@ -226,9 +221,6 @@ func NewOptimizer(dom Domain, cfg Config, rng *sim.RNG) (*Optimizer, error) {
 	if cfg.LengthScale <= 0 {
 		return nil, fmt.Errorf("bo: length scale must be positive, got %v", cfg.LengthScale)
 	}
-	if cfg.Jobs < 0 {
-		return nil, fmt.Errorf("bo: Jobs must be >= 0, got %d", cfg.Jobs)
-	}
 	if rng == nil {
 		return nil, fmt.Errorf("bo: nil RNG")
 	}
@@ -274,7 +266,8 @@ func (o *Optimizer) Best() (p []float64, cost float64, ok bool) {
 // Next suggests the next configuration to evaluate: random during the
 // initialization phase, then the EI-maximizing candidate under the GP
 // posterior. The candidate pool is pre-drawn sequentially from the seeded
-// RNG and scored on a bounded worker pool (Config.Jobs); the result is
+// RNG and scored on a worker pool of min(GOMAXPROCS, candidates)
+// goroutines; the argmax breaks ties by lowest index, so the result is
 // bit-identical to a serial scan.
 func (o *Optimizer) Next() ([]float64, error) {
 	o.metSuggestions.Inc()
@@ -398,19 +391,10 @@ func (o *Optimizer) ensureSearchBuffers(n, dim int) {
 	}
 }
 
-// workers resolves the candidate-scoring concurrency.
+// workers resolves the candidate-scoring concurrency: one goroutine per
+// available CPU, never more than the n candidates to score.
 func (o *Optimizer) workers(n int) int {
-	w := o.cfg.Jobs
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(runtime.GOMAXPROCS(0), n))
 }
 
 // scoreCandidates fills o.scores for the pre-drawn pool. Each candidate's
@@ -418,7 +402,9 @@ func (o *Optimizer) workers(n int) int {
 // contiguous worker chunks cannot change any value.
 func (o *Optimizer) scoreCandidates(best float64) {
 	n := o.cfg.Candidates
-	workers := o.workers(n)
+	// GOMAXPROCS may have grown since ensureSearchBuffers sized the
+	// scratches; never run more workers than there are scratches.
+	workers := min(o.workers(n), len(o.scratches))
 	if workers == 1 {
 		o.scoreChunk(0, n, best, &o.scratches[0])
 		return

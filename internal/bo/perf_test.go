@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"github.com/mar-hbo/hbo/internal/sim"
@@ -309,11 +310,14 @@ func TestScratchRegrowthLogarithmic(t *testing.T) {
 }
 
 // TestParallelSuggestionDeterminism runs identically seeded optimizers with
-// 1, 2, 3 and 4 candidate-scoring workers through a full observe/suggest
-// loop; every suggestion must be bit-identical to the serial one. The
+// 1, 2, 3 and 4 candidate-scoring workers (GOMAXPROCS set before each
+// suggest) through a full observe/suggest loop; every suggestion must be
+// bit-identical to the serial one. The
 // 1023-candidate pool puts worker chunk boundaries inside batched groups,
 // so chunk tails take the per-point path.
 func TestParallelSuggestionDeterminism(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	dom := Domain{N: 3, RMin: 0.1}
 	// Synthetic objective, deterministic in the point.
 	cost := func(p []float64) float64 {
@@ -328,7 +332,6 @@ func TestParallelSuggestionDeterminism(t *testing.T) {
 		for j := range opts {
 			cfg := DefaultConfig()
 			cfg.Candidates = candidates
-			cfg.Jobs = j + 1
 			opt, err := NewOptimizer(dom, cfg, sim.NewRNG(77))
 			if err != nil {
 				t.Fatal(err)
@@ -338,6 +341,7 @@ func TestParallelSuggestionDeterminism(t *testing.T) {
 		for iter := 0; iter < 15; iter++ {
 			var serial []float64
 			for j, opt := range opts {
+				runtime.GOMAXPROCS(j + 1)
 				p, err := opt.Next()
 				if err != nil {
 					t.Fatal(err)
@@ -347,7 +351,7 @@ func TestParallelSuggestionDeterminism(t *testing.T) {
 				}
 				for i := range p {
 					if math.Float64bits(p[i]) != math.Float64bits(serial[i]) {
-						t.Fatalf("candidates %d iter %d: jobs=%d suggests %v, serial %v",
+						t.Fatalf("candidates %d iter %d: GOMAXPROCS=%d suggests %v, serial %v",
 							candidates, iter, j+1, p, serial)
 					}
 				}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,29 +16,86 @@ import (
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 )
 
-// stalledService builds a Service whose shard workers are never started, so
-// enqueued suggests sit in the queue forever — the deterministic way to
-// exercise the admission controller without racing a real worker.
-func stalledService(t *testing.T, queueBound, retryAfterSec int) *Service {
+// admissionService builds a one-shard service with the given suggest bound.
+func admissionService(t *testing.T, queueBound int) *Service {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Shards = 1
 	cfg.QueueBound = queueBound
-	cfg.RetryAfterSec = retryAfterSec
-	if err := cfg.validate(); err != nil {
-		t.Fatalf("config: %v", err)
+	svc, err := New(cfg, nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	return &Service{
-		cfg: cfg,
-		shards: []*shard{{
-			sessions: make(map[string]*session),
-			queue:    make(chan *suggestJob, cfg.QueueBound),
-		}},
+	return svc
+}
+
+// heldSuggest is one admitted suggest parked on its session's lock.
+type heldSuggest struct {
+	sess     *session
+	done     chan bool // the suggest's admission verdict, sent once it returns
+	released bool
+}
+
+// holdSlots fills the single shard's in-flight bound the deterministic
+// way: it opens one session per slot, holds each session's mu, and starts
+// a suggest on each, which is admitted and then blocks on the lock. It
+// returns once every slot is taken; releasing a held suggest unlocks its
+// session and waits for it to answer, freeing its slot.
+func holdSlots(t *testing.T, svc *Service) []*heldSuggest {
+	t.Helper()
+	bound := svc.cfg.QueueBound
+	held := make([]*heldSuggest, bound)
+	for i := range held {
+		sess, _, err := svc.open(fmt.Sprintf("held%02d", i), testParams(uint64(100+i)))
+		if err != nil {
+			t.Fatalf("open held%02d: %v", i, err)
+		}
+		sess.mu.Lock()
+		done := make(chan bool, 1)
+		go func() {
+			_, ok := svc.suggest(sess)
+			done <- ok
+		}()
+		held[i] = &heldSuggest{sess: sess, done: done}
+	}
+	t.Cleanup(func() {
+		for _, h := range held {
+			if !h.released {
+				release(t, h)
+			}
+		}
+	})
+	// Each goroutine either takes a slot and blocks on its session lock, or
+	// returns rejected; the wait ends either way.
+	for svc.shards[0].inFlight.Load() < int64(bound) {
+		for i, h := range held {
+			select {
+			case ok := <-h.done:
+				h.sess.mu.Unlock()
+				h.released = true
+				t.Fatalf("held suggest %d returned (admitted %v) while its session was locked", i, ok)
+			default:
+			}
+		}
+		runtime.Gosched()
+	}
+	return held
+}
+
+// release unlocks a held suggest's session and requires that the suggest
+// had been admitted.
+func release(t *testing.T, h *heldSuggest) {
+	t.Helper()
+	h.sess.mu.Unlock()
+	h.released = true
+	if !<-h.done {
+		t.Fatal("a held suggest was rejected below the bound")
 	}
 }
 
 // TestAdmissionQueueBound checks, across bounds, that exactly QueueBound
-// suggests are admitted and the next is rejected.
+// suggests are admitted, the next is rejected, and freeing one slot admits
+// the next.
 func TestAdmissionQueueBound(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -48,36 +107,28 @@ func TestAdmissionQueueBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			svc := stalledService(t, tc.bound, 1)
+			svc := admissionService(t, tc.bound)
 			sess, _, err := svc.open("a", testParams(1))
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			for i := 0; i < tc.bound; i++ {
-				job := &suggestJob{sess: sess, reply: make(chan suggestResult, 1)}
-				if !svc.enqueueSuggest(sess, job) {
-					t.Fatalf("enqueue %d rejected below the bound %d", i, tc.bound)
-				}
+			held := holdSlots(t, svc)
+			if _, ok := svc.suggest(sess); ok {
+				t.Fatalf("suggest beyond bound %d admitted", tc.bound)
 			}
-			job := &suggestJob{sess: sess, reply: make(chan suggestResult, 1)}
-			if svc.enqueueSuggest(sess, job) {
-				t.Fatalf("enqueue beyond bound %d admitted", tc.bound)
+			if got := svc.shards[0].inFlight.Load(); got != int64(tc.bound) {
+				t.Fatalf("in flight after a rejection = %d, want %d", got, tc.bound)
+			}
+			release(t, held[0])
+			res, ok := svc.suggest(sess)
+			if !ok || res.err != nil {
+				t.Fatalf("suggest after freeing a slot = (%v, admitted %v), want served", res.err, ok)
 			}
 		})
 	}
 }
 
-// fillQueue saturates the single shard's suggest queue.
-func fillQueue(t *testing.T, svc *Service, sess *session) {
-	t.Helper()
-	for i := 0; i < svc.cfg.QueueBound; i++ {
-		if !svc.enqueueSuggest(sess, &suggestJob{sess: sess, reply: make(chan suggestResult, 1)}) {
-			t.Fatalf("queue filled early at %d of %d", i, svc.cfg.QueueBound)
-		}
-	}
-}
-
-// suggestClient builds a session client for the stalled service's session
+// suggestClient builds a session client for the admission service's session
 // "a" over the default single-frame carrier.
 func suggestClient(t *testing.T, ec *edge.Client) *Client {
 	t.Helper()
@@ -90,16 +141,14 @@ func suggestClient(t *testing.T, ec *edge.Client) *Client {
 
 // TestAdmissionRejectHTTP checks the wire face of a rejection: a
 // single-frame suggest POST is answered with an Error frame carrying 503 and
-// the configured Retry-After hint in whole seconds, which the session client
-// surfaces as a typed 503.
+// the Retry-After hint in whole seconds, which the session client surfaces
+// as a typed 503; once a slot frees, the next suggest is served.
 func TestAdmissionRejectHTTP(t *testing.T) {
-	const retryAfterSec = 3
-	svc := stalledService(t, 2, retryAfterSec)
-	sess, _, err := svc.open("a", testParams(1))
-	if err != nil {
+	svc := admissionService(t, 2)
+	if _, _, err := svc.open("a", testParams(1)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	fillQueue(t, svc, sess)
+	held := holdSlots(t, svc)
 
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -132,9 +181,10 @@ func TestAdmissionRejectHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("edge client: %v", err)
 	}
-	_, err = suggestClient(t, ec).Suggest(context.Background())
+	sc := suggestClient(t, ec)
+	_, err = sc.Suggest(context.Background())
 	if err == nil {
-		t.Fatal("suggest against a full queue succeeded, want 503")
+		t.Fatal("suggest against a full shard succeeded, want 503")
 	}
 	code, ok := edge.StatusCode(err)
 	if !ok || code != 503 {
@@ -143,19 +193,21 @@ func TestAdmissionRejectHTTP(t *testing.T) {
 	if svc.metRejects != nil {
 		t.Fatal("sanity: no registry attached, counters must be nil")
 	}
+	release(t, held[0])
+	if _, err := sc.Suggest(context.Background()); err != nil {
+		t.Fatalf("suggest after freeing a slot: %v", err)
+	}
 }
 
 // TestClientHonorsRetryAfter checks that the edge client's retry loop
 // stretches its backoff to the admission controller's Retry-After hint when
 // the hint exceeds the computed exponential delay.
 func TestClientHonorsRetryAfter(t *testing.T) {
-	const retryAfterSec = 2
-	svc := stalledService(t, 1, retryAfterSec)
-	sess, _, err := svc.open("a", testParams(1))
-	if err != nil {
+	svc := admissionService(t, 1)
+	if _, _, err := svc.open("a", testParams(1)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	fillQueue(t, svc, sess)
+	holdSlots(t, svc)
 
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -190,12 +242,11 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 // 503 rejections open the circuit, after which calls fail fast with
 // ErrUnavailable without reaching the server.
 func TestBreakerOpensOnSustainedRejects(t *testing.T) {
-	svc := stalledService(t, 1, 1)
-	sess, _, err := svc.open("a", testParams(1))
-	if err != nil {
+	svc := admissionService(t, 1)
+	if _, _, err := svc.open("a", testParams(1)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	fillQueue(t, svc, sess)
+	holdSlots(t, svc)
 
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()

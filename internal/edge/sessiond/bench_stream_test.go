@@ -25,18 +25,13 @@ func benchService(b *testing.B) *httptest.Server {
 		Shards:           4,
 		SessionsPerShard: 1024,
 		QueueBound:       4096,
-		RetryAfterSec:    1,
-		MaxBatch:         32,
 		MeshCacheCap:     2,
 	}, nil)
 	if err != nil {
 		b.Fatalf("service: %v", err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	b.Cleanup(func() {
-		ts.Close()
-		svc.Close()
-	})
+	b.Cleanup(ts.Close)
 	return ts
 }
 
@@ -98,8 +93,7 @@ func BenchmarkSuggestStream(b *testing.B) {
 
 // The parallel variants model the loadgen shape: many concurrent sessions
 // per core sharing one edge client — and, for the stream flavor, one
-// multiplexed connection, which lets the server's stream writer coalesce
-// several responses per flush.
+// multiplexed connection, which the server answers one frame at a time.
 const benchSessionsPerCore = 8
 
 func BenchmarkSuggestOneShotParallel(b *testing.B) {

@@ -51,12 +51,11 @@ func startChaosService(t *testing.T, fsys snapstore.FS, dir string) *chaosHarnes
 	return &chaosHarness{store: store, svc: svc, ts: ts, ec: ec}
 }
 
-// kill abandons the epoch the way SIGKILL would: the HTTP front stops and
-// the workers die, but nothing is flushed and the store is never Closed —
-// only what already reached the log survives.
+// kill abandons the epoch the way SIGKILL would: the HTTP front stops,
+// nothing is flushed, and the store is never Closed — only what already
+// reached the log survives.
 func (h *chaosHarness) kill() {
 	h.ts.Close()
-	h.svc.Close()
 }
 
 // backend builds a fresh client+backend for one session, as a restarted MAR

@@ -104,7 +104,6 @@ func TestDurabilityEvictionDemotesAndRestores(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 
 	const rounds = 7
 	p := testParams(42)
@@ -184,7 +183,6 @@ func TestDurabilityWarmRestart(t *testing.T) {
 		driveSession(t, sess, rounds)
 	}
 	svc1.Flush()
-	svc1.Close()
 	if d := svc1.Durability(); d.Saves != uint64(len(ids)) {
 		t.Fatalf("Flush saved %d sessions, want %d", d.Saves, len(ids))
 	}
@@ -193,7 +191,6 @@ func TestDurabilityWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm-restart New: %v", err)
 	}
-	defer svc2.Close()
 	if got := svc2.sessionCount(); got != len(ids) {
 		t.Fatalf("warm restart brought back %d sessions, want %d", got, len(ids))
 	}
@@ -201,7 +198,7 @@ func TestDurabilityWarmRestart(t *testing.T) {
 		t.Fatalf("Restores = %d, want %d", d.Restores, len(ids))
 	}
 	for i, id := range ids {
-		sess, ok := svc2.peekBytes([]byte(id))
+		sess, ok := svc2.peek(id)
 		if !ok {
 			t.Fatalf("session %s not live after warm restart", id)
 		}
@@ -231,7 +228,6 @@ func TestDurabilityFlushSkipsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 
 	sess, _, err := svc.open("a", testParams(1))
 	if err != nil {
@@ -266,7 +262,6 @@ func TestDurabilityRemoveDeletesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 
 	sess, _, err := svc.open("a", testParams(1))
 	if err != nil {
@@ -315,7 +310,6 @@ func TestDurabilityParamChangeDiscardsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 
 	sess, _, err := svc.open("a", testParams(1))
 	if err != nil {
@@ -364,7 +358,6 @@ func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 
 	if err := store.Put("a", []byte("not a snapshot")); err != nil {
 		t.Fatalf("seeding corrupt blob: %v", err)
@@ -420,7 +413,6 @@ func TestDurabilityHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	ec, err := edge.NewClient(ts.URL)
@@ -491,7 +483,6 @@ func TestDurabilityStatzWithoutStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	stats := getStatz(t, ts.URL)
@@ -512,7 +503,6 @@ func TestDurabilityNilRegistryNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer svc.Close()
 	svc.SetObserver(nil)
 	sess, _, err := svc.open("a", testParams(1))
 	if err != nil {

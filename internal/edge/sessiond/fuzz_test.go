@@ -101,7 +101,6 @@ func FuzzSessionRequestDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer svc.Close()
 		h := svc.Handler()
 		if rec := post(h, "/session/stream", fuzzFrames(t, fuzzOpen)); rec.Code != http.StatusOK || !answeredWith(rec, wire.TOpenResp) {
 			t.Fatalf("opening the fuzz session: status %d, body %x", rec.Code, rec.Body.Bytes())

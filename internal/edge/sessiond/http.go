@@ -37,7 +37,8 @@ type DecimateRequest struct {
 	Fast   bool    `json:"fast,omitempty"`
 }
 
-// ShardStats is one stripe's live state.
+// ShardStats is one stripe's live state. QueueDepth counts the shard's
+// suggests in flight (admitted, not yet answered).
 type ShardStats struct {
 	Sessions   int `json:"sessions"`
 	QueueDepth int `json:"queue_depth"`
@@ -83,7 +84,7 @@ func (s *Service) Register(mux *http.ServeMux) {
 	// The stream route is deliberately unguarded: TimeoutHandler neither
 	// supports Flush nor tolerates a response that outlives the timeout, and
 	// a body cap would sever a healthy long-lived stream. The wire codec's
-	// per-frame bounds and the stream's queue backpressure bound it instead.
+	// per-frame bounds bound it instead.
 	mux.HandleFunc("POST /session/stream", s.handleStream)
 	mux.HandleFunc("GET /session/statz", s.handleStats)
 }
@@ -180,7 +181,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		sh.mu.Lock()
 		n := len(sh.sessions)
 		sh.mu.Unlock()
-		resp.Shards[i] = ShardStats{Sessions: n, QueueDepth: len(sh.queue)}
+		resp.Shards[i] = ShardStats{Sessions: n, QueueDepth: int(sh.inFlight.Load())}
 		resp.Sessions += n
 	}
 	resp.Stream = s.Streams()

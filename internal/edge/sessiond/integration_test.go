@@ -59,16 +59,14 @@ func newTestClient(t *testing.T, baseURL, id string, seed uint64) *sessiond.Clie
 // TestConcurrentSessionIsolation drives 64 concurrent sessions through the
 // HTTP surface and checks, bit for bit, that every session's suggestion
 // stream equals a private reference optimizer fed the same observations —
-// i.e. no GP state bleeds between sessions no matter how the per-shard
-// batch workers interleave them. Run under -race this also exercises the
-// store's locking.
+// i.e. no GP state bleeds between sessions no matter how their handler
+// goroutines interleave. Run under -race this also exercises the store's
+// locking.
 func TestConcurrentSessionIsolation(t *testing.T) {
 	svc, err := sessiond.New(sessiond.Config{
 		Shards:           4,
 		SessionsPerShard: 32,
 		QueueBound:       128,
-		RetryAfterSec:    1,
-		MaxBatch:         8,
 		MeshCacheCap:     2,
 	}, nil)
 	if err != nil {
@@ -76,7 +74,6 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	defer svc.Close()
 
 	const sessions = 64
 	const steps = 8
@@ -143,8 +140,6 @@ func TestEvictionAndReadmission(t *testing.T) {
 		Shards:           1,
 		SessionsPerShard: 2,
 		QueueBound:       8,
-		RetryAfterSec:    1,
-		MaxBatch:         4,
 		MeshCacheCap:     2,
 	}, nil)
 	if err != nil {
@@ -152,7 +147,6 @@ func TestEvictionAndReadmission(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	defer svc.Close()
 
 	ctx := context.Background()
 	a := newTestClient(t, ts.URL, "a", 1)
@@ -230,8 +224,6 @@ func TestBackendReplayAfterEviction(t *testing.T) {
 		Shards:           1,
 		SessionsPerShard: 1,
 		QueueBound:       8,
-		RetryAfterSec:    1,
-		MaxBatch:         4,
 		MeshCacheCap:     2,
 	}, nil)
 	if err != nil {
@@ -239,7 +231,6 @@ func TestBackendReplayAfterEviction(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	defer svc.Close()
 
 	ctx := context.Background()
 	sc := newTestClient(t, ts.URL, "victim", 42)

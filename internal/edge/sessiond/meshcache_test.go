@@ -26,7 +26,6 @@ func TestMeshCacheHitNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
 	sess, _, err := svc.open("hit", testParams(1))
 	if err != nil {
 		t.Fatal(err)

@@ -206,7 +206,6 @@ func TestDecimatePayloadBitIdentical(t *testing.T) {
 	}
 	svc1.Flush()
 	ts1.Close()
-	svc1.Close()
 
 	// Warm restart over the same store: the session comes back with its
 	// manifest as placeholders, so every variant is re-decimated once —
@@ -221,7 +220,6 @@ func TestDecimatePayloadBitIdentical(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
-	defer svc2.Close()
 	probe.Ratio = payloadRatios[2]
 	missHdr, missBody := postDecimate(t, ts2.URL, probe)
 	if got := missHdr.Get(sessiond.MeshCacheHeader); got != "miss" {

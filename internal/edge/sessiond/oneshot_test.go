@@ -49,7 +49,6 @@ func TestOneShotRetriedObserveAppliedOnce(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	defer svc.Close()
 	defer ts.Close()
 
 	tr := &truncateNext{next: edge.NewPooledTransport(4)}
@@ -101,7 +100,6 @@ func TestBackendFaultsKeepHistoryInSync(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	defer svc.Close()
 	defer ts.Close()
 
 	tr := faults.NewTransport(edge.NewPooledTransport(4), 17, faults.Plan{TruncateRate: 0.2, CorruptRate: 0.2})
@@ -127,7 +125,7 @@ func TestBackendFaultsKeepHistoryInSync(t *testing.T) {
 		if err != nil {
 			t.Fatalf("suggest %d: %v", k, err)
 		}
-		sess, ok := svc.peekBytes([]byte("synced"))
+		sess, ok := svc.peek("synced")
 		if !ok {
 			t.Fatalf("suggest %d: session not live", k)
 		}

@@ -33,8 +33,6 @@ func newPolicyService(t *testing.T, store sessiond.SessionStore) *sessiond.Servi
 		Shards:           1,
 		SessionsPerShard: 1,
 		QueueBound:       8,
-		RetryAfterSec:    1,
-		MaxBatch:         4,
 		MeshCacheCap:     2,
 		Store:            store,
 	}, nil)
@@ -113,10 +111,7 @@ func TestLinUCBSessionSurvivesEviction(t *testing.T) {
 			store := snapstore.NewMemStore()
 			svc := newPolicyService(t, store)
 			ts := httptest.NewServer(svc.Handler())
-			t.Cleanup(func() {
-				ts.Close()
-				svc.Close()
-			})
+			t.Cleanup(ts.Close)
 
 			ctx := context.Background()
 			const seed = 42
@@ -177,10 +172,7 @@ func TestEphemeralPolicySession(t *testing.T) {
 			store := snapstore.NewMemStore()
 			svc := newPolicyService(t, store)
 			ts := httptest.NewServer(svc.Handler())
-			t.Cleanup(func() {
-				ts.Close()
-				svc.Close()
-			})
+			t.Cleanup(ts.Close)
 
 			ctx := context.Background()
 			const seed = 11
@@ -229,7 +221,6 @@ func TestBackendReplayRecoversEphemeralPolicy(t *testing.T) {
 	svc := newPolicyService(t, store)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	defer svc.Close()
 
 	ctx := context.Background()
 	const seed = 42

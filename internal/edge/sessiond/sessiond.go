@@ -7,26 +7,23 @@
 //
 // The store is sharded and lock-striped: a session's ID hashes to one of
 // Config.Shards shards, each holding an independent mutex, session map, and
-// suggest queue, so unrelated sessions never contend. Within a shard,
-// capacity is bounded by LRU eviction over a logical touch tick (never the
-// wall clock — eviction order is a pure function of the request sequence);
-// sessions touched by the same batch drain share a tick, and ties evict the
-// lexicographically smallest ID. An admission controller bounds each
-// shard's suggest queue: when the queue is full the request is rejected
-// with 503 and a Retry-After hint instead of queueing unboundedly, and the
-// edge client's retry loop honors that hint.
+// suggest admission count, so unrelated sessions never contend. Within a
+// shard, capacity is bounded by LRU eviction over a logical touch tick
+// (never the wall clock — eviction order is a pure function of the request
+// sequence); ties, should a tick ever repeat, evict the lexicographically
+// smallest ID. An admission controller bounds each shard's suggests in
+// flight: past Config.QueueBound a suggest is rejected with 503 and a
+// Retry-After hint instead of waiting unboundedly, and the edge client's
+// retry loop honors that hint.
 //
-// Suggest calls are batched per shard: one worker goroutine drains the
-// queue in FIFO passes of up to Config.MaxBatch jobs, so concurrent clients
-// amortize the per-pass overhead (one lock acquisition, one touch-tick
-// stamp) and at most Shards GP computations run at once regardless of how
-// many clients are connected. Because every session owns a persistent
-// optimizer, each suggestion is an O(n²) incremental Cholesky extension
-// rather than a from-scratch O(n³) refit of the uploaded history.
+// Every session op runs on the goroutine that decoded its frame; the
+// service starts no goroutines of its own. Because every session owns a
+// persistent optimizer, each suggestion is an O(n²) incremental Cholesky
+// extension rather than a from-scratch O(n³) refit of the uploaded history.
 //
 // Determinism contract: a session's suggestion stream is a pure function of
-// its (seed, init, observation sequence) — batching, shard placement, and
-// concurrent traffic from other sessions cannot perturb it, because every
+// its (seed, init, observation sequence) — shard placement and concurrent
+// traffic from other sessions cannot perturb it, because every
 // session draws from its own RNG and GP state. The package is listed in
 // detlint's determinism-critical set and reads no wall clock outside
 // obs-gated instrumentation.
@@ -62,24 +59,21 @@ const (
 	maxIDLen = 128
 	// windowCap bounds the per-session activation window of recent rewards.
 	windowCap = 32
+	// retryAfterSec is the Retry-After hint (whole seconds) sent with
+	// admission rejections.
+	retryAfterSec = 1
 )
 
-// Config tunes the session store, the admission controller, and the
-// per-shard suggest batching.
+// Config tunes the session store and the admission controller.
 type Config struct {
-	// Shards is the number of lock stripes (and suggest workers).
+	// Shards is the number of lock stripes.
 	Shards int
 	// SessionsPerShard caps each shard's session count; opening a session
 	// in a full shard evicts that shard's least-recently-used session.
 	SessionsPerShard int
-	// QueueBound caps each shard's pending suggest queue; beyond it the
+	// QueueBound caps each shard's suggests in flight; beyond it the
 	// admission controller rejects with 503 + Retry-After.
 	QueueBound int
-	// RetryAfterSec is the Retry-After hint (whole seconds) sent with
-	// admission rejections.
-	RetryAfterSec int
-	// MaxBatch caps how many queued suggests one drain pass serves.
-	MaxBatch int
 	// MeshCacheCap caps each session's decimated-mesh cache (entries).
 	MeshCacheCap int
 	// Store, when non-nil, persists session snapshots: eviction saves
@@ -97,15 +91,13 @@ type Config struct {
 }
 
 // DefaultConfig returns production-shaped defaults: 8 shards of up to 64
-// sessions, 32 queued suggests per shard, 1 s Retry-After, 16-job batches,
-// and 8 cached decimations per session.
+// sessions, 32 suggests in flight per shard, and 8 cached decimations per
+// session.
 func DefaultConfig() Config {
 	return Config{
 		Shards:           8,
 		SessionsPerShard: 64,
 		QueueBound:       32,
-		RetryAfterSec:    1,
-		MaxBatch:         16,
 		MeshCacheCap:     8,
 	}
 }
@@ -119,12 +111,6 @@ func (c Config) validate() error {
 	}
 	if c.QueueBound < 1 {
 		return fmt.Errorf("sessiond: QueueBound %d must be >= 1", c.QueueBound)
-	}
-	if c.RetryAfterSec < 1 {
-		return fmt.Errorf("sessiond: RetryAfterSec %d must be >= 1", c.RetryAfterSec)
-	}
-	if c.MaxBatch < 1 {
-		return fmt.Errorf("sessiond: MaxBatch %d must be >= 1", c.MaxBatch)
 	}
 	if c.MeshCacheCap < 1 {
 		return fmt.Errorf("sessiond: MeshCacheCap %d must be >= 1", c.MeshCacheCap)
@@ -205,8 +191,6 @@ type Service struct {
 	dec    Decimator
 	shards []*shard
 
-	closeOnce sync.Once
-
 	// Observability instruments; nil (no-op) unless SetObserver is called.
 	metOpens         *obs.Counter
 	metReopens       *obs.Counter
@@ -219,8 +203,6 @@ type Service struct {
 	metDecimates     *obs.Counter
 	metMeshHits      *obs.Counter
 	metMeshMisses    *obs.Counter
-	metBatches       *obs.Counter
-	metBatchSize     *obs.Histogram
 	metSessions      *obs.Gauge
 	metQueueHighTide *obs.Gauge
 	metSnapSaves     *obs.Counter
@@ -253,10 +235,7 @@ type Service struct {
 	strDecodeErrs atomic.Uint64
 }
 
-// batchSizeBuckets covers drain-pass sizes from singletons up to MaxBatch.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32}
-
-// New builds the service and starts one suggest worker per shard. dec may
+// New builds the service. dec may
 // be nil, which disables the /session/decimate route. With a Store
 // configured, New performs a warm restart first: every stored snapshot is
 // re-hydrated into its shard (up to capacity; the rest restore lazily on
@@ -267,25 +246,19 @@ func New(cfg Config, dec Decimator) (*Service, error) {
 	}
 	s := &Service{cfg: cfg, dec: dec, shards: make([]*shard, cfg.Shards)}
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			sessions: make(map[string]*session),
-			queue:    make(chan *suggestJob, cfg.QueueBound),
-		}
+		s.shards[i] = &shard{sessions: make(map[string]*session)}
 	}
 	if cfg.Store != nil {
 		if err := s.warmRestart(); err != nil {
 			return nil, err
 		}
 	}
-	for _, sh := range s.shards {
-		go s.worker(sh)
-	}
 	return s, nil
 }
 
 // SetObserver attaches a metrics registry: open/close/eviction and
-// admission-rejection counters, suggest/observe/decimate traffic, batching
-// shape, and live session/queue gauges. Call before serving; passing nil
+// admission-rejection counters, suggest/observe/decimate traffic, and live
+// session/in-flight gauges. Call before serving; passing nil
 // detaches.
 func (s *Service) SetObserver(reg *obs.Registry) {
 	s.metOpens = reg.Counter("sessiond.opens")
@@ -299,7 +272,6 @@ func (s *Service) SetObserver(reg *obs.Registry) {
 	s.metDecimates = reg.Counter("sessiond.decimates")
 	s.metMeshHits = reg.Counter("sessiond.mesh_cache_hits")
 	s.metMeshMisses = reg.Counter("sessiond.mesh_cache_misses")
-	s.metBatches = reg.Counter("sessiond.batches")
 	s.metSessions = reg.Gauge("sessiond.sessions")
 	s.metQueueHighTide = reg.Gauge("sessiond.queue_high_tide")
 	s.metSnapSaves = reg.Counter("sessiond.snapshot_saves")
@@ -313,28 +285,20 @@ func (s *Service) SetObserver(reg *obs.Registry) {
 	s.metStreamDecodeErrs = reg.Counter("sessiond.stream_decode_errors")
 	s.metStreamsOpen = reg.Gauge("sessiond.streams_open")
 	if reg != nil {
-		s.metBatchSize = reg.Histogram("sessiond.batch_size", batchSizeBuckets)
 		s.metSnapSaveMS = reg.Histogram("sessiond.snapshot_save_ms", obs.LatencyBucketsMS)
 		s.metSnapRestoreMS = reg.Histogram("sessiond.snapshot_restore_ms", obs.LatencyBucketsMS)
 		s.metStreamDurMS = reg.Histogram("sessiond.stream_open_ms", obs.LatencyBucketsMS)
 	} else {
-		s.metBatchSize = nil
 		s.metSnapSaveMS = nil
 		s.metSnapRestoreMS = nil
 		s.metStreamDurMS = nil
 	}
 }
 
-// Close stops the shard workers. Call only after the HTTP server owning the
-// routes has fully shut down — a request arriving afterwards would enqueue
-// into a closed channel.
-func (s *Service) Close() {
-	s.closeOnce.Do(func() {
-		for _, sh := range s.shards {
-			close(sh.queue)
-		}
-	})
-}
+// Close is a no-op: every session op runs on the goroutine that read it,
+// so the service owns no goroutines to stop, and it keeps serving after
+// Close.
+func (s *Service) Close() {}
 
 // boConfig is the single source of truth for how a session's parameters map
 // onto an optimizer configuration. Live creation (newSession) and snapshot

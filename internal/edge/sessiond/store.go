@@ -2,18 +2,20 @@ package sessiond
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // shard is one lock stripe of the session store: an independent mutex,
-// session map, logical touch clock, and suggest queue.
+// session map, logical touch clock, and suggest admission count.
 type shard struct {
 	mu       sync.Mutex
 	sessions map[string]*session
-	// tick is the logical LRU clock: monotonically increasing per touching
-	// operation, with one shared tick per batch drain pass (so batch
-	// members tie and the ID rule below decides).
-	tick  uint64
-	queue chan *suggestJob
+	// tick is the logical LRU clock: every touching operation takes a
+	// fresh tick.
+	tick uint64
+	// inFlight counts admitted suggests not yet answered (the admission
+	// bound's input and /session/statz's queue_depth).
+	inFlight atomic.Int64
 }
 
 // FNV-1a parameters, identical to hash/fnv's 32-bit variant. Inlined so the
@@ -124,9 +126,10 @@ func (s *Service) open(id string, p params) (sess *session, res openResult, err 
 
 // evictLRULocked removes and returns the shard's least-recently-used
 // session: the smallest lastTouch tick, ties broken by the
-// lexicographically smallest ID. Ties are real — every job served by one
-// batch drain pass shares a tick — and the ID rule keeps eviction a
-// deterministic function of the request sequence. Callers hold sh.mu.
+// lexicographically smallest ID. Every touch takes a fresh tick, so live
+// sessions of one shard do not tie; the ID rule keeps the order total
+// anyway, so eviction stays a deterministic function of the request
+// sequence whatever stamps the ticks. Callers hold sh.mu.
 func (sh *shard) evictLRULocked() *session {
 	var victim *session
 	for _, cand := range sh.sessions {
@@ -176,19 +179,6 @@ func (s *Service) lookupBytes(id []byte) (*session, bool) {
 	sh.tick++
 	sess.lastTouch = sh.tick
 	return sess, true
-}
-
-// peekBytes finds a session without touching it — enqueueing a suggest
-// does not count as use until the batch drain actually serves it. The ID
-// may alias a decode buffer.
-//
-//hbo:noalloc
-func (s *Service) peekBytes(id []byte) (*session, bool) {
-	sh := s.shardForBytes(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sess, ok := sh.sessions[string(id)]
-	return sess, ok
 }
 
 // remove deletes a session; reports whether it existed in memory or in the

@@ -1,12 +1,10 @@
 package sessiond
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/bo/policies"
@@ -21,65 +19,27 @@ import (
 // HTTP overhead again; a single-frame POST is the same exchange ending
 // after one frame, answered by exactly one frame.
 //
-// Concurrency shape: the handler goroutine reads and dispatches frames —
-// opens, observes, and closes run inline (they are cheap, and inline
-// execution preserves the per-session operation order the determinism
-// contract needs); suggests are enqueued into the shard batch workers,
-// behind the admission control. A single writer goroutine drains an
-// ordered queue of response slots, waiting on each suggest's worker reply
-// in turn, so responses leave in exactly the order their requests arrived —
-// a stronger guarantee than the per-session ordering clients rely on —
-// while queued suggests from many sessions still batch in the shard
-// workers concurrently.
-const (
-	// streamOutDepth bounds responses in flight between the reader and the
-	// writer goroutine; a full queue blocks frame intake (backpressure)
-	// instead of buffering unboundedly.
-	streamOutDepth = 256
-	// streamWriteBuf sizes the writer's coalescing buffer: pipelined
-	// responses share syscalls, and the writer flushes whenever the queue
-	// goes momentarily idle.
-	streamWriteBuf = 4096
-)
+// Concurrency shape: the handler goroutine runs one loop — decode a frame,
+// serve it inline (suggests behind the admission control), write its
+// response, flush — so responses leave in request order by construction,
+// and one connection is served one frame at a time. Suggests on different
+// connections run concurrently on their own handler goroutines.
 
-// streamPending is one slot in a stream's ordered response queue: either a
-// fully built response frame, or (for suggests) a reply channel the writer
-// waits on before building the frame. Slots are pooled; the embedded
-// suggest job's reply channel is allocated once and reused.
-type streamPending struct {
-	f       wire.Frame
-	job     suggestJob
-	suggest bool
-}
-
-var pendingPool = sync.Pool{New: func() any {
-	return &streamPending{job: suggestJob{reply: make(chan suggestResult, 1)}}
-}}
-
-func getPending() *streamPending {
-	p := pendingPool.Get().(*streamPending)
-	p.f.Reset()
-	p.suggest = false
-	p.job.sess = nil
-	return p
-}
-
-func putPending(p *streamPending) { pendingPool.Put(p) }
-
-// errFrame turns p into an application-level error response. The status is
+// errFrame turns f into an application-level error response. The status is
 // an HTTP status code, so the client maps it onto the same typed error a
 // non-2xx response produces (404 readmit, 503 + Retry-After, 422).
-func errFrame(p *streamPending, status int, msg string, retryAfter uint32) {
-	p.f.Type = wire.TError
-	p.f.Status = uint16(status)
-	p.f.RetryAfterSec = retryAfter
-	p.f.Msg = append(p.f.Msg[:0], msg...)
+func errFrame(f *wire.Frame, status int, msg string, retryAfter uint32) {
+	f.Type = wire.TError
+	f.Status = uint16(status)
+	f.RetryAfterSec = retryAfter
+	f.Msg = append(f.Msg[:0], msg...)
 }
 
 // handleStream serves one session stream. Registered without the guard
 // middleware: a stream is long-lived by design, so the per-request timeout
-// and body cap do not apply — per-frame bounds in the wire codec and the
-// response-queue backpressure bound its resource use instead.
+// and body cap do not apply — per-frame bounds in the wire codec bound its
+// resource use instead, and a client that stops reading responses stalls
+// only its own connection.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	// The stream interleaves reads from the request body with writes to the
@@ -104,12 +64,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 		start = time.Now()
 	}
 
-	out := make(chan *streamPending, streamOutDepth)
-	writerDone := make(chan struct{})
-	go s.streamWriter(w, rc, out, writerDone)
-	s.streamRead(r.Body, out)
-	close(out)
-	<-writerDone
+	s.serveFrames(r.Body, w, rc)
 
 	s.metStreamsOpen.Set(float64(s.strOpen.Add(-1)))
 	if s.metStreamDurMS != nil {
@@ -117,18 +72,21 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamRead is the handler-side frame loop: decode, dispatch, enqueue the
-// response slot. A clean EOF (client closed its send side) ends the stream;
-// a framing error also ends it — frames are byte-positional, so after one
-// bad frame the stream cannot resync and terminating is the only safe move.
-// Only codec-level rejections count as decode errors: a connection dropped
-// mid-frame is ordinary churn, not corruption worth alerting on.
-func (s *Service) streamRead(body io.Reader, out chan<- *streamPending) {
+// serveFrames is the stream's frame loop: decode, dispatch, write the
+// response, flush. A clean EOF (client closed its send side) ends the
+// stream; a framing error also ends it — frames are byte-positional, so
+// after one bad frame the stream cannot resync and terminating is the only
+// safe move — and so does a failed write or flush. Only codec-level
+// rejections count as decode errors: a connection dropped mid-frame is
+// ordinary churn, not corruption worth alerting on.
+func (s *Service) serveFrames(body io.Reader, w io.Writer, rc *http.ResponseController) {
 	fr := wire.GetReader(body)
 	defer wire.PutReader(fr)
-	var f wire.Frame
+	fw := wire.GetWriter(w)
+	defer wire.PutWriter(fw)
+	var req, resp wire.Frame
 	for {
-		if err := fr.Next(&f); err != nil {
+		if err := fr.Next(&req); err != nil {
 			if wire.IsMalformed(err) {
 				s.strDecodeErrs.Add(1)
 				s.metStreamDecodeErrs.Inc()
@@ -137,73 +95,38 @@ func (s *Service) streamRead(body io.Reader, out chan<- *streamPending) {
 		}
 		s.strFramesIn.Add(1)
 		s.metStreamFramesIn.Inc()
-		p := getPending()
-		p.f.Seq = f.Seq
-		switch f.Type {
+		resp.Reset()
+		resp.Seq = req.Seq
+		switch req.Type {
 		case wire.TOpenReq:
-			s.streamOpen(&f, p)
+			s.streamOpen(&req, &resp)
 		case wire.TSuggestReq:
-			s.streamSuggest(&f, p)
+			s.streamSuggest(&req, &resp)
 		case wire.TObserveReq:
-			s.streamObserve(&f, p)
+			s.streamObserve(&req, &resp)
 		case wire.TCloseReq:
-			s.streamClose(&f, p)
+			s.streamClose(&req, &resp)
 		default:
-			errFrame(p, http.StatusBadRequest, fmt.Sprintf("sessiond: unexpected %v frame", f.Type), 0)
+			errFrame(&resp, http.StatusBadRequest, fmt.Sprintf("sessiond: unexpected %v frame", req.Type), 0)
 		}
-		out <- p
-	}
-}
-
-// streamWriter drains the ordered response queue onto the connection. Only
-// this goroutine writes to w after the handler commits the headers, so no
-// write lock is needed; it flushes whenever the queue goes idle so a lone
-// caller never waits on a buffer and a pipelined burst still coalesces.
-func (s *Service) streamWriter(w io.Writer, rc *http.ResponseController, out <-chan *streamPending, done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriterSize(w, streamWriteBuf)
-	fw := wire.GetWriter(bw)
-	defer wire.PutWriter(fw)
-	var werr error
-	for p := range out {
-		if p.suggest {
-			// The shard worker serves every accepted job, so this receive
-			// always completes; after a write error the loop keeps draining
-			// replies so no worker output is left dangling.
-			res := <-p.job.reply
-			if res.err != nil {
-				errFrame(p, http.StatusInternalServerError, res.err.Error(), 0)
-			} else {
-				s.metSuggests.Inc()
-				p.f.Type = wire.TSuggestResp
-				p.f.Observations = uint32(res.observations)
-				p.f.Point = res.point
-			}
+		if fw.WriteFrame(&resp) != nil {
+			return
 		}
-		if werr == nil {
-			if err := fw.WriteFrame(&p.f); err != nil {
-				werr = err
-			} else {
-				s.strFramesOut.Add(1)
-				s.metStreamFramesOut.Inc()
-				if len(out) == 0 {
-					if err := bw.Flush(); err != nil {
-						werr = err
-					} else {
-						_ = rc.Flush()
-					}
-				}
-			}
+		// Count before the flush hands the frame to the client, so a caller
+		// holding its response always sees it counted.
+		s.strFramesOut.Add(1)
+		s.metStreamFramesOut.Inc()
+		if rc.Flush() != nil {
+			return
 		}
-		putPending(p)
 	}
 }
 
 // streamOpen validates an OpenReq and runs the open state machine.
-func (s *Service) streamOpen(req *wire.Frame, p *streamPending) {
+func (s *Service) streamOpen(req, resp *wire.Frame) {
 	id := string(req.ID)
 	if err := validID(id); err != nil {
-		errFrame(p, http.StatusBadRequest, err.Error(), 0)
+		errFrame(resp, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 	pr := params{
@@ -217,12 +140,12 @@ func (s *Service) streamOpen(req *wire.Frame, p *streamPending) {
 		pr.init = 5
 	}
 	if err := pr.validate(); err != nil {
-		errFrame(p, http.StatusBadRequest, err.Error(), 0)
+		errFrame(resp, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 	sess, res, err := s.open(id, pr)
 	if err != nil {
-		errFrame(p, http.StatusBadRequest, err.Error(), 0)
+		errFrame(resp, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 	if res.existing {
@@ -234,65 +157,72 @@ func (s *Service) streamOpen(req *wire.Frame, p *streamPending) {
 		s.metEvictions.Inc()
 	}
 	s.metSessions.Set(float64(s.sessionCount()))
-	p.f.Type = wire.TOpenResp
+	resp.Type = wire.TOpenResp
 	if res.existing {
-		p.f.Flags |= wire.FlagExisting
+		resp.Flags |= wire.FlagExisting
 	}
 	if res.restored {
-		p.f.Flags |= wire.FlagRestored
+		resp.Flags |= wire.FlagRestored
 	}
 	if !sess.durable {
-		p.f.Flags |= wire.FlagEphemeral
+		resp.Flags |= wire.FlagEphemeral
 	}
-	p.f.Evicted = append(p.f.Evicted[:0], res.evicted...)
-	p.f.Observations = uint32(sess.observations())
+	resp.Evicted = append(resp.Evicted[:0], res.evicted...)
+	resp.Observations = uint32(sess.observations())
 }
 
-// streamSuggest enqueues into the shard batch workers behind the admission
-// control; the writer goroutine completes the response when the worker
-// replies.
-func (s *Service) streamSuggest(req *wire.Frame, p *streamPending) {
-	sess, ok := s.peekBytes(req.ID)
+// streamSuggest serves a suggest inline behind the admission control. The
+// lookup touches the session (one fresh LRU tick) whether or not the
+// suggest is then admitted.
+func (s *Service) streamSuggest(req, resp *wire.Frame) {
+	sess, ok := s.lookupBytes(req.ID)
 	if !ok {
 		s.metUnknown.Inc()
-		errFrame(p, http.StatusNotFound, fmt.Sprintf("sessiond: unknown session %q", req.ID), 0)
+		errFrame(resp, http.StatusNotFound, fmt.Sprintf("sessiond: unknown session %q", req.ID), 0)
 		return
 	}
-	p.job.sess = sess
-	if !s.enqueueSuggest(sess, &p.job) {
+	res, ok := s.suggest(sess)
+	if !ok {
 		s.metRejects.Inc()
-		errFrame(p, http.StatusServiceUnavailable, "sessiond: suggest queue full, retry later", uint32(s.cfg.RetryAfterSec))
+		errFrame(resp, http.StatusServiceUnavailable, "sessiond: suggest queue full, retry later", retryAfterSec)
 		return
 	}
-	p.suggest = true
+	if res.err != nil {
+		errFrame(resp, http.StatusInternalServerError, res.err.Error(), 0)
+		return
+	}
+	s.metSuggests.Inc()
+	resp.Type = wire.TSuggestResp
+	resp.Observations = uint32(res.observations)
+	resp.Point = res.point
 }
 
 // streamObserve validates an ObserveReq and applies it under its
 // idempotency index: a replayed observe (already-applied index) is
 // acknowledged without a second append, which is what makes a retry after a
 // lost response safe on either carrier.
-func (s *Service) streamObserve(req *wire.Frame, p *streamPending) {
+func (s *Service) streamObserve(req, resp *wire.Frame) {
 	sess, ok := s.lookupBytes(req.ID)
 	if !ok {
 		s.metUnknown.Inc()
-		errFrame(p, http.StatusNotFound, fmt.Sprintf("sessiond: unknown session %q", req.ID), 0)
+		errFrame(resp, http.StatusNotFound, fmt.Sprintf("sessiond: unknown session %q", req.ID), 0)
 		return
 	}
 	if math.IsNaN(req.Cost) || math.IsInf(req.Cost, 0) {
-		errFrame(p, http.StatusUnprocessableEntity, fmt.Sprintf("sessiond: non-finite cost %v", req.Cost), 0)
+		errFrame(resp, http.StatusUnprocessableEntity, fmt.Sprintf("sessiond: non-finite cost %v", req.Cost), 0)
 		return
 	}
 	n, dirty, dup, err := sess.observeAt(req.Index, req.Point, req.Cost)
 	if err != nil {
-		errFrame(p, http.StatusUnprocessableEntity, err.Error(), 0)
+		errFrame(resp, http.StatusUnprocessableEntity, err.Error(), 0)
 		return
 	}
 	s.metObserves.Inc()
 	if !dup && s.cfg.SnapshotEvery > 0 && dirty >= s.cfg.SnapshotEvery {
 		s.saveSession(sess)
 	}
-	p.f.Type = wire.TObserveResp
-	p.f.Observations = uint32(n)
+	resp.Type = wire.TObserveResp
+	resp.Observations = uint32(n)
 }
 
 // observeAt records one (point, cost) pair with an idempotency index: the
@@ -320,12 +250,12 @@ func (sess *session) observeAt(index uint32, point []float64, cost float64) (n, 
 
 // streamClose tears a session down; closing an unknown session reports
 // Closed=false rather than failing.
-func (s *Service) streamClose(req *wire.Frame, p *streamPending) {
+func (s *Service) streamClose(req, resp *wire.Frame) {
 	closed := s.remove(string(req.ID))
 	if closed {
 		s.metCloses.Inc()
 		s.metSessions.Set(float64(s.sessionCount()))
 	}
-	p.f.Type = wire.TCloseResp
-	p.f.Closed = closed
+	resp.Type = wire.TCloseResp
+	resp.Closed = closed
 }

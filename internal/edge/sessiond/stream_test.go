@@ -25,18 +25,13 @@ func newStreamService(t *testing.T) (*sessiond.Service, *httptest.Server) {
 		Shards:           4,
 		SessionsPerShard: 32,
 		QueueBound:       128,
-		RetryAfterSec:    1,
-		MaxBatch:         8,
 		MeshCacheCap:     2,
 	}, nil)
 	if err != nil {
 		t.Fatalf("service: %v", err)
 	}
 	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		svc.Close()
-	})
+	t.Cleanup(ts.Close)
 	return svc, ts
 }
 
@@ -118,6 +113,43 @@ func TestStreamMatchesOneShotBitIdentical(t *testing.T) {
 	for _, sc := range []*sessiond.Client{oneShot, streamed} {
 		if err := sc.CloseSession(ctx); err != nil {
 			t.Fatalf("%s close: %v", sc.ID(), err)
+		}
+	}
+}
+
+// TestSuggestAfterCloseServed calls Close on a live service and then
+// suggests: Close has nothing to stop, so the suggest must be served
+// normally — the suggestion the session's own optimizer would make, not a
+// failed or dropped request.
+func TestSuggestAfterCloseServed(t *testing.T) {
+	svc, ts := newStreamService(t)
+	ctx := context.Background()
+	const seed = 7
+	cfg := edge.DefaultClientConfig()
+	cfg.MaxRetries = 0
+	ec, err := edge.NewClientWithConfig(ts.URL, 0, cfg)
+	if err != nil {
+		t.Fatalf("edge client: %v", err)
+	}
+	sc, err := sessiond.NewClient(ec, "after-close", testResources, testRMin, seed, testInit)
+	if err != nil {
+		t.Fatalf("session client: %v", err)
+	}
+	if _, err := sc.Open(ctx); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	svc.Close()
+	got, err := sc.Suggest(ctx)
+	if err != nil {
+		t.Fatalf("suggest after Close: %v", err)
+	}
+	want, err := refOptimizer(t, seed).Next()
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	for d := range want {
+		if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+			t.Fatalf("suggest after Close dim %d = %v, want %v", d, got[d], want[d])
 		}
 	}
 }

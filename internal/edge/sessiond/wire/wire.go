@@ -538,7 +538,7 @@ func (rd *Reader) Next(f *Frame) error {
 
 // Writer encodes frames onto w through one reusable scratch buffer. Not
 // safe for concurrent use; callers serialize (the stream client under its
-// connection mutex, the server on its single writer goroutine).
+// connection mutex, the server on the stream's handler goroutine).
 type Writer struct {
 	w       io.Writer
 	scratch []byte

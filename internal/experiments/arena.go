@@ -457,7 +457,6 @@ func runFaultBracket(ctx context.Context, cfg ArenaConfig) ([]ArenaFaultRow, err
 			errs[i] = err
 			return
 		}
-		defer svc.Close()
 		ts := httptest.NewServer(svc.Handler())
 		defer ts.Close()
 		rep, err := loadgen.Run(ctx, loadgen.Config{

@@ -22,10 +22,10 @@ type Report struct {
 }
 
 // RunAll executes the runners with at most jobs of them in flight at once
-// (jobs == 1 is strictly serial; jobs < 1 means GOMAXPROCS, matching
-// bo.Config.Jobs) and returns their reports in the given
-// (paper) order. Every runner derives all randomness from its own seed, so
-// reports are byte-identical for every jobs value. Runners that support
+// (jobs == 1 is strictly serial; jobs < 1 means GOMAXPROCS) and returns
+// their reports in the given (paper) order. Every runner derives all
+// randomness from its own seed, so reports are byte-identical for every
+// jobs value. Runners that support
 // internal parallelism (Runner.RunJobs) receive the same worker budget;
 // total concurrency can therefore transiently exceed jobs, which only
 // overlaps CPU-bound goroutines and never changes output.

@@ -24,7 +24,6 @@ func runFixed(t *testing.T) []byte {
 	if err != nil {
 		t.Fatalf("service: %v", err)
 	}
-	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 

@@ -25,7 +25,6 @@ func TestRunConcurrentWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("service: %v", err)
 	}
-	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -81,7 +80,6 @@ func TestRunLODCleanLinkNeverDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("service: %v", err)
 	}
-	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
