@@ -76,6 +76,7 @@ perfbench-test:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzOBJParse -fuzztime=$(FUZZTIME) ./internal/mesh/
+	$(GO) test -run=^$$ -fuzz=FuzzProgressiveAt -fuzztime=$(FUZZTIME) ./internal/mesh/
 	$(GO) test -run=^$$ -fuzz=FuzzSessionRequestDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/wire/

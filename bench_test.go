@@ -124,6 +124,47 @@ func BenchmarkDecimation(b *testing.B) {
 	}
 }
 
+// BenchmarkProgressiveBuild measures recording the progressive collapse log
+// of the same 3k-triangle mesh: one exhaustive QEM run, paid once per object.
+func BenchmarkProgressiveBuild(b *testing.B) {
+	m, err := mesh.Blob(3000, 7, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mesh.NewProgressive(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProgressiveAt measures extracting BenchmarkDecimation's output
+// (half resolution, bit-identical) from a prebuilt progressive log — the
+// edge server's unit of work once the object's log exists.
+func BenchmarkProgressiveAt(b *testing.B) {
+	m, err := mesh.Blob(3000, 7, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := mesh.NewProgressive(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	target, err := mesh.RatioTarget(0.5, m.TriangleCount())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.At(target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllocationHeuristic measures Algorithm 1 lines 2-22 for the CF1
 // taskset.
 func BenchmarkAllocationHeuristic(b *testing.B) {

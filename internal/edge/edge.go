@@ -1,11 +1,12 @@
 // Package edge holds the two halves of the paper's Figure 3 edge that do
 // not depend on sessions: the catalog decimation core (Server.Decimate:
-// full-quality geometry built once per object, then quadric edge collapse or
-// vertex clustering) and the device side's fault-tolerant HTTP transport
-// (Client: per-attempt timeouts, retries with capped backoff, and a circuit
-// breaker). The served routes live in package sessiond, which decimates
-// through a Server and whose client posts through a Client; Server.Handler
-// adds only the liveness probe.
+// full-quality geometry built once per object, then a prefix of the
+// object's progressive collapse log, or vertex clustering when fast) and
+// the device side's fault-tolerant HTTP transport (Client: per-attempt
+// timeouts, retries with capped backoff, and a circuit breaker). The
+// served routes live in package sessiond, which decimates through a Server
+// and whose client posts through a Client; Server.Handler adds only the
+// liveness probe.
 package edge
 
 import (
@@ -25,8 +26,8 @@ import (
 type Server struct {
 	specs map[string]render.ObjectSpec
 
-	mu     sync.Mutex
-	meshes map[string]*mesh.Mesh // full-quality geometry, built lazily
+	mu      sync.Mutex
+	objects map[string]*object // built lazily, one per catalog object
 
 	// reg is the attached metrics registry; nil leaves Handler uninstrumented
 	// (no wrapper, no per-request overhead at all).
@@ -41,8 +42,8 @@ func (s *Server) SetObserver(reg *obs.Registry) { s.reg = reg }
 // NewServer builds a server for the given catalog.
 func NewServer(specs []render.ObjectSpec) (*Server, error) {
 	s := &Server{
-		specs:  make(map[string]render.ObjectSpec, len(specs)),
-		meshes: make(map[string]*mesh.Mesh),
+		specs:   make(map[string]render.ObjectSpec, len(specs)),
+		objects: make(map[string]*object),
 	}
 	for _, sp := range specs {
 		if _, dup := s.specs[sp.Name]; dup {
@@ -98,15 +99,26 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// geometry returns (building if needed) the full-quality mesh for an object.
-// The cache is guarded: concurrent requests for the same object build it at
-// most once while the lock is held (geometry generation is fast enough that
-// holding the lock across the build is simpler than per-key once values).
-func (s *Server) geometry(name string) (*mesh.Mesh, error) {
+// object is one catalog object's cached geometry: the full-quality mesh,
+// and the progressive collapse log built from it on the first request below
+// full resolution.
+type object struct {
+	full *mesh.Mesh
+	once sync.Once
+	log  *mesh.Progressive
+	err  error
+}
+
+// geometry returns (building if needed) the cache entry for an object, with
+// its full-quality mesh. Concurrent requests for the same object build the
+// mesh at most once while the lock is held (geometry generation is fast
+// enough that holding the lock across the build is simpler than per-key
+// once values).
+func (s *Server) geometry(name string) (*object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m, ok := s.meshes[name]; ok {
-		return m, nil
+	if o, ok := s.objects[name]; ok {
+		return o, nil
 	}
 	spec, ok := s.specs[name]
 	if !ok {
@@ -116,22 +128,36 @@ func (s *Server) geometry(name string) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.meshes[name] = m
-	return m, nil
+	o := &object{full: m}
+	s.objects[name] = o
+	return o, nil
+}
+
+// collapseLog returns the object's progressive log, building it on first
+// use under the object's own once: a ~6 ms build for one object blocks
+// only the requests for that object, never the server-wide lock.
+func (o *object) collapseLog() (*mesh.Progressive, error) {
+	o.once.Do(func() {
+		o.log, o.err = mesh.NewProgressive(o.full)
+	})
+	return o.log, o.err
 }
 
 // Decimate runs the server's decimation pipeline directly: full-quality
-// geometry from the catalog cache, then quadric edge collapse (or vertex
-// clustering when fast). The session service serves its per-session mesh
-// caches through it (it satisfies sessiond.Decimator).
+// geometry from the catalog cache, then the prefix of the object's
+// progressive log that equals quadric edge collapse to the ratio (or vertex
+// clustering when fast). A full-resolution ratio returns a copy of the
+// geometry and builds no log. The session service serves its per-session
+// mesh caches through it (it satisfies sessiond.Decimator).
 func (s *Server) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, error) {
 	if math.IsNaN(ratio) || ratio <= 0 || ratio > 1 {
 		return nil, fmt.Errorf("edge: ratio %v out of (0,1]", ratio)
 	}
-	full, err := s.geometry(object)
+	o, err := s.geometry(object)
 	if err != nil {
 		return nil, err
 	}
+	full := o.full
 	if fast {
 		target := int(ratio * float64(full.TriangleCount()))
 		if target < 1 {
@@ -139,5 +165,16 @@ func (s *Server) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, 
 		}
 		return mesh.VertexClustering(full, target)
 	}
-	return mesh.DecimateToRatio(full, ratio)
+	target, err := mesh.RatioTarget(ratio, full.TriangleCount())
+	if err != nil {
+		return nil, err
+	}
+	if target >= full.TriangleCount() {
+		return mesh.Decimate(full, target)
+	}
+	log, err := o.collapseLog()
+	if err != nil {
+		return nil, err
+	}
+	return log.At(target)
 }

@@ -135,6 +135,9 @@ type decimator struct {
 	queue     collapseHeap
 	// nbrs is apply's reused neighbour scratch.
 	nbrs []int
+	// log, when non-nil, records every applied collapse and face death
+	// (NewProgressive); Decimate leaves it nil.
+	log *Progressive
 }
 
 // Decimate simplifies the mesh to at most target triangles using
@@ -286,6 +289,9 @@ func (d *decimator) step() bool {
 			continue
 		}
 		d.apply(&c)
+		if d.log != nil {
+			d.log.record(&c, d.liveFaces)
+		}
 		return true
 	}
 	return false
@@ -339,6 +345,9 @@ func contains(t Triangle, v int) bool { return t[0] == v || t[1] == v || t[2] ==
 func (d *decimator) kill(fi, skip int) {
 	d.faceOK[fi] = false
 	d.liveFaces--
+	if d.log != nil {
+		d.log.kill(fi)
+	}
 	for _, w := range d.faces[fi] {
 		if w == skip {
 			continue
@@ -420,8 +429,21 @@ func (d *decimator) extract() *Mesh {
 // DecimateToRatio simplifies the mesh to ratio times its current triangle
 // count (the paper's decimation ratio R). Ratio is clamped to [0, 1].
 func DecimateToRatio(m *Mesh, ratio float64) (*Mesh, error) {
+	target, err := RatioTarget(ratio, m.TriangleCount())
+	if err != nil {
+		return nil, err
+	}
+	return Decimate(m, target)
+}
+
+// RatioTarget converts a decimation ratio into the triangle target that
+// DecimateToRatio passes to Decimate: ratio is clamped to [0, 1] and
+// ratio·triangles rounded to the nearest integer. A target at or above
+// triangles means full resolution. Every ratio-driven decimation goes
+// through it, so the reference path and the progressive log round alike.
+func RatioTarget(ratio float64, triangles int) (int, error) {
 	if math.IsNaN(ratio) {
-		return nil, fmt.Errorf("mesh: NaN decimation ratio")
+		return 0, fmt.Errorf("mesh: NaN decimation ratio")
 	}
 	if ratio < 0 {
 		ratio = 0
@@ -429,5 +451,5 @@ func DecimateToRatio(m *Mesh, ratio float64) (*Mesh, error) {
 	if ratio > 1 {
 		ratio = 1
 	}
-	return Decimate(m, int(math.Round(ratio*float64(m.TriangleCount()))))
+	return int(math.Round(ratio * float64(triangles))), nil
 }

@@ -2,7 +2,9 @@
 // mesh representation, procedural generators standing in for the paper's 3D
 // assets (Table II), and quadric-error-metric edge-collapse decimation — the
 // "virtual object decimation algorithm" that the paper's edge server runs
-// (Fig. 3) to produce reduced-triangle-count versions of each object.
+// (Fig. 3) to produce reduced-triangle-count versions of each object — with
+// a progressive log of it (Progressive) that serves every triangle budget of
+// one object as a prefix of a single collapse run.
 package mesh
 
 import (

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/mar-hbo/hbo/internal/mesh"
 	"github.com/mar-hbo/hbo/internal/quality"
@@ -116,8 +117,8 @@ type Library struct {
 }
 
 // NewLibrary trains every spec: generate geometry, derive the ground-truth
-// law from it, collect simulated GMSD samples, and fit Eq. 1. Deterministic
-// in seed.
+// law from it (once per spec per process), collect simulated GMSD samples,
+// and fit Eq. 1. Deterministic in seed.
 func NewLibrary(specs []ObjectSpec, seed uint64) (*Library, error) {
 	l := &Library{
 		specs:  make(map[string]ObjectSpec, len(specs)),
@@ -132,13 +133,9 @@ func NewLibrary(specs []ObjectSpec, seed uint64) (*Library, error) {
 		if s.MaxTriangles <= 0 {
 			return nil, fmt.Errorf("render: spec %q has non-positive triangle count", s.Name)
 		}
-		g, err := s.Geometry()
+		truth, err := specTruth(s)
 		if err != nil {
-			return nil, fmt.Errorf("render: geometry for %q: %w", s.Name, err)
-		}
-		truth, err := quality.TruthFromMesh(g, s.DistExp)
-		if err != nil {
-			return nil, fmt.Errorf("render: truth for %q: %w", s.Name, err)
+			return nil, err
 		}
 		p, err := quality.Train(truth, rng.Split(), 0.04)
 		if err != nil {
@@ -149,6 +146,42 @@ func NewLibrary(specs []ObjectSpec, seed uint64) (*Library, error) {
 		l.params[s.Name] = p
 	}
 	return l, nil
+}
+
+// truthMemo holds every spec's ground-truth law for the life of the
+// process. A truth depends only on its spec, and deriving one decimates the
+// spec's geometry twice, while the oracle builds a fresh library for every
+// grid configuration it scores.
+var truthMemo struct {
+	sync.Mutex
+	truths map[ObjectSpec]quality.Truth
+}
+
+// specTruth returns the spec's ground-truth law, derived from its geometry
+// on the first call and memoized after. Concurrent first calls may both
+// derive it; the derivation is deterministic, so either result is the one.
+func specTruth(s ObjectSpec) (quality.Truth, error) {
+	truthMemo.Lock()
+	truth, ok := truthMemo.truths[s]
+	truthMemo.Unlock()
+	if ok {
+		return truth, nil
+	}
+	g, err := s.Geometry()
+	if err != nil {
+		return quality.Truth{}, fmt.Errorf("render: geometry for %q: %w", s.Name, err)
+	}
+	truth, err = quality.TruthFromMesh(g, s.DistExp)
+	if err != nil {
+		return quality.Truth{}, fmt.Errorf("render: truth for %q: %w", s.Name, err)
+	}
+	truthMemo.Lock()
+	if truthMemo.truths == nil {
+		truthMemo.truths = make(map[ObjectSpec]quality.Truth)
+	}
+	truthMemo.truths[s] = truth
+	truthMemo.Unlock()
+	return truth, nil
 }
 
 // LibraryFor trains a library covering every spec in the counts list.

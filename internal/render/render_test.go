@@ -3,6 +3,8 @@ package render
 import (
 	"math"
 	"testing"
+
+	"github.com/mar-hbo/hbo/internal/quality"
 )
 
 func sc1Library(t *testing.T) *Library {
@@ -318,5 +320,60 @@ func TestOutOfViewObjects(t *testing.T) {
 	}
 	if q := scene.TrueAverageQuality(); q != 1 {
 		t.Fatalf("all-hidden true quality = %v, want 1", q)
+	}
+}
+
+// TestLibraryTruthMemo checks that a memoized library is bit-identical to a
+// fresh one: same truths (as float bits, and as quality.TruthFromMesh derives
+// them from the spec's geometry) and same fitted parameters.
+func TestLibraryTruthMemo(t *testing.T) {
+	var specs []ObjectSpec
+	for _, c := range append(SC1(), SC2()...) {
+		specs = append(specs, c.Spec)
+	}
+	truthMemo.Lock()
+	truthMemo.truths = nil // force a fresh derivation
+	truthMemo.Unlock()
+	fresh, err := NewLibrary(specs, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truthMemo.Lock()
+	memoized := len(truthMemo.truths)
+	truthMemo.Unlock()
+	if memoized != len(specs) {
+		t.Fatalf("memo holds %d truths after one library of %d specs", memoized, len(specs))
+	}
+	memo, err := NewLibrary(specs, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(vs ...float64) [4]uint64 {
+		var out [4]uint64
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for _, s := range specs {
+		g, err := s.Geometry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := quality.TruthFromMesh(g, s.DistExp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lib := range []*Library{fresh, memo} {
+			got, _ := lib.Truth(s.Name)
+			if bits(got.Severity, got.Gamma, got.DistExp) != bits(want.Severity, want.Gamma, want.DistExp) {
+				t.Fatalf("%s: truth %+v, want %+v", s.Name, got, want)
+			}
+		}
+		pf, _ := fresh.Params(s.Name)
+		pm, _ := memo.Params(s.Name)
+		if bits(pf.A, pf.B, pf.C, pf.D) != bits(pm.A, pm.B, pm.C, pm.D) {
+			t.Fatalf("%s: memoized params %+v, fresh %+v", s.Name, pm, pf)
+		}
 	}
 }
