@@ -371,7 +371,9 @@ func (x *extractor) exprOps(e ast.Expr) []op {
 	return kept
 }
 
-// readerOps maps the repo's bounds-checked reader methods to op shapes.
+// readerOps maps the repo's reader methods to op shapes. They match by name
+// on any package-local receiver: wire's bounds-checked frameReader cursor
+// and its checkedBlock (fixed-offset reads of a pre-checked record) alike.
 var readerOps = map[string][]string{
 	"u8":      {"u8"},
 	"u16":     {"u16"},

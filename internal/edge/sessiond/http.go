@@ -1,6 +1,7 @@
 package sessiond
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,10 +22,11 @@ const (
 // generous bounds are tiny next to what an unvalidated request could cost:
 // an unbounded body pins memory and a handler that never finishes pins a
 // connection.
-const (
-	maxRequestBytes = 4 << 20
-	handlerTimeout  = 30 * time.Second
-)
+const maxRequestBytes = 4 << 20
+
+// handlerTimeout bounds how long a decimate request waits for its mesh. It
+// is a variable only so tests can shorten it.
+var handlerTimeout = 30 * time.Second
 
 // DecimateRequest fetches a decimated mesh through the session's private
 // mesh cache. The 200 response body is the binary mesh payload
@@ -76,15 +78,15 @@ type StatsResponse struct {
 
 // Register mounts the session routes on mux: /session/stream carries every
 // session op (open, suggest, observe, close) as wire frames, the decimate
-// route serves meshes, and statz reports live state. The JSON decimate
-// handler runs behind a body cap and a per-handler timeout, so one abusive
-// or stuck request cannot pin the server's memory or connections.
+// route serves meshes, and statz reports live state. The decimate route
+// bounds itself (handleDecimate): a body cap and a per-request timeout, so
+// one abusive or stuck request cannot pin the server's memory or
+// connections.
 func (s *Service) Register(mux *http.ServeMux) {
-	mux.Handle("POST /session/decimate", guard(s.handleDecimate))
-	// The stream route is deliberately unguarded: TimeoutHandler neither
-	// supports Flush nor tolerates a response that outlives the timeout, and
-	// a body cap would sever a healthy long-lived stream. The wire codec's
-	// per-frame bounds bound it instead.
+	mux.HandleFunc("POST /session/decimate", s.handleDecimate)
+	// The stream route has neither bound: it is long-lived and flushed per
+	// frame, so a timeout or a body cap would sever a healthy stream. The
+	// wire codec's per-frame bounds bound it instead.
 	mux.HandleFunc("POST /session/stream", s.handleStream)
 	mux.HandleFunc("GET /session/statz", s.handleStats)
 }
@@ -97,30 +99,6 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// guard wraps a handler with the body cap and handler timeout.
-func guard(h http.HandlerFunc) http.Handler {
-	limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-		h(w, r)
-	})
-	return http.TimeoutHandler(limited, handlerTimeout, "sessiond: handler timeout")
-}
-
-// decodeRequest decodes a guarded JSON body: MaxBytesReader trips map to
-// 413, everything else to 400.
-func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
-			return false
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
 func validID(id string) error {
 	if id == "" {
 		return fmt.Errorf("sessiond: empty session id")
@@ -131,9 +109,22 @@ func validID(id string) error {
 	return nil
 }
 
+// handleDecimate serves one mesh payload. It enforces the route's bounds
+// itself rather than through http.TimeoutHandler, which would copy every
+// payload into a buffer of its own before writing it: the body is read
+// through a 4 MiB cap, and the mesh is awaited for at most handlerTimeout,
+// after which the request gets a 503 while the decimation finishes in the
+// background (and still fills the session's cache).
 func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var req DecimateRequest
-	if !decodeRequest(w, r, &req) {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if s.dec == nil {
@@ -150,19 +141,23 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
 		return
 	}
-	payload, cached, err := sess.decimate(s.dec, req.Object, req.Ratio, req.Fast)
-	if err != nil {
+	d, ok := decimateWithin(r.Context(), sess, s.dec, &req)
+	if !ok {
+		http.Error(w, "sessiond: handler timeout", http.StatusServiceUnavailable)
+		return
+	}
+	if d.err != nil {
 		code := http.StatusNotFound
-		if errors.Is(err, errMeshEncode) {
+		if errors.Is(d.err, errMeshEncode) {
 			code = http.StatusInternalServerError
 		}
-		http.Error(w, err.Error(), code)
+		http.Error(w, d.err.Error(), code)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", MeshContentType)
-	h.Set("Content-Length", strconv.Itoa(len(payload)))
-	if cached {
+	h.Set("Content-Length", strconv.Itoa(len(d.payload)))
+	if d.cached {
 		s.metMeshHits.Inc()
 		h.Set(MeshCacheHeader, "hit")
 	} else {
@@ -172,7 +167,49 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 	s.metDecimates.Inc()
 	// Headers are out once Write starts; a failed write is the client's
 	// (retried) problem.
-	_, _ = w.Write(payload)
+	_, _ = w.Write(d.payload)
+}
+
+// decimated is one sess.decimate outcome, or the panic it raised.
+type decimated struct {
+	payload []byte
+	cached  bool
+	err     error
+	panic   any
+}
+
+// decimateWithin runs sess.decimate on a goroutine of its own and waits
+// for it at most handlerTimeout, or until the client goes away; ok is
+// false if it stopped waiting. A panic in the Decimator is raised again on
+// the calling goroutine, as http.TimeoutHandler does, so net/http's
+// per-connection recovery still applies to it.
+func decimateWithin(ctx context.Context, sess *session, dec Decimator, req *DecimateRequest) (d decimated, ok bool) {
+	// Buffered, so a result nobody waits for any more cannot block its
+	// goroutine.
+	done := make(chan decimated, 1)
+	go func() {
+		var res decimated
+		defer func() {
+			if p := recover(); p != nil {
+				res.panic = p
+			}
+			done <- res
+		}()
+		res.payload, res.cached, res.err = sess.decimate(dec, req.Object, req.Ratio, req.Fast)
+	}()
+	timer := time.NewTimer(handlerTimeout)
+	defer timer.Stop()
+	select {
+	case d = <-done:
+		if d.panic != nil {
+			panic(d.panic)
+		}
+		return d, true
+	case <-timer.C:
+		return d, false
+	case <-ctx.Done():
+		return d, false
+	}
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -35,11 +35,11 @@ func errFrame(f *wire.Frame, status int, msg string, retryAfter uint32) {
 	f.Msg = append(f.Msg[:0], msg...)
 }
 
-// handleStream serves one session stream. Registered without the guard
-// middleware: a stream is long-lived by design, so the per-request timeout
-// and body cap do not apply — per-frame bounds in the wire codec bound its
-// resource use instead, and a client that stops reading responses stalls
-// only its own connection.
+// handleStream serves one session stream. It has none of the decimate
+// route's bounds: a stream is long-lived by design, so a per-request
+// timeout and a body cap do not apply — per-frame bounds in the wire codec
+// bound its resource use instead, and a client that stops reading
+// responses stalls only its own connection.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	// The stream interleaves reads from the request body with writes to the

@@ -125,22 +125,31 @@ func (m *Mesh) Centroid() Vec3 {
 }
 
 // Compact removes vertices not referenced by any triangle, remapping
-// indices. It returns the same mesh for chaining.
+// indices. It counts the used vertices first, so the new vertex array is
+// allocated once at its exact size. It returns the same mesh for chaining.
 func (m *Mesh) Compact() *Mesh {
-	used := make([]bool, len(m.Vertices))
+	remap := make([]int, len(m.Vertices))
 	for _, t := range m.Triangles {
 		for _, v := range t {
-			used[v] = true
+			remap[v] = 1
 		}
 	}
-	remap := make([]int, len(m.Vertices))
-	var verts []Vec3
-	for i, u := range used {
-		if u {
-			remap[i] = len(verts)
-			verts = append(verts, m.Vertices[i])
-		} else {
+	n := 0
+	for i, u := range remap {
+		if u == 0 {
 			remap[i] = -1
+			continue
+		}
+		remap[i] = n
+		n++
+	}
+	var verts []Vec3 // nil when no vertex is used
+	if n > 0 {
+		verts = make([]Vec3, n)
+	}
+	for i, j := range remap {
+		if j >= 0 {
+			verts[j] = m.Vertices[i]
 		}
 	}
 	for i, t := range m.Triangles {

@@ -259,6 +259,25 @@ func TestDecimateAllocs(t *testing.T) {
 	}
 }
 
+// TestCompactAllocs pins Compact to its remap table and one exactly sized
+// vertex array, with one allocation to spare.
+func TestCompactAllocs(t *testing.T) {
+	m, err := Blob(3000, 7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keeping only the first half of the faces leaves vertices unused.
+	half := &Mesh{Vertices: m.Vertices, Triangles: m.Triangles[:len(m.Triangles)/2]}
+	tris := make([]Triangle, len(half.Triangles))
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(tris, half.Triangles)
+		(&Mesh{Vertices: half.Vertices, Triangles: tris}).Compact()
+	})
+	if allocs > 3 {
+		t.Fatalf("Compact made %v allocs/op, want <= 3", allocs)
+	}
+}
+
 func TestVecOps(t *testing.T) {
 	a := Vec3{1, 0, 0}
 	b := Vec3{0, 1, 0}

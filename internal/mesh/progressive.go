@@ -61,39 +61,69 @@ func (p *Progressive) record(c *collapse, live int) {
 func (p *Progressive) kill(fi int) { p.death[fi] = int32(len(p.steps) + 1) }
 
 // At returns exactly what Decimate returns for the logged mesh and target,
-// bit for bit.
+// bit for bit. It builds the compacted mesh directly: only the surviving
+// faces and the positions of the vertices they use are written, never a
+// full-resolution copy of the vertex array.
 func (p *Progressive) At(target int) (*Mesh, error) {
 	if target < 0 {
 		return nil, fmt.Errorf("mesh: negative decimation target %d", target)
 	}
-	if target >= p.base.TriangleCount() {
-		return p.base.Clone().Compact(), nil
-	}
+	// Decimate collapses nothing at or above full resolution. Below it,
 	// Decimate collapses while more than target faces live: it stops after
 	// the first step that leaves at most target, or when the log runs out.
-	k := sort.Search(len(p.steps), func(i int) bool { return int(p.steps[i].live) <= target })
-	if k < len(p.steps) {
-		k++ // include the step that reached the target
+	k, live := 0, len(p.base.Triangles)
+	if target < live {
+		k = sort.Search(len(p.steps), func(i int) bool { return int(p.steps[i].live) <= target })
+		if k < len(p.steps) {
+			k++ // include the step that reached the target
+		}
+		if k > 0 {
+			live = int(p.steps[k-1].live)
+		}
 	}
 	steps := p.steps[:k]
-	live := len(p.base.Triangles)
-	if k > 0 {
-		live = int(steps[k-1].live)
-	}
-
-	verts := append([]Vec3(nil), p.base.Vertices...)
-	for _, s := range steps {
-		verts[s.u] = s.pos
-	}
+	n := len(p.base.Vertices)
+	buf := make([]int32, 2*n)
+	rep, remap := buf[:n], buf[n:]
 	// rep[w] is the vertex w has merged into after k steps. A survivor only
 	// merges later than the step that merged into it, so walking the steps
 	// backwards finds each survivor's representative already final.
-	rep := make([]int32, len(verts))
 	for w := range rep {
 		rep[w] = int32(w)
 	}
 	for j := len(steps) - 1; j >= 0; j-- {
 		rep[steps[j].v] = rep[steps[j].u]
+	}
+	// remap[w] is w's index in the compacted mesh, or -1 when no surviving
+	// face uses it: Compact's numbering, in vertex order.
+	for fi, t := range p.base.Triangles {
+		if int(p.death[fi]) > k {
+			remap[rep[t[0]]], remap[rep[t[1]]], remap[rep[t[2]]] = 1, 1, 1
+		}
+	}
+	used := int32(0)
+	for w, u := range remap {
+		if u == 0 {
+			remap[w] = -1
+			continue
+		}
+		remap[w] = used
+		used++
+	}
+	var verts []Vec3 // nil when no face survives, as Compact leaves it
+	if used > 0 {
+		verts = make([]Vec3, used)
+	}
+	for w, j := range remap {
+		if j >= 0 {
+			verts[j] = p.base.Vertices[w]
+		}
+	}
+	// Replaying the positions forward leaves each survivor at its last move.
+	for _, s := range steps {
+		if j := remap[s.u]; j >= 0 {
+			verts[j] = s.pos
+		}
 	}
 	var tris []Triangle // nil when no face survives, as extract leaves it
 	if live > 0 {
@@ -101,8 +131,8 @@ func (p *Progressive) At(target int) (*Mesh, error) {
 	}
 	for fi, t := range p.base.Triangles {
 		if int(p.death[fi]) > k {
-			tris = append(tris, Triangle{int(rep[t[0]]), int(rep[t[1]]), int(rep[t[2]])})
+			tris = append(tris, Triangle{int(remap[rep[t[0]]]), int(remap[rep[t[1]]]), int(remap[rep[t[2]]])})
 		}
 	}
-	return (&Mesh{Vertices: verts, Triangles: tris}).Compact(), nil
+	return &Mesh{Vertices: verts, Triangles: tris}, nil
 }

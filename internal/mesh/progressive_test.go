@@ -100,3 +100,28 @@ func FuzzProgressiveAt(f *testing.F) {
 		}
 	})
 }
+
+// TestProgressiveAtAllocs bounds a served extraction's allocations: the
+// mesh, its two arrays and one scratch buffer of per-vertex maps, with one
+// to spare. Rebuilding a full-resolution copy and compacting it would take
+// several more.
+func TestProgressiveAtAllocs(t *testing.T) {
+	m, err := mesh.Blob(3000, 7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := mesh.NewProgressive(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []int{0, m.TriangleCount() / 2, m.TriangleCount()} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := p.At(target); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 5 {
+			t.Fatalf("At(%d) made %v allocs/op, want <= 5", target, allocs)
+		}
+	}
+}
