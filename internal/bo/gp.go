@@ -1,10 +1,11 @@
 // Package bo implements the Bayesian-optimization machinery of the paper
 // from scratch on the standard library: Gaussian-process regression with the
-// Matérn-5/2 kernel (Eq. 7, ν = 5/2, length scale 1), the Expected
-// Improvement acquisition function, and a constrained optimizer over the
-// paper's search domain — the simplex of per-resource task proportions
-// (Eqs. 8–9) crossed with the triangle-ratio interval (Eq. 10). It replaces
-// the scikit-optimize (skopt) dependency of the paper's prototype.
+// Matérn-5/2 kernel (Eq. 7, ν = 5/2; the paper uses length scale 1,
+// DefaultConfig uses 0.3), the Expected Improvement acquisition function,
+// and a constrained optimizer over the paper's search domain — the simplex
+// of per-resource task proportions (Eqs. 8–9) crossed with the
+// triangle-ratio interval (Eq. 10). It replaces the scikit-optimize (skopt)
+// dependency of the paper's prototype.
 //
 // The regression hot path is engineered for the controller's activation
 // loop: the Cholesky factor is stored as a flat row-major triangle that
@@ -21,12 +22,6 @@ import (
 	"github.com/mar-hbo/hbo/internal/obs"
 )
 
-// Kernel is a positive-definite covariance function over R^d.
-type Kernel interface {
-	// Eval returns k(a, b).
-	Eval(a, b []float64) float64
-}
-
 // sqrt5 hoists the √5 of the Matérn-5/2 kernel out of the innermost loop.
 var sqrt5 = math.Sqrt(5)
 
@@ -34,13 +29,12 @@ var sqrt5 = math.Sqrt(5)
 //
 //	k(r) = σ² (1 + √5 r/ℓ + 5r²/3ℓ²) exp(−√5 r/ℓ)
 type Matern52 struct {
-	// LengthScale is ℓ; the paper uses 1.
+	// LengthScale is ℓ. The paper uses 1; DefaultConfig uses 0.3 (see
+	// Config.LengthScale).
 	LengthScale float64
 	// SignalVar is σ²_φ.
 	SignalVar float64
 }
-
-var _ Kernel = Matern52{}
 
 // matern52c is a Matern52 with the per-evaluation constants √5/ℓ and
 // 5/(3ℓ²) precomputed once; GP fitting and prediction evaluate this form so
@@ -72,18 +66,37 @@ func (k matern52c) Eval(a, b []float64) float64 {
 	return k.signalVar * (1 + s + k.fiveOver3L2*r2) * math.Exp(-s)
 }
 
+// eval4 returns Eval(p0, x) … Eval(p3, x), each bit-identical to its Eval.
+// The four evaluations are independent, so they are issued stage by stage —
+// four distance accumulators, then four square roots, then four exps back
+// to back — and their latency chains overlap instead of running one after
+// another. Every value keeps Eval's expression and operand order.
+func (k matern52c) eval4(p0, p1, p2, p3, x []float64) (k0, k1, k2, k3 float64) {
+	p1, p2, p3, x = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)], x[:len(p0)]
+	var r0, r1, r2, r3 float64
+	for i, a := range p0 {
+		b := x[i]
+		d0, d1, d2, d3 := a-b, p1[i]-b, p2[i]-b, p3[i]-b
+		r0 += d0 * d0
+		r1 += d1 * d1
+		r2 += d2 * d2
+		r3 += d3 * d3
+	}
+	s0 := k.sqrt5OverL * math.Sqrt(r0)
+	s1 := k.sqrt5OverL * math.Sqrt(r1)
+	s2 := k.sqrt5OverL * math.Sqrt(r2)
+	s3 := k.sqrt5OverL * math.Sqrt(r3)
+	e0, e1, e2, e3 := math.Exp(-s0), math.Exp(-s1), math.Exp(-s2), math.Exp(-s3)
+	k0 = k.signalVar * (1 + s0 + k.fiveOver3L2*r0) * e0
+	k1 = k.signalVar * (1 + s1 + k.fiveOver3L2*r1) * e1
+	k2 = k.signalVar * (1 + s2 + k.fiveOver3L2*r2) * e2
+	k3 = k.signalVar * (1 + s3 + k.fiveOver3L2*r3) * e3
+	return k0, k1, k2, k3
+}
+
 // Eval returns the Matérn-5/2 covariance of a and b.
 func (k Matern52) Eval(a, b []float64) float64 {
 	return k.compile().Eval(a, b)
-}
-
-// compileKernel returns the precomputed form of known kernels and the kernel
-// itself otherwise.
-func compileKernel(k Kernel) Kernel {
-	if m, ok := k.(Matern52); ok {
-		return m.compile()
-	}
-	return k
 }
 
 // GP is a Gaussian-process regressor (the paper's surrogate model, Eq. 6).
@@ -96,9 +109,8 @@ func compileKernel(k Kernel) Kernel {
 // concurrent use; Predict, PredictInto and PredictBatchInto (with
 // per-goroutine scratch) may run concurrently once the GP is fitted.
 type GP struct {
-	kernel Kernel
-	ev     Kernel  // kernel with precomputed constants, used on hot paths
-	noise  float64 // observation noise variance added to the diagonal
+	k     matern52c // the kernel with its constants precomputed
+	noise float64   // observation noise variance added to the diagonal
 
 	x  [][]float64
 	n  int // fitted observations
@@ -128,11 +140,11 @@ type GP struct {
 // NewGP returns a regressor with the given kernel and observation-noise
 // variance. Noise must be positive: the measured cost in HBO is itself a
 // noisy window average.
-func NewGP(kernel Kernel, noiseVar float64) (*GP, error) {
+func NewGP(kernel Matern52, noiseVar float64) (*GP, error) {
 	if noiseVar <= 0 {
 		return nil, fmt.Errorf("bo: noise variance must be positive, got %v", noiseVar)
 	}
-	return &GP{kernel: kernel, ev: compileKernel(kernel), noise: noiseVar}, nil
+	return &GP{k: kernel.compile(), noise: noiseVar}, nil
 }
 
 // Fit conditions the GP on observations (x, y) with a full O(n³)
@@ -264,9 +276,9 @@ func (g *GP) eliminateRow(x [][]float64, i int, jitter float64) bool {
 	row := g.chol[i*g.stride : i*g.stride+i+1]
 	xi := x[i]
 	for j := 0; j < i; j++ {
-		row[j] = g.ev.Eval(xi, x[j])
+		row[j] = g.k.Eval(xi, x[j])
 	}
-	row[i] = g.ev.Eval(xi, xi) + g.noise
+	row[i] = g.k.Eval(xi, xi) + g.noise
 	for j := 0; j <= i; j++ {
 		sum := row[j]
 		if i == j {
@@ -386,12 +398,12 @@ func (g *GP) Predict(p []float64) (mean, variance float64) {
 func (g *GP) PredictInto(p []float64, s *PredictScratch) (mean, variance float64) {
 	n := g.n
 	if n == 0 {
-		return g.yMean, g.ev.Eval(p, p)
+		return g.yMean, g.k.Eval(p, p)
 	}
 	ks := grow(s.buf, n, g.stride) //hbo:allowalloc scratch warm-up: grows with the factor's stride, then every call reuses the buffer
 	s.buf = ks
 	for i := 0; i < n; i++ {
-		ks[i] = g.ev.Eval(p, g.x[i])
+		ks[i] = g.k.Eval(p, g.x[i])
 	}
 	std := 0.0
 	for i := range ks {
@@ -399,7 +411,7 @@ func (g *GP) PredictInto(p []float64, s *PredictScratch) (mean, variance float64
 	}
 	mean = g.yMean + g.yStd*std
 	g.forwardSolveInPlace(ks)
-	variance = g.ev.Eval(p, p)
+	variance = g.k.Eval(p, p)
 	for _, vi := range ks {
 		variance -= vi * vi
 	}
@@ -444,10 +456,10 @@ func (g *GP) PredictBatchInto(ps [][]float64, means, variances []float64, s *Pre
 		for lo := 0; lo < full; lo += predictWidth {
 			p0, p1, p2, p3 := ps[lo], ps[lo+1], ps[lo+2], ps[lo+3]
 			var m0, m1, m2, m3 float64
-			v0, v1, v2, v3 := g.ev.Eval(p0, p0), g.ev.Eval(p1, p1), g.ev.Eval(p2, p2), g.ev.Eval(p3, p3)
+			v0, v1, v2, v3 := g.k.Eval(p0, p0), g.k.Eval(p1, p1), g.k.Eval(p2, p2), g.k.Eval(p3, p3)
 			for i := range rows {
 				xi, a := g.x[i], g.alpha[i]
-				s0, s1, s2, s3 := g.ev.Eval(p0, xi), g.ev.Eval(p1, xi), g.ev.Eval(p2, xi), g.ev.Eval(p3, xi)
+				s0, s1, s2, s3 := g.k.eval4(p0, p1, p2, p3, xi)
 				m0 += s0 * a
 				m1 += s1 * a
 				m2 += s2 * a

@@ -122,7 +122,8 @@ type Config struct {
 	RefineSteps int
 	// NoiseVar is the observation-noise variance of the GP.
 	NoiseVar float64
-	// LengthScale is the Matérn length scale ℓ (the paper uses 1).
+	// LengthScale is the Matérn length scale ℓ. The paper uses ℓ = 1;
+	// DefaultConfig sets 0.3, a departure listed in DESIGN.md §2.
 	LengthScale float64
 	// Acquisition selects the acquisition function; nil means EI (the
 	// paper's choice).
@@ -163,9 +164,9 @@ type Optimizer struct {
 	gp      *GP
 	gpScale float64
 
-	// Reusable scratch: winsorization buffers, the pre-drawn candidate
-	// pool, its scores and posterior variances, per-worker prediction
-	// scratch, and the two refinement buffers.
+	// Reusable scratch: winsorization buffers, the candidate pool, its
+	// scores and posterior variances, per-scorer prediction scratch, and the
+	// two refinement buffers.
 	clipBuf   []float64
 	sortBuf   []float64
 	candFlat  []float64
@@ -175,6 +176,12 @@ type Optimizer struct {
 	scratches []PredictScratch
 	refineA   []float64
 	refineB   []float64
+
+	// The draw/score hand-off, reused across suggestions (see scorePool).
+	// ready carries the index of each drawn block, then one stop sentinel
+	// per scorer, and is empty between suggestions.
+	ready   chan int
+	scorers sync.WaitGroup
 
 	// Observability instruments; nil (no-op) unless SetObserver is called.
 	// The wall clock is read only when the suggestion-latency histogram is
@@ -265,10 +272,11 @@ func (o *Optimizer) Best() (p []float64, cost float64, ok bool) {
 
 // Next suggests the next configuration to evaluate: random during the
 // initialization phase, then the EI-maximizing candidate under the GP
-// posterior. The candidate pool is pre-drawn sequentially from the seeded
-// RNG and scored on a worker pool of min(GOMAXPROCS, candidates)
-// goroutines; the argmax breaks ties by lowest index, so the result is
-// bit-identical to a serial scan.
+// posterior. The candidate pool is drawn on the calling goroutine in
+// serial order from the seeded RNG, one block of poolBlock candidates at a
+// time, and each drawn block is scored at once by a pool of
+// min(GOMAXPROCS, blocks) scorers; the argmax breaks ties by lowest index,
+// so the result is bit-identical to a serial draw-then-scan.
 func (o *Optimizer) Next() ([]float64, error) {
 	o.metSuggestions.Inc()
 	if o.metSuggestMS == nil {
@@ -297,19 +305,11 @@ func (o *Optimizer) next() ([]float64, error) {
 	}
 	bestPoint, best, _ := o.Best()
 
-	// Candidate pool: uniform draws plus perturbations of the incumbent,
-	// mixing exploration and exploitation. All draws happen here, on the
-	// single RNG stream, before any concurrent scoring.
 	dim := o.dom.Dim()
-	o.ensureSearchBuffers(o.cfg.Candidates, dim)
-	for i := 0; i < o.cfg.Candidates; i++ {
-		if i%4 == 0 {
-			o.perturbInto(o.cands[i], bestPoint, 0.15)
-		} else {
-			o.dom.sampleInto(o.rng, o.cands[i])
-		}
-	}
-	o.scoreCandidates(best)
+	blocks := (o.cfg.Candidates + poolBlock - 1) / poolBlock
+	workers := max(1, min(runtime.GOMAXPROCS(0), blocks))
+	o.ensureSearchBuffers(o.cfg.Candidates, dim, blocks, workers)
+	o.scorePool(bestPoint, best, blocks, workers)
 	topIdx := 0
 	topEI := math.Inf(-1)
 	for i, ei := range o.scores[:o.cfg.Candidates] {
@@ -365,9 +365,9 @@ func (o *Optimizer) ensureSurrogate(lengthScale float64, clipped []float64) erro
 	return nil
 }
 
-// ensureSearchBuffers sizes the candidate pool, score, scratch, and
-// refinement buffers without allocating on the steady state.
-func (o *Optimizer) ensureSearchBuffers(n, dim int) {
+// ensureSearchBuffers sizes the candidate pool, score, scratch, hand-off
+// and refinement buffers without allocating on the steady state.
+func (o *Optimizer) ensureSearchBuffers(n, dim, blocks, workers int) {
 	if cap(o.candFlat) < n*dim {
 		o.candFlat = make([]float64, n*dim)
 		o.cands = make([][]float64, n)
@@ -385,48 +385,63 @@ func (o *Optimizer) ensureSearchBuffers(n, dim int) {
 		o.refineB = make([]float64, dim)
 	}
 	o.refineA, o.refineB = o.refineA[:dim], o.refineB[:dim]
-	workers := o.workers(n)
 	if len(o.scratches) < workers {
 		o.scratches = make([]PredictScratch, workers)
 	}
+	// Every send of a suggestion fits the buffer, so the caller never waits
+	// on a slow scorer and a lone caller can fill the queue before it
+	// drains it.
+	if cap(o.ready) < blocks+workers {
+		o.ready = make(chan int, blocks+workers)
+	}
 }
 
-// workers resolves the candidate-scoring concurrency: one goroutine per
-// available CPU, never more than the n candidates to score.
-func (o *Optimizer) workers(n int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), n))
-}
+// poolBlock is the number of candidates drawn before the block is handed
+// to the scorers: a multiple of predictWidth, so only the pool's last block
+// can leave a tail for PredictInto. Its value is measured in DESIGN.md §9.
+const poolBlock = 64
 
-// scoreCandidates fills o.scores for the pre-drawn pool. Each candidate's
-// score depends only on the frozen GP and the incumbent, so the split into
-// contiguous worker chunks cannot change any value.
-func (o *Optimizer) scoreCandidates(best float64) {
+// scorePool draws the candidate pool and fills o.scores with its
+// acquisition values. The calling goroutine draws every candidate in
+// serial order, uniform draws mixed with perturbations of the incumbent,
+// on the single RNG stream, and queues each finished block of poolBlock
+// candidates; workers−1 goroutines score blocks as they arrive, and the
+// caller joins them once the last block is drawn. A scorer reads only
+// blocks already handed to it, and each candidate's score depends only on
+// the frozen GP and the incumbent, so no split of the blocks among the
+// scorers can change a value.
+func (o *Optimizer) scorePool(incumbent []float64, best float64, blocks, workers int) {
+	o.scorers.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(s *PredictScratch) {
+			defer o.scorers.Done()
+			o.scoreBlocks(best, s)
+		}(&o.scratches[w])
+	}
 	n := o.cfg.Candidates
-	// GOMAXPROCS may have grown since ensureSearchBuffers sized the
-	// scratches; never run more workers than there are scratches.
-	workers := min(o.workers(n), len(o.scratches))
-	if workers == 1 {
-		o.scoreChunk(0, n, best, &o.scratches[0])
-		return
+	for b := 0; b < blocks; b++ {
+		for i := b * poolBlock; i < min((b+1)*poolBlock, n); i++ {
+			if i%4 == 0 {
+				o.perturbInto(o.cands[i], incumbent, 0.15)
+			} else {
+				o.dom.sampleInto(o.rng, o.cands[i])
+			}
+		}
+		o.ready <- b
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int, s *PredictScratch) {
-			defer wg.Done()
-			o.scoreChunk(lo, hi, best, s)
-		}(lo, hi, &o.scratches[w])
+		o.ready <- -1
 	}
-	wg.Wait()
+	o.scoreBlocks(best, &o.scratches[0])
+	o.scorers.Wait()
+}
+
+// scoreBlocks scores queued blocks until it takes a stop sentinel.
+func (o *Optimizer) scoreBlocks(best float64, s *PredictScratch) {
+	for b := <-o.ready; b >= 0; b = <-o.ready {
+		lo := b * poolBlock
+		o.scoreChunk(lo, min(lo+poolBlock, o.cfg.Candidates), best, s)
+	}
 }
 
 // scoreChunk scores candidates [lo, hi) through the batched posterior. The

@@ -4,7 +4,8 @@ package bo
 // Cholesky update must be numerically indistinguishable from a full refit,
 // the prediction hot paths must not allocate, batched prediction must be
 // bit-identical to per-point prediction, and parallel candidate scoring
-// must be bit-identical to a serial scan.
+// must be bit-identical to a serial scan, and the four-wide kernel must
+// match the per-pair one.
 
 import (
 	"fmt"
@@ -310,11 +311,12 @@ func TestScratchRegrowthLogarithmic(t *testing.T) {
 }
 
 // TestParallelSuggestionDeterminism runs identically seeded optimizers with
-// 1, 2, 3 and 4 candidate-scoring workers (GOMAXPROCS set before each
-// suggest) through a full observe/suggest loop; every suggestion must be
-// bit-identical to the serial one. The
-// 1023-candidate pool puts worker chunk boundaries inside batched groups,
-// so chunk tails take the per-point path.
+// 1, 2, 3 and 4 scorers (GOMAXPROCS set before each suggest) through a full
+// observe/suggest loop; every suggestion must be bit-identical to the
+// one-scorer run. The pool sizes sit on every block edge: pools smaller
+// than predictWidth, a single partial block, one block exactly, one
+// candidate either side of it, fewer blocks than scorers, and 1023
+// candidates, whose last block leaves a tail for the per-point path.
 func TestParallelSuggestionDeterminism(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
@@ -327,7 +329,8 @@ func TestParallelSuggestionDeterminism(t *testing.T) {
 		}
 		return s
 	}
-	for _, candidates := range []int{1024, 1023} {
+	pools := []int{1, 3, 4, poolBlock - 1, poolBlock, poolBlock + 1, 1023, 1024}
+	for _, candidates := range pools {
 		opts := make([]*Optimizer, 4)
 		for j := range opts {
 			cfg := DefaultConfig()
@@ -359,6 +362,149 @@ func TestParallelSuggestionDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+		}
+	}
+}
+
+// TestEval4MatchesEval pins the four-wide kernel helper to Matern52.Eval bit
+// for bit: identical points (r = 0), distances at which exp underflows to a
+// subnormal and to zero, and random points in several dimensions, at
+// length scales from 0.01 to 10.
+func TestEval4MatchesEval(t *testing.T) {
+	rng := sim.NewRNG(6)
+	for _, l := range []float64{0.01, 0.1, 0.3, 1, 10} {
+		kern := Matern52{LengthScale: l, SignalVar: 1.7}
+		kc := kern.compile()
+		// Distances at which √5·r/ℓ puts k in the subnormal range and at
+		// which exp(−√5·r/ℓ) underflows to zero.
+		sub, zero := 735*l/sqrt5, 800*l/sqrt5
+		for dim := 1; dim <= 5; dim++ {
+			for trial := 0; trial < 200; trial++ {
+				x := make([]float64, dim)
+				for i := range x {
+					x[i] = rng.Float64()
+				}
+				var ps [4][]float64
+				for c := range ps {
+					ps[c] = make([]float64, dim)
+					for i := range ps[c] {
+						ps[c][i] = rng.Float64() * 2
+					}
+				}
+				copy(ps[1], x) // r = 0
+				ps[2][0] = x[0] + sub
+				ps[3][0] = x[0] - zero
+				copy(ps[2][1:], x[1:])
+				copy(ps[3][1:], x[1:])
+				var got [4]float64
+				got[0], got[1], got[2], got[3] = kc.eval4(ps[0], ps[1], ps[2], ps[3], x)
+				for c, p := range ps {
+					if want := kern.Eval(p, x); math.Float64bits(got[c]) != math.Float64bits(want) {
+						t.Fatalf("ℓ=%v dim %d trial %d: eval4[%d] = %v (%#x), Eval = %v (%#x)",
+							l, dim, trial, c, got[c], math.Float64bits(got[c]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+		if v := kern.Eval([]float64{0}, []float64{sub}); v == 0 || v >= 0x1p-1022 {
+			t.Fatalf("ℓ=%v: k at the subnormal distance is %v, not subnormal", l, v)
+		}
+		if v := kern.Eval([]float64{0}, []float64{zero}); v != 0 {
+			t.Fatalf("ℓ=%v: k at the underflow distance is %v, not 0", l, v)
+		}
+	}
+}
+
+// FuzzPredictBatch fits a GP on fuzzed points and requires PredictBatchInto
+// to return PredictInto's bits for every candidate. The bytes fix the
+// dimension, the database size, the noise level and every coordinate on a
+// 1/255 grid, so repeated and coincident points come up often; the
+// candidates are the remaining points followed by the observations
+// themselves.
+func FuzzPredictBatch(f *testing.F) {
+	f.Add([]byte{2, 5, 2, 10, 200, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 7, 9, 11, 13, 1, 2, 3}, 0.3)
+	f.Add([]byte{0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, 1.0)
+	f.Add([]byte{5, 39, 0, 255, 255, 0, 0, 128, 128, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, 0.01)
+	f.Fuzz(func(t *testing.T, data []byte, lengthScale float64) {
+		if len(data) < 3 || !(lengthScale > 0) || math.IsInf(lengthScale, 0) {
+			t.Skip()
+		}
+		dim := 1 + int(data[0]%6)
+		nObs := int(data[1] % 40)
+		noise := [...]float64{0.01, 1e-6, 1e-18}[data[2]%3]
+		data = data[3:]
+		point := func() []float64 {
+			p := make([]float64, dim)
+			for i := range p {
+				p[i] = float64(data[i]) / 255
+			}
+			data = data[dim:]
+			return p
+		}
+		var xs [][]float64
+		var ys []float64
+		for len(xs) < nObs && len(data) > dim {
+			xs = append(xs, point())
+			ys = append(ys, float64(data[0])/128-1)
+			data = data[1:]
+		}
+		var pool [][]float64
+		for len(data) >= dim {
+			pool = append(pool, point())
+		}
+		pool = append(pool, xs...)
+		gp, err := NewGP(Matern52{LengthScale: lengthScale, SignalVar: 1}, noise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(xs) > 0 {
+			if err := gp.Fit(xs, ys); err != nil {
+				t.Skip(err) // indefinite even with jitter
+			}
+		}
+		var s PredictScratch
+		assertBatchMatches(t, fmt.Sprintf("dim %d n %d ℓ %v", dim, len(xs), lengthScale), gp, pool, &s)
+	})
+}
+
+// TestNextAllocs pins a warm suggestion's allocations. With one scorer they
+// are the incumbent copy and the returned point; at GOMAXPROCS 2 the
+// spawned scorer adds its goroutine (~4.4 allocs in all), under a bound of
+// 7. The hand-off queue, the pool and every scratch buffer are reused
+// across suggestions.
+func TestNextAllocs(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	rng := sim.NewRNG(1)
+	dom := Domain{N: 3, RMin: 0.1}
+	opt, err := NewOptimizer(dom, DefaultConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := opt.Observe(dom.Sample(rng), rng.Norm()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func() {
+		if _, err := opt.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ procs, max int }{{1, 2}, {2, 7}} {
+		runtime.GOMAXPROCS(c.procs)
+		next() // warm the buffers at this scorer count
+		// testing.AllocsPerRun pins GOMAXPROCS to 1, so count mallocs
+		// directly.
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			next()
+		}
+		runtime.ReadMemStats(&after)
+		if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs > float64(c.max) {
+			t.Errorf("GOMAXPROCS=%d: warm Next makes %.2f allocs, want <= %d", c.procs, allocs, c.max)
 		}
 	}
 }
