@@ -19,15 +19,20 @@ $(HBOVET): $(HBOVET_SRCS)
 	@mkdir -p bin
 	$(GO) build -o $(HBOVET) ./cmd/hbovet
 
-# lint runs the standard vet suite plus the custom analyzers over the whole
-# module, then enforces the suppression budget: the number of
+# lint runs gofmt, the standard vet suite and the custom analyzers over the
+# whole module, then enforces the suppression budget. gofmt -l must print
+# nothing outside the analyzers' testdata fixtures, which are test inputs
+# kept as written. The budget: the number of
 # `//lint:allow <analyzer> <reason>` comments must equal the count
 # committed in lint.budget, so adding (or removing) a suppression forces a
 # visible lint.budget change in the same diff. Test files are excluded —
 # most analyzers exempt them anyway, and lintutil's own parser tests embed
 # directive strings as fixtures.
 LINT_NAMES := detlint|obslint|ctxlint|errlint|locklint|copylint|leaklint|codeclint
+GOFMT ?= gofmt
 lint: $(HBOVET)
+	@out=$$($(GOFMT) -l . | grep -vE '^(internal/analysis/[^/]+/testdata|\.bench_build)/'); \
+	if [ -n "$$out" ]; then echo "lint: gofmt -l flags these files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -vettool=$(abspath $(HBOVET)) ./...
 	@n=$$(grep -rnE --include='*.go' --exclude='*_test.go' '(^|[[:space:]])//lint:allow ($(LINT_NAMES)) ' . 2>/dev/null | grep -v testdata | grep -v third_party | wc -l); \

@@ -11,7 +11,9 @@
 // loop: the Cholesky factor is stored as a flat row-major triangle that
 // grows by O(n²) incremental row appends instead of O(n³) refits, and
 // PredictInto and its batched form PredictBatchInto score candidates
-// without allocating (see DESIGN.md §9).
+// without allocating. On amd64 with AVX2 and FMA the batched form runs in
+// an assembly kernel that returns the portable Go loop's bits (see
+// DESIGN.md §9).
 package bo
 
 import (
@@ -375,6 +377,7 @@ func (g *GP) backSolveInPlace(b []float64) {
 type PredictScratch struct {
 	buf  []float64
 	rows [][predictWidth]float64 // PredictBatchInto's interleaved kernel rows
+	cand []float64               // the quad kernel's candidates, transposed
 }
 
 // predictWidth is the number of candidates PredictBatchInto scores per pass
@@ -439,7 +442,10 @@ func clampVariance(v float64) float64 {
 // overlap. Every candidate keeps its own accumulators and PredictInto's
 // operation sequence (same start values, same k order, division by the
 // pivot, variance·yStd·yStd left to right), which is what keeps the result
-// identical. A tail shorter than predictWidth goes through PredictInto.
+// identical. On CPUs with AVX2 and FMA a quad's whole pass runs in one
+// assembly call (quadKernel); elsewhere, and for the rows that call hands
+// back, predictRows runs it in Go. A tail shorter than predictWidth goes
+// through PredictInto.
 //
 //hbo:noalloc
 func (g *GP) PredictBatchInto(ps [][]float64, means, variances []float64, s *PredictScratch) {
@@ -453,46 +459,102 @@ func (g *GP) PredictBatchInto(ps [][]float64, means, variances []float64, s *Pre
 		// reads entries 0..i-1 and appends entry i.
 		rows := grow(s.rows, n, g.stride) //hbo:allowalloc scratch warm-up: grows with the factor's stride, then every call reuses the buffer
 		s.rows = rows
-		for lo := 0; lo < full; lo += predictWidth {
-			p0, p1, p2, p3 := ps[lo], ps[lo+1], ps[lo+2], ps[lo+3]
-			var m0, m1, m2, m3 float64
-			v0, v1, v2, v3 := g.k.Eval(p0, p0), g.k.Eval(p1, p1), g.k.Eval(p2, p2), g.k.Eval(p3, p3)
-			for i := range rows {
-				xi, a := g.x[i], g.alpha[i]
-				s0, s1, s2, s3 := g.k.eval4(p0, p1, p2, p3, xi)
-				m0 += s0 * a
-				m1 += s1 * a
-				m2 += s2 * a
-				m3 += s3 * a
-				li := g.chol[i*g.stride : i*g.stride+i+1]
-				for k, l := range li[:i] {
-					b := &rows[k]
-					s0 -= l * b[0]
-					s1 -= l * b[1]
-					s2 -= l * b[2]
-					s3 -= l * b[3]
-				}
-				d := li[i]
-				s0, s1, s2, s3 = s0/d, s1/d, s2/d, s3/d
-				rows[i] = [predictWidth]float64{s0, s1, s2, s3}
-				v0 -= s0 * s0
-				v1 -= s1 * s1
-				v2 -= s2 * s2
-				v3 -= s3 * s3
+		st := quadState{
+			xs: &g.x[0], alpha: &g.alpha[0], chol: &g.chol[0], rows: &rows[0],
+			n: n, stride: g.stride, k: g.k,
+		}
+		// The kernel reads dim coordinates of every training point, so it
+		// takes only quads no wider than the narrowest of them.
+		xdim := 0
+		if quadKernel {
+			xdim = len(g.x[0])
+			for _, x := range g.x[1:n] {
+				xdim = min(xdim, len(x))
 			}
-			means[lo] = g.yMean + g.yStd*m0
-			means[lo+1] = g.yMean + g.yStd*m1
-			means[lo+2] = g.yMean + g.yStd*m2
-			means[lo+3] = g.yMean + g.yStd*m3
-			variances[lo] = clampVariance(v0) * g.yStd * g.yStd
-			variances[lo+1] = clampVariance(v1) * g.yStd * g.yStd
-			variances[lo+2] = clampVariance(v2) * g.yStd * g.yStd
-			variances[lo+3] = clampVariance(v3) * g.yStd * g.yStd
+		}
+		for lo := 0; lo < full; lo += predictWidth {
+			q := (*[predictWidth][]float64)(ps[lo : lo+predictWidth])
+			st.m = [predictWidth]float64{}
+			st.v = [predictWidth]float64{g.k.Eval(q[0], q[0]), g.k.Eval(q[1], q[1]), g.k.Eval(q[2], q[2]), g.k.Eval(q[3], q[3])}
+			if dim := len(q[0]); dim > 0 && dim <= xdim {
+				cand := grow(s.cand, predictWidth*dim, predictWidth*dim) //hbo:allowalloc scratch warm-up: sized by the dimension once, then every call reuses the buffer
+				s.cand = cand
+				for d := range dim {
+					c := (*[predictWidth]float64)(cand[predictWidth*d:])
+					c[0], c[1], c[2], c[3] = q[0][d], q[1][d], q[2][d], q[3][d]
+				}
+				st.cand, st.dim = &cand[0], dim
+				for i := predictQuadAVX2(&st, 0); i < n; i = predictQuadAVX2(&st, i+1) {
+					g.predictRows(q, &st, rows, i, i+1)
+				}
+			} else {
+				g.predictRows(q, &st, rows, 0, n)
+			}
+			for c, m := range st.m {
+				means[lo+c] = g.yMean + g.yStd*m
+				variances[lo+c] = clampVariance(st.v[c]) * g.yStd * g.yStd
+			}
 		}
 	}
 	for i := full; i < len(ps); i++ {
 		means[i], variances[i] = g.PredictInto(ps[i], s)
 	}
+}
+
+// quadState carries one quad of candidates through PredictBatchInto's pass
+// over the factor: the fitted GP it reads, the quad's transposed
+// coordinates, and its four mean (m) and variance (v) accumulators, which
+// predictRows and predictQuadAVX2 read on entry and write back on return.
+// The assembly kernel finds the fields by the offsets in go_asm.h.
+type quadState struct {
+	m, v   [predictWidth]float64
+	cand   *float64 // cand[predictWidth*d+c] is coordinate d of candidate c
+	dim    int
+	xs     *[]float64 // the training points
+	alpha  *float64
+	chol   *float64
+	stride int
+	rows   *[predictWidth]float64
+	n      int
+	k      matern52c
+}
+
+// predictRows runs rows [from, to) of PredictBatchInto's pass for the quad
+// q: row i evaluates the four kernel values k(p_c, x_i), adds their
+// α-weighted terms to the mean accumulators, runs the row-i substitution
+// steps against the solved entries 0..i−1, divides by the pivot, stores
+// entry i, and subtracts its square from the variance accumulators. It is
+// the portable path and the reference predictQuadAVX2 must match bit for
+// bit.
+func (g *GP) predictRows(q *[predictWidth][]float64, st *quadState, rows [][predictWidth]float64, from, to int) {
+	p0, p1, p2, p3 := q[0], q[1], q[2], q[3]
+	m0, m1, m2, m3 := st.m[0], st.m[1], st.m[2], st.m[3]
+	v0, v1, v2, v3 := st.v[0], st.v[1], st.v[2], st.v[3]
+	for i := from; i < to; i++ {
+		xi, a := g.x[i], g.alpha[i]
+		s0, s1, s2, s3 := g.k.eval4(p0, p1, p2, p3, xi)
+		m0 += s0 * a
+		m1 += s1 * a
+		m2 += s2 * a
+		m3 += s3 * a
+		li := g.chol[i*g.stride : i*g.stride+i+1]
+		for k, l := range li[:i] {
+			b := &rows[k]
+			s0 -= l * b[0]
+			s1 -= l * b[1]
+			s2 -= l * b[2]
+			s3 -= l * b[3]
+		}
+		d := li[i]
+		s0, s1, s2, s3 = s0/d, s1/d, s2/d, s3/d
+		rows[i] = [predictWidth]float64{s0, s1, s2, s3}
+		v0 -= s0 * s0
+		v1 -= s1 * s1
+		v2 -= s2 * s2
+		v3 -= s3 * s3
+	}
+	st.m = [predictWidth]float64{m0, m1, m2, m3}
+	st.v = [predictWidth]float64{v0, v1, v2, v3}
 }
 
 // normPDF is the standard normal density.

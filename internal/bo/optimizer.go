@@ -261,13 +261,20 @@ func (o *Optimizer) Best() (p []float64, cost float64, ok bool) {
 	if len(o.ys) == 0 {
 		return nil, 0, false
 	}
+	bi := o.bestIndex()
+	return append([]float64(nil), o.xs[bi]...), o.ys[bi], true
+}
+
+// bestIndex returns the index of the first lowest-cost observation; there
+// must be at least one.
+func (o *Optimizer) bestIndex() int {
 	bi := 0
 	for i, y := range o.ys {
 		if y < o.ys[bi] {
 			bi = i
 		}
 	}
-	return append([]float64(nil), o.xs[bi]...), o.ys[bi], true
+	return bi
 }
 
 // Next suggests the next configuration to evaluate: random during the
@@ -303,7 +310,8 @@ func (o *Optimizer) next() ([]float64, error) {
 	if err := o.ensureSurrogate(lengthScale, clipped); err != nil {
 		return nil, err
 	}
-	bestPoint, best, _ := o.Best()
+	bi := o.bestIndex()
+	bestPoint, best := o.xs[bi], o.ys[bi]
 
 	dim := o.dom.Dim()
 	blocks := (o.cfg.Candidates + poolBlock - 1) / poolBlock

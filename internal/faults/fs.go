@@ -33,7 +33,7 @@ type FSPlan struct {
 
 // FSStats counts operations seen and faults injected.
 type FSStats struct {
-	Opens, Writes, Reads, Syncs                            int
+	Opens, Writes, Reads, Syncs                              int
 	OpenErrs, TornWrites, ShortReads, CorruptReads, SyncErrs int
 }
 
@@ -43,9 +43,9 @@ type FSStats struct {
 type FaultFS struct {
 	inner snapstore.FS
 
-	mu    sync.Mutex
-	plan  FSPlan
-	stats FSStats
+	mu                          sync.Mutex
+	plan                        FSPlan
+	stats                       FSStats
 	opens, writes, reads, syncs int
 }
 
