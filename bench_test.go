@@ -306,11 +306,12 @@ func gpDataset(n int) (xs [][]float64, ys []float64, probe []float64) {
 	return xs, ys, dom.Sample(rng)
 }
 
-// BenchmarkGPAddObservation grows a surrogate to 60 observations one point
-// at a time through the incremental Cholesky path — O(n²) per append, O(n³)
-// for the whole growth. Compare against BenchmarkGPFullRefitGrowth, which
-// pays a fresh O(n³) factorization at every step (O(n⁴) total).
-func BenchmarkGPAddObservation(b *testing.B) {
+// BenchmarkGPIncrementalGrowth grows a surrogate to 60 observations one
+// point at a time through Update's incremental Cholesky path — O(n²) per
+// append, O(n³) for the whole growth. Compare against
+// BenchmarkGPFullRefitGrowth, which pays a fresh O(n³) factorization at
+// every step (O(n⁴) total).
+func BenchmarkGPIncrementalGrowth(b *testing.B) {
 	xs, ys, _ := gpDataset(60)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -320,7 +321,7 @@ func BenchmarkGPAddObservation(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := range xs {
-			if err := gp.AddObservation(xs[j], ys[j]); err != nil {
+			if err := gp.Update(xs[:j+1], ys[:j+1]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -328,7 +329,7 @@ func BenchmarkGPAddObservation(b *testing.B) {
 }
 
 // BenchmarkGPFullRefitGrowth is the pre-optimization baseline for
-// BenchmarkGPAddObservation: the same growth with a from-scratch Fit at
+// BenchmarkGPIncrementalGrowth: the same growth with a from-scratch Fit at
 // every step.
 func BenchmarkGPFullRefitGrowth(b *testing.B) {
 	xs, ys, _ := gpDataset(60)

@@ -103,20 +103,19 @@ func (k Matern52) Eval(a, b []float64) float64 {
 
 // GP is a Gaussian-process regressor (the paper's surrogate model, Eq. 6).
 // Fit factorizes the kernel matrix once; Predict then evaluates the
-// posterior mean and variance at arbitrary points. Between activations the
-// factorization can be extended one observation at a time with Update or
-// AddObservation at O(n²) instead of refit's O(n³).
+// posterior mean and variance at arbitrary points. Between activations
+// Update extends the factorization one observation at a time at O(n²)
+// instead of refit's O(n³).
 //
-// Methods that mutate the GP (Fit, Update, AddObservation) are not safe for
-// concurrent use; Predict, PredictInto and PredictBatchInto (with
-// per-goroutine scratch) may run concurrently once the GP is fitted.
+// Methods that mutate the GP (Fit, Update) are not safe for concurrent use;
+// Predict, PredictInto and PredictBatchInto (with per-goroutine scratch)
+// may run concurrently once the GP is fitted.
 type GP struct {
 	k     matern52c // the kernel with its constants precomputed
 	noise float64   // observation noise variance added to the diagonal
 
-	x  [][]float64
-	n  int // fitted observations
-	ys []float64
+	x [][]float64
+	n int // fitted observations
 
 	// chol is the lower-triangular Cholesky factor of K + noise·I stored
 	// row-major with the given stride; row i occupies chol[i*stride : i*stride+i+1].
@@ -128,10 +127,9 @@ type GP struct {
 	// jittered factor would diverge from a from-scratch refit).
 	jitter float64
 
-	yMean    float64
-	yStd     float64
-	centered []float64 // standardized observations
-	alpha    []float64 // (K + noise·I)^{-1} of the standardized observations
+	yMean float64
+	yStd  float64
+	alpha []float64 // (K + noise·I)^{-1} of the standardized observations
 
 	// metRestarts counts jitter-ladder restarts during factorization (an
 	// indefinite kernel matrix forcing a retry with more diagonal jitter).
@@ -197,19 +195,6 @@ func (g *GP) Update(x [][]float64, y []float64) error {
 	g.x = x
 	g.setTargets(y)
 	return nil
-}
-
-// AddObservation appends a single observation to the fitted GP, extending
-// the Cholesky factor incrementally (O(n²) instead of a full refit's O(n³)).
-// The point is copied; the raw targets seen so far are retained internally.
-func (g *GP) AddObservation(x []float64, y float64) error {
-	xc := append([]float64(nil), x...)
-	if g.n == 0 {
-		return g.Fit([][]float64{xc}, []float64{y})
-	}
-	xs := append(g.x[:g.n:g.n], xc)
-	ys := append(g.ys[:g.n:g.n], y)
-	return g.Update(xs, ys)
 }
 
 // Observations returns the number of fitted observations.
@@ -307,7 +292,6 @@ func (g *GP) eliminateRow(x [][]float64, i int, jitter float64) bool {
 // observation, or a winsorization clip level moved old ones).
 func (g *GP) setTargets(y []float64) {
 	n := g.n
-	g.ys = append(g.ys[:0], y...)
 	g.yMean = 0
 	for _, v := range y {
 		g.yMean += v
@@ -325,12 +309,10 @@ func (g *GP) setTargets(y []float64) {
 	if g.yStd < 1e-9 {
 		g.yStd = 1
 	}
-	g.centered = grow(g.centered, n, g.stride)
-	for i, v := range y {
-		g.centered[i] = (v - g.yMean) / g.yStd
-	}
 	g.alpha = grow(g.alpha, n, g.stride)
-	copy(g.alpha, g.centered)
+	for i, v := range y {
+		g.alpha[i] = (v - g.yMean) / g.yStd
+	}
 	g.forwardSolveInPlace(g.alpha)
 	g.backSolveInPlace(g.alpha)
 }
@@ -579,58 +561,4 @@ func ExpectedImprovement(mean, variance, best float64) float64 {
 	}
 	z := (best - mean) / sigma
 	return (best-mean)*normCDF(z) + sigma*normPDF(z)
-}
-
-// LogMarginalLikelihood returns the log evidence of the fitted observations
-// under the GP prior (computed on the standardized targets): the standard
-// model-selection criterion for kernel hyperparameters. It reuses the stored
-// standardized targets and alpha, so the quadratic form costs O(n) instead
-// of re-evaluating the kernel matrix.
-func (g *GP) LogMarginalLikelihood() float64 {
-	n := g.n
-	if n == 0 || g.chol == nil {
-		return math.Inf(-1)
-	}
-	// -0.5 yᵀ K⁻¹ y  -  Σ log L_ii  -  n/2 log 2π, with y standardized:
-	// α = K⁻¹y is stored, so yᵀK⁻¹y = yᵀα directly.
-	quadSum := 0.0
-	for i := 0; i < n; i++ {
-		quadSum += g.centered[i] * g.alpha[i]
-	}
-	logDet := 0.0
-	for i := 0; i < n; i++ {
-		logDet += math.Log(g.chol[i*g.stride+i])
-	}
-	return -0.5*quadSum - logDet - float64(n)/2*math.Log(2*math.Pi)
-}
-
-// SelectLengthScale fits a GP at each candidate length scale and returns the
-// one with the highest log marginal likelihood — simple grid-search type-II
-// maximum likelihood, the standard way BO libraries tune the Matérn kernel.
-func SelectLengthScale(x [][]float64, y []float64, noiseVar float64, candidates []float64) (float64, error) {
-	if len(candidates) == 0 {
-		return 0, errors.New("bo: no length-scale candidates")
-	}
-	best := candidates[0]
-	bestLML := math.Inf(-1)
-	for _, l := range candidates {
-		if l <= 0 {
-			return 0, fmt.Errorf("bo: non-positive candidate length scale %v", l)
-		}
-		gp, err := NewGP(Matern52{LengthScale: l, SignalVar: 1}, noiseVar)
-		if err != nil {
-			return 0, err
-		}
-		if err := gp.Fit(x, y); err != nil {
-			continue // indefinite at this scale; skip
-		}
-		if lml := gp.LogMarginalLikelihood(); lml > bestLML {
-			bestLML = lml
-			best = l
-		}
-	}
-	if math.IsInf(bestLML, -1) {
-		return 0, errors.New("bo: no candidate length scale produced a valid fit")
-	}
-	return best, nil
 }

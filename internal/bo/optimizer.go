@@ -128,10 +128,6 @@ type Config struct {
 	// Acquisition selects the acquisition function; nil means EI (the
 	// paper's choice).
 	Acquisition Acquisition
-	// AutoLengthScale re-selects the Matérn length scale at every
-	// suggestion by maximizing the log marginal likelihood over a small
-	// grid, instead of using the fixed LengthScale.
-	AutoLengthScale bool
 }
 
 // DefaultConfig returns the paper-matching configuration.
@@ -159,10 +155,9 @@ type Optimizer struct {
 	xs [][]float64
 	ys []float64
 
-	// Persistent surrogate state: the factorization is reused across Next
-	// calls while the length scale is unchanged (see DESIGN.md §9).
-	gp      *GP
-	gpScale float64
+	// Persistent surrogate: built at the first GP-phase Next, then extended
+	// incrementally across Next calls (see DESIGN.md §9).
+	gp *GP
 
 	// Reusable scratch: winsorization buffers, the candidate pool, its
 	// scores and posterior variances, per-scorer prediction scratch, and the
@@ -299,15 +294,7 @@ func (o *Optimizer) next() ([]float64, error) {
 	if len(o.xs) < o.cfg.InitSamples {
 		return o.dom.Sample(o.rng), nil
 	}
-	lengthScale := o.cfg.LengthScale
-	clipped := o.clippedCosts()
-	if o.cfg.AutoLengthScale {
-		if l, err := SelectLengthScale(o.xs, clipped, o.cfg.NoiseVar,
-			[]float64{0.1, 0.2, 0.3, 0.5, 0.8, 1.2}); err == nil {
-			lengthScale = l
-		}
-	}
-	if err := o.ensureSurrogate(lengthScale, clipped); err != nil {
+	if err := o.ensureSurrogate(o.clippedCosts()); err != nil {
 		return nil, err
 	}
 	bi := o.bestIndex()
@@ -347,12 +334,13 @@ func (o *Optimizer) next() ([]float64, error) {
 }
 
 // ensureSurrogate brings the persistent GP in sync with the observation
-// database: a full refit when the length scale changed (or no fit exists),
-// an O(n²) incremental extension otherwise. Targets are re-standardized
-// every call because the winsorization clip level moves with the database.
-func (o *Optimizer) ensureSurrogate(lengthScale float64, clipped []float64) error {
-	if o.gp == nil || math.Float64bits(lengthScale) != math.Float64bits(o.gpScale) {
-		gp, err := NewGP(Matern52{LengthScale: lengthScale, SignalVar: 1}, o.cfg.NoiseVar)
+// database: a full fit when none exists yet (the first GP-phase Next, or
+// the first after a restore), an O(n²) incremental extension otherwise.
+// Targets are re-standardized every call because the winsorization clip
+// level moves with the database.
+func (o *Optimizer) ensureSurrogate(clipped []float64) error {
+	if o.gp == nil {
+		gp, err := NewGP(Matern52{LengthScale: o.cfg.LengthScale, SignalVar: 1}, o.cfg.NoiseVar)
 		if err != nil {
 			return err
 		}
@@ -360,7 +348,7 @@ func (o *Optimizer) ensureSurrogate(lengthScale float64, clipped []float64) erro
 		if err := gp.Fit(o.xs, clipped); err != nil {
 			return fmt.Errorf("bo: surrogate fit: %w", err)
 		}
-		o.gp, o.gpScale = gp, lengthScale
+		o.gp = gp
 		o.metRefits.Inc()
 		o.metGPSize.Set(float64(gp.Observations()))
 		return nil

@@ -288,7 +288,7 @@ func bestOf(xs [][]float64, ys []float64) ([]float64, float64, bool) {
 }
 
 // historyState packs (RNG position, history) into the policy-agnostic
-// OptimizerState; the GP fields stay zero.
+// OptimizerState.
 func historyState(rng *sim.RNG, xs [][]float64, ys []float64) *bo.OptimizerState {
 	st := &bo.OptimizerState{
 		RNGState: rng.State(),

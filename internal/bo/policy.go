@@ -34,8 +34,8 @@ type Policy interface {
 }
 
 // DurablePolicy is a Policy whose complete resumable state fits in an
-// OptimizerState: the RNG position plus the observation database (the GP
-// fields stay zero for non-GP entrants). sessiond snapshots DurablePolicy
+// OptimizerState: the RNG position plus the observation database.
+// sessiond snapshots DurablePolicy
 // sessions across evictions and restarts; policies that carry state an
 // OptimizerState cannot express (e.g. CMA-ES evolution paths) are
 // "ephemeral" — eviction drops them and re-admission rebuilds via client

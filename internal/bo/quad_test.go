@@ -69,6 +69,7 @@ func TestQuadKernelMatchesPortable(t *testing.T) {
 				return p
 			}
 			var xs [][]float64
+			var ys []float64
 			for n := 1; n <= 64; n++ {
 				x := point()
 				switch n {
@@ -77,10 +78,7 @@ func TestQuadKernelMatchesPortable(t *testing.T) {
 				case 20:
 					x[0] = 60
 				}
-				xs = append(xs, x)
-				if err := gp.AddObservation(x, rng.Norm()); err != nil {
-					t.Fatal(err)
-				}
+				addObservation(t, gp, &xs, &ys, x, rng.Norm())
 				pool := make([][]float64, 17)
 				for i := range pool {
 					pool[i] = point()

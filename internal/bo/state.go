@@ -8,10 +8,9 @@ import (
 )
 
 // OptimizerState is the complete serializable state of an Optimizer: the
-// observation database, the RNG position, and — when the surrogate has a
-// clean (jitter-free) factorization — the packed Cholesky factor rows, so a
-// restored optimizer resumes in O(m) memory copies instead of an O(m³)
-// refit or an O(m) network replay of the history.
+// observation database and the RNG position. The GP surrogate is not part
+// of it: the surrogate is a function of the database and the fixed kernel,
+// and a restored optimizer refits it at its first Next.
 //
 // The state captures everything Next depends on: because the incremental
 // appendRow path and a from-scratch refit perform bit-identical arithmetic
@@ -23,22 +22,9 @@ type OptimizerState struct {
 	// X and Y are the observation database (Algorithm 1's D).
 	X [][]float64
 	Y []float64
-	// GPLengthScale is the length scale of the exported factorization;
-	// meaningful only when GPRows > 0.
-	GPLengthScale float64
-	// GPRows is the number of factorized observations (0 when no clean
-	// factor exists — pre-init, or a jittered factor that a restore must
-	// refit anyway to reproduce the jitter ladder bit-identically).
-	GPRows int
-	// GPFactor is the lower-triangular Cholesky factor packed row-major:
-	// row i contributes its i+1 leading entries, GPRows*(GPRows+1)/2 total.
-	GPFactor []float64
 }
 
-// ExportState deep-copies the optimizer's resumable state. The factor is
-// exported only when it is jitter-free: a jittered factor is never extended
-// incrementally (gp.go), so re-deriving it from the database on restore is
-// both necessary for bit-identity and exactly what the live path would do.
+// ExportState deep-copies the optimizer's resumable state.
 func (o *Optimizer) ExportState() *OptimizerState {
 	st := &OptimizerState{
 		RNGState: o.rng.State(),
@@ -47,11 +33,6 @@ func (o *Optimizer) ExportState() *OptimizerState {
 	}
 	for i, x := range o.xs {
 		st.X[i] = append([]float64(nil), x...)
-	}
-	if o.gp != nil && o.gp.jitter == 0 && o.gp.n > 0 {
-		st.GPLengthScale = o.gpScale
-		st.GPRows = o.gp.n
-		st.GPFactor = o.gp.exportFactor()
 	}
 	return st
 }
@@ -82,71 +63,5 @@ func NewOptimizerFromState(dom Domain, cfg Config, st *OptimizerState) (*Optimiz
 		}
 		o.xs[i] = append([]float64(nil), x...)
 	}
-	if st.GPRows == 0 {
-		return o, nil
-	}
-	if st.GPRows < 0 || st.GPRows > len(st.X) {
-		return nil, fmt.Errorf("bo: state factor covers %d rows of a %d-point database", st.GPRows, len(st.X))
-	}
-	if want := st.GPRows * (st.GPRows + 1) / 2; len(st.GPFactor) != want {
-		return nil, fmt.Errorf("bo: state factor has %d entries, want %d", len(st.GPFactor), want)
-	}
-	if st.GPLengthScale <= 0 || math.IsNaN(st.GPLengthScale) || math.IsInf(st.GPLengthScale, 0) {
-		return nil, fmt.Errorf("bo: state length scale %v invalid", st.GPLengthScale)
-	}
-	gp, err := NewGP(Matern52{LengthScale: st.GPLengthScale, SignalVar: 1}, cfg.NoiseVar)
-	if err != nil {
-		return nil, err
-	}
-	if err := gp.importFactor(o.xs[:st.GPRows], o.ys[:st.GPRows], st.GPFactor); err != nil {
-		return nil, err
-	}
-	gp.metRestarts = o.metRestarts
-	o.gp, o.gpScale = gp, st.GPLengthScale
 	return o, nil
-}
-
-// exportFactor packs the first n factor rows into a dense row-major
-// triangle (row i contributes entries [i*stride, i*stride+i]).
-func (g *GP) exportFactor() []float64 {
-	out := make([]float64, 0, g.n*(g.n+1)/2)
-	for i := 0; i < g.n; i++ {
-		out = append(out, g.chol[i*g.stride:i*g.stride+i+1]...)
-	}
-	return out
-}
-
-// importFactor installs a packed jitter-free factor over the first len(x)
-// observations, then solves targets against it so the GP is immediately
-// predictable. The next Update re-standardizes targets anyway (the
-// winsorization clip level moves with the database); what must survive the
-// import bit-exactly is the factor, and it does — entries are copied, never
-// recomputed.
-func (g *GP) importFactor(x [][]float64, y []float64, packed []float64) error {
-	n := len(x)
-	if n == 0 {
-		return fmt.Errorf("bo: cannot import an empty factor")
-	}
-	if len(y) != n {
-		return fmt.Errorf("bo: %d inputs but %d targets", n, len(y))
-	}
-	if want := n * (n + 1) / 2; len(packed) != want {
-		return fmt.Errorf("bo: packed factor has %d entries, want %d", len(packed), want)
-	}
-	g.ensureStride(n)
-	off := 0
-	for i := 0; i < n; i++ {
-		row := packed[off : off+i+1]
-		diag := row[i]
-		if !(diag > 0) || math.IsInf(diag, 0) {
-			return fmt.Errorf("bo: factor row %d has non-positive diagonal %v", i, diag)
-		}
-		copy(g.chol[i*g.stride:i*g.stride+i+1], row)
-		off += i + 1
-	}
-	g.x = x
-	g.n = n
-	g.jitter = 0
-	g.setTargets(y)
-	return nil
 }

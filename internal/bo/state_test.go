@@ -66,8 +66,9 @@ func TestExportImportBitIdentity(t *testing.T) {
 			t.Fatalf("rounds=%d: restore: %v", rounds, err)
 		}
 		// Continue both for several more rounds; every suggestion must agree
-		// bit for bit (the restored factor extends incrementally exactly as
-		// the live one does).
+		// bit for bit (the restored optimizer refits its surrogate at its
+		// first GP-phase Next, and that fit is the live incremental factor
+		// to the bit).
 		for k := 0; k < 4; k++ {
 			wp, err := live.Next()
 			if err != nil {
@@ -132,10 +133,6 @@ func TestImportValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(t, base, 8)
-	good := base.ExportState()
-	if good.GPRows == 0 {
-		t.Fatal("expected an exported factor after 8 rounds")
-	}
 
 	mutations := []struct {
 		name string
@@ -145,11 +142,6 @@ func TestImportValidation(t *testing.T) {
 		{"length mismatch", func(st *OptimizerState) { st.Y = st.Y[:len(st.Y)-1] }},
 		{"point outside domain", func(st *OptimizerState) { st.X[0][0] = 9 }},
 		{"non-finite cost", func(st *OptimizerState) { st.Y[0] = math.NaN() }},
-		{"factor rows beyond database", func(st *OptimizerState) { st.GPRows = len(st.X) + 1 }},
-		{"factor length mismatch", func(st *OptimizerState) { st.GPFactor = st.GPFactor[:len(st.GPFactor)-1] }},
-		{"non-positive diagonal", func(st *OptimizerState) { st.GPFactor[0] = 0 }},
-		{"NaN diagonal", func(st *OptimizerState) { st.GPFactor[0] = math.NaN() }},
-		{"bad length scale", func(st *OptimizerState) { st.GPLengthScale = -1 }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

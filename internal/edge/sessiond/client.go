@@ -113,8 +113,7 @@ func (c *Client) ID() string { return c.id }
 func (c *Client) Reopens() int { return c.reopens }
 
 // Restores counts how many of this client's opens the server satisfied from
-// a durable snapshot (O(m) restore) instead of a fresh session (full
-// replay). Always zero against a server without a session store.
+// a durable snapshot instead of a fresh session (full replay). Always zero against a server without a session store.
 func (c *Client) Restores() int { return c.restores }
 
 // Available reports whether the underlying link would currently attempt

@@ -38,8 +38,8 @@ type DurabilityStats struct {
 	// SaveErrors counts failed snapshot writes (the session stays live and
 	// dirty; the next trigger retries).
 	SaveErrors uint64 `json:"save_errors"`
-	// Restores counts sessions rebuilt from a snapshot in O(m) instead of a
-	// full history replay.
+	// Restores counts sessions rebuilt from a snapshot instead of a client
+	// history replay.
 	Restores uint64 `json:"restores"`
 	// Corrupt counts snapshots that failed decode or validation; each one
 	// degraded to the replay-fallback path (a fresh session).
@@ -58,7 +58,6 @@ func (sess *session) snapshotLocked() *snapshot {
 		observes: uint64(sess.observes),
 		window:   append([]float64(nil), sess.window...),
 		opt:      sess.opt.(bo.DurablePolicy).ExportState(),
-		manifest: sess.meshes.manifest(),
 	}
 }
 
@@ -124,11 +123,10 @@ func (s *Service) timedRestore(restore func()) {
 }
 
 // restoreSession rebuilds a live session from a decoded snapshot: the
-// policy resumes from its exported state via the registry (for GP-EI that
-// is O(m) factor/RNG copies — no replay, no refit), and the mesh-cache
-// manifest is reinstalled as placeholders that re-decimate lazily. A
-// snapshot naming an ephemeral policy cannot exist through the save path
-// and fails here, degrading to the replay fallback.
+// policy resumes from its exported database and RNG word via the registry
+// (GP-EI refits its surrogate once, at its next suggest), and the mesh
+// cache starts empty. A snapshot naming an ephemeral policy cannot exist
+// through the save path and fails here, degrading to the replay fallback.
 func (s *Service) restoreSession(snap *snapshot) (*session, error) {
 	dom := bo.Domain{N: snap.p.resources, RMin: snap.p.rmin}
 	opt, err := policies.Restore(snap.p.policy, dom, boConfig(snap.p), snap.opt)
@@ -136,8 +134,6 @@ func (s *Service) restoreSession(snap *snapshot) (*session, error) {
 		return nil, fmt.Errorf("sessiond: restoring %s: %w", snap.id, err)
 	}
 	_, durable := opt.(bo.DurablePolicy)
-	meshes := newMeshCache(s.cfg.MeshCacheCap)
-	meshes.restoreManifest(snap.manifest)
 	return &session{
 		id:       snap.id,
 		p:        snap.p,
@@ -146,7 +142,7 @@ func (s *Service) restoreSession(snap *snapshot) (*session, error) {
 		window:   snap.window,
 		suggests: int(snap.suggests),
 		observes: int(snap.observes),
-		meshes:   meshes,
+		meshes:   newMeshCache(s.cfg.MeshCacheCap),
 	}, nil
 }
 

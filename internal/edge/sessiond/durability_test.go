@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"github.com/mar-hbo/hbo/internal/bo"
@@ -348,7 +349,9 @@ func TestDurabilityParamChangeDiscardsSnapshot(t *testing.T) {
 
 // TestDurabilityCorruptSnapshotFallsBack checks the degradation path: a
 // snapshot that fails decode is counted, deleted, and the open falls back to
-// a fresh session (zero observations — the client's cue to replay).
+// a fresh session (zero observations — the client's cue to replay). A
+// version-1 snapshot of a GP-phase session, which carried the Cholesky
+// factor, takes the same path: that is the v1 → v2 upgrade.
 func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 	store := snapstore.NewMemStore()
 	cfg := DefaultConfig()
@@ -377,6 +380,28 @@ func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal("corrupt snapshot not deleted")
 	}
 
+	v1, err := os.ReadFile("testdata/snapshot-v1-gp.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("seed-gp", v1); err != nil {
+		t.Fatalf("seeding v1 blob: %v", err)
+	}
+	// The blob's own parameters, so only its version can refuse it.
+	sess, res, err = svc.open("seed-gp", params{resources: 3, rmin: 0.1, seed: 99, init: 4})
+	if err != nil || res.restored || res.existing {
+		t.Fatalf("open over v1 snapshot = (%+v err=%v), want fresh fallback", res, err)
+	}
+	if got := sess.observations(); got != 0 {
+		t.Fatalf("v1 fallback session holds %d observations, want 0", got)
+	}
+	if d := svc.Durability(); d.Corrupt != 2 || d.Restores != 0 {
+		t.Fatalf("durability = %+v, want the v1 blob counted corrupt, zero restores", d)
+	}
+	if _, ok, _ := store.Get("seed-gp"); ok {
+		t.Fatal("v1 snapshot not deleted")
+	}
+
 	// A snapshot stored under the wrong id is corruption too.
 	sessB, _, err := svc.open("b", testParams(2))
 	if err != nil {
@@ -394,8 +419,8 @@ func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 	if _, res, err := svc.open("c", testParams(2)); err != nil || res.restored {
 		t.Fatalf("open over mismatched snapshot = (%+v err=%v), want fresh", res, err)
 	}
-	if svc.Durability().Corrupt != 2 {
-		t.Fatalf("Corrupt = %d, want 2", svc.Durability().Corrupt)
+	if svc.Durability().Corrupt != 3 {
+		t.Fatalf("Corrupt = %d, want 3", svc.Durability().Corrupt)
 	}
 }
 

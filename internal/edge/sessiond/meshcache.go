@@ -36,71 +36,34 @@ type meshCache struct {
 
 type meshEntry struct {
 	key     meshKey
-	payload []byte // encoded mesh; nil for a restored manifest placeholder
+	payload []byte // encoded mesh
 }
 
 func newMeshCache(capacity int) *meshCache {
 	return &meshCache{cap: capacity, entries: make(map[meshKey]*list.Element), lru: list.New()}
 }
 
-// get returns the cached payload for key, or nil. A manifest placeholder
-// (entry present, payload nil) counts as a miss: the variant's identity
-// survived a snapshot but its geometry did not, so it must be re-decimated.
-// The returned bytes are shared with every later hit and must not be
-// mutated.
+// get returns the cached payload for key, or nil. The returned bytes are
+// shared with every later hit and must not be mutated.
 func (c *meshCache) get(key meshKey) []byte {
 	if el, ok := c.entries[key]; ok {
-		if p := el.Value.(*meshEntry).payload; p != nil {
-			c.hits++
-			c.lru.MoveToFront(el)
-			return p
-		}
+		c.hits++
+		c.lru.MoveToFront(el)
+		return el.Value.(*meshEntry).payload
 	}
 	c.misses++
 	return nil
 }
 
-// put inserts an encoded mesh, evicting the LRU entry beyond capacity.
+// put inserts the encoded mesh for a key that get just missed, evicting the
+// LRU entry beyond capacity. The session mutex, held from that get through
+// this put, keeps the key absent in between.
 func (c *meshCache) put(key meshKey, payload []byte) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*meshEntry).payload = payload
-		c.lru.MoveToFront(el)
-		return
-	}
 	c.entries[key] = c.lru.PushFront(&meshEntry{key: key, payload: payload})
 	for c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*meshEntry).key)
-	}
-}
-
-// manifest lists the cached variant identities oldest-first — the order
-// restoreManifest replays them to reproduce the LRU ordering exactly.
-func (c *meshCache) manifest() []meshKey {
-	keys := make([]meshKey, 0, c.lru.Len())
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		keys = append(keys, el.Value.(*meshEntry).key)
-	}
-	return keys
-}
-
-// restoreManifest installs placeholder entries (identity without geometry)
-// for a snapshot's manifest, preserving LRU order. Meshes are deliberately
-// not persisted — they are pure functions of (object, ratio, fast) and far
-// larger than the rest of the snapshot — so a restored session re-decimates
-// on first touch and the placeholder keeps its LRU slot honest meanwhile.
-func (c *meshCache) restoreManifest(keys []meshKey) {
-	for _, k := range keys {
-		if _, ok := c.entries[k]; ok {
-			continue
-		}
-		c.entries[k] = c.lru.PushFront(&meshEntry{key: k})
-		for c.lru.Len() > c.cap {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.entries, oldest.Value.(*meshEntry).key)
-		}
 	}
 }
 

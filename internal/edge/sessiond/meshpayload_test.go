@@ -132,8 +132,8 @@ func postDecimate(t *testing.T, base string, req sessiond.DecimateRequest) (http
 // ratios through an HTTP sessiond and checks that Client.Decimate returns
 // exactly what the decimator produced — float bits and indices — on a
 // cache miss, on a hit (the cached bytes served verbatim), and after a
-// warm restart, where the session's restored manifest placeholders are
-// re-decimated on first touch.
+// warm restart, where the restored session's empty cache re-decimates each
+// variant on first touch.
 func TestDecimatePayloadBitIdentical(t *testing.T) {
 	ref := newGoldenDecimator(t)
 	want := map[string]*mesh.Mesh{}
@@ -195,8 +195,7 @@ func TestDecimatePayloadBitIdentical(t *testing.T) {
 	if hdr, _ := postDecimate(t, ts1.URL, probe); hdr.Get(sessiond.MeshCacheHeader) != "miss" {
 		t.Fatalf("new ratio reports %s %q, want miss", sessiond.MeshCacheHeader, hdr.Get(sessiond.MeshCacheHeader))
 	}
-	// One observation makes the session dirty, so Flush snapshots it —
-	// manifest included.
+	// One observation makes the session dirty, so Flush snapshots it.
 	point, err := sc.Suggest(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +206,8 @@ func TestDecimatePayloadBitIdentical(t *testing.T) {
 	svc1.Flush()
 	ts1.Close()
 
-	// Warm restart over the same store: the session comes back with its
-	// manifest as placeholders, so every variant is re-decimated once —
+	// Warm restart over the same store: the session comes back with an
+	// empty mesh cache, so every variant is re-decimated once —
 	// bit-identical — and then served from the cache again.
 	dec2 := &countingDecimator{Decimator: ref}
 	svc2, err := sessiond.New(cfg, dec2)
@@ -223,7 +222,7 @@ func TestDecimatePayloadBitIdentical(t *testing.T) {
 	probe.Ratio = payloadRatios[2]
 	missHdr, missBody := postDecimate(t, ts2.URL, probe)
 	if got := missHdr.Get(sessiond.MeshCacheHeader); got != "miss" {
-		t.Fatalf("placeholder fetch reports %s %q, want miss", sessiond.MeshCacheHeader, got)
+		t.Fatalf("first fetch after restart reports %s %q, want miss", sessiond.MeshCacheHeader, got)
 	}
 	if !bytes.Equal(missBody, hitBody) {
 		t.Fatal("re-decimated payload differs from the one cached before the restart")
@@ -231,7 +230,7 @@ func TestDecimatePayloadBitIdentical(t *testing.T) {
 	sc2 := newTestClient(t, ts2.URL, "golden", 1)
 	fetchAll(sc2, "restored")
 	if n := dec2.calls.Load(); n != int64(len(want)) {
-		t.Fatalf("restored pass decimated %d times, want %d (one per placeholder)", n, len(want))
+		t.Fatalf("restored pass decimated %d times, want %d (one per variant)", n, len(want))
 	}
 	fetchAll(sc2, "restored hit")
 	if n := dec2.calls.Load(); n != int64(len(want)) {

@@ -77,8 +77,8 @@ type Config struct {
 	// MeshCacheCap caps each session's decimated-mesh cache (entries).
 	MeshCacheCap int
 	// Store, when non-nil, persists session snapshots: eviction saves
-	// instead of dropping state, open restores from snapshot in O(m) (full
-	// replay remains the corrupt/missing fallback), and New performs a warm
+	// instead of dropping state, open restores from snapshot (full replay
+	// remains the corrupt/missing fallback), and New performs a warm
 	// restart from whatever the store holds. The caller owns the store's
 	// lifecycle (Close); a nil Store reproduces the pre-durability behavior
 	// exactly.

@@ -13,17 +13,22 @@ import (
 //
 //	magic   u32  "HBSS" (0x48425353)
 //	version u16  snapshotVersion
-//	flags   u16  bit0: a GP factor is present; bit1: a policy name follows
+//	flags   u16  bit1: a policy name follows (bit0, v1's GP factor, is unused)
 //	id      u16 length + bytes                  (≤ maxIDLen)
 //	params  resources u32, rmin f64, seed u64, init u32
 //	counts  suggests u64, observes u64
 //	rng     u64  sim.RNG state
 //	window  u32 n + n×f64                       (≤ windowCap)
 //	obs     u32 n, u32 dim, n×dim f64 xs, n f64 ys
-//	gp      [flag] scale f64, rows u32, rows(rows+1)/2 f64 packed factor
 //	policy  [flag] u16 length + bytes           (≤ maxSnapshotPolicyLen)
-//	meshes  u32 n, n×(u16 len + object bytes, i32 ratioStep, u8 fast)
 //	crc     u32  IEEE CRC-32 of every preceding byte
+//
+// The optimizer's part is its observation database and RNG word only: the
+// GP surrogate is derived from them and refit at the first suggest after a
+// restore, and the session's mesh LRU restarts empty. Version 1 also
+// carried the Cholesky factor and a mesh-LRU manifest; a v1 blob fails
+// decode, and the corrupt-snapshot path (a fresh session, then the
+// client's replay) recovers it.
 //
 // All integers are little-endian; floats are raw IEEE-754 bit patterns, so
 // encode∘decode is bit-exact and two encodes of the same state are
@@ -34,21 +39,13 @@ import (
 // over-allocating, and the trailing CRC rejects bit rot up front.
 const (
 	snapshotMagic   = 0x48425353 // "HBSS"
-	snapshotVersion = 1
+	snapshotVersion = 2
 
-	snapFlagGP = 1 << 0
 	// snapFlagPolicy marks a non-default optimizer policy name. The flag is
 	// set if and only if the name is non-empty (the GP-EI default is always
-	// the empty string), so pre-arena snapshots stay byte-identical and a
-	// flagged blob handed to a pre-arena decoder fails loudly instead of
-	// restoring under the wrong policy.
+	// the empty string), which keeps encode∘decode canonical.
 	snapFlagPolicy = 1 << 1
 
-	// maxSnapshotManifest bounds the decoded mesh-LRU manifest; real caches
-	// are MeshCacheCap-sized (single digits), so this is pure decoder armor.
-	maxSnapshotManifest = 1024
-	// maxSnapshotObjectLen bounds one manifest object name.
-	maxSnapshotObjectLen = 256
 	// maxSnapshotPolicyLen bounds a decoded policy name (real names are
 	// single words; this is decoder armor).
 	maxSnapshotPolicyLen = 64
@@ -62,7 +59,6 @@ type snapshot struct {
 	observes uint64
 	window   []float64
 	opt      *bo.OptimizerState
-	manifest []meshKey
 }
 
 // encodeSnapshot serializes a snapshot. The layout above is append-only
@@ -78,28 +74,17 @@ func encodeSnapshot(s *snapshot) []byte {
 		4 + 8 + 8 + 4 + // params
 		8 + 8 + 8 + // counts, rng
 		4 + 8*len(s.window) +
-		4 + 4 + 8*n*dim + 8*n
-	hasGP := s.opt.GPRows > 0
-	if hasGP {
-		size += 8 + 4 + 8*len(s.opt.GPFactor)
-	}
+		4 + 4 + 8*n*dim + 8*n +
+		4 // crc
 	hasPolicy := s.p.policy != ""
 	if hasPolicy {
 		size += 2 + len(s.p.policy)
 	}
-	size += 4
-	for _, k := range s.manifest {
-		size += 2 + len(k.object) + 4 + 1
-	}
-	size += 4 // crc
 
 	b := make([]byte, 0, size)
 	b = binary.LittleEndian.AppendUint32(b, snapshotMagic)
 	b = binary.LittleEndian.AppendUint16(b, snapshotVersion)
 	flags := uint16(0)
-	if hasGP {
-		flags |= snapFlagGP
-	}
 	if hasPolicy {
 		flags |= snapFlagPolicy
 	}
@@ -127,27 +112,9 @@ func encodeSnapshot(s *snapshot) []byte {
 	for _, v := range s.opt.Y {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	if hasGP {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.opt.GPLengthScale))
-		b = binary.LittleEndian.AppendUint32(b, uint32(s.opt.GPRows))
-		for _, v := range s.opt.GPFactor {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-	}
 	if hasPolicy {
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(s.p.policy)))
 		b = append(b, s.p.policy...)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.manifest)))
-	for _, k := range s.manifest {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(k.object)))
-		b = append(b, k.object...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(k.ratioStep)))
-		if k.fast {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	return b
@@ -177,13 +144,6 @@ func (r *snapReader) take(n int) []byte {
 	out := r.b[r.off : r.off+n]
 	r.off += n
 	return out
-}
-
-func (r *snapReader) u8() uint8 {
-	if p := r.take(1); p != nil {
-		return p[0]
-	}
-	return 0
 }
 
 func (r *snapReader) u16() uint16 {
@@ -249,7 +209,7 @@ func decodeSnapshot(blob []byte) (*snapshot, error) {
 		return nil, fmt.Errorf("sessiond: snapshot: unsupported version %d", v)
 	}
 	flags := r.u16()
-	if r.err == nil && flags&^uint16(snapFlagGP|snapFlagPolicy) != 0 {
+	if r.err == nil && flags&^uint16(snapFlagPolicy) != 0 {
 		// Unknown flags mean a future writer; refusing keeps decode∘encode
 		// canonical (every accepted blob re-encodes to identical bytes).
 		return nil, fmt.Errorf("sessiond: snapshot: unknown flags %04x", flags)
@@ -298,16 +258,6 @@ func decodeSnapshot(blob []byte) (*snapshot, error) {
 	}
 	s.opt.Y = r.f64s(n)
 
-	if flags&snapFlagGP != 0 {
-		s.opt.GPLengthScale = r.f64()
-		rows := int(r.u32())
-		if r.err == nil && (rows < 1 || rows > n) {
-			return nil, fmt.Errorf("sessiond: snapshot: factor rows %d out of [1,%d]", rows, n)
-		}
-		s.opt.GPRows = rows
-		s.opt.GPFactor = r.f64s(rows * (rows + 1) / 2)
-	}
-
 	if flags&snapFlagPolicy != 0 {
 		polLen := int(r.u16())
 		if r.err == nil && (polLen < 1 || polLen > maxSnapshotPolicyLen) {
@@ -324,29 +274,6 @@ func decodeSnapshot(blob []byte) (*snapshot, error) {
 		}
 	}
 
-	mn := int(r.u32())
-	if r.err == nil && mn > maxSnapshotManifest {
-		return nil, fmt.Errorf("sessiond: snapshot: manifest of %d over cap %d", mn, maxSnapshotManifest)
-	}
-	if r.err == nil {
-		s.manifest = make([]meshKey, 0, min(mn, (len(r.b)-r.off)/7+1))
-		for i := 0; i < mn && r.err == nil; i++ {
-			objLen := int(r.u16())
-			if r.err == nil && objLen > maxSnapshotObjectLen {
-				return nil, fmt.Errorf("sessiond: snapshot: manifest object name of %d over %d", objLen, maxSnapshotObjectLen)
-			}
-			obj := string(r.take(objLen))
-			step := int(int32(r.u32()))
-			fast := r.u8()
-			if r.err == nil && fast > 1 {
-				// Only 0 and 1 re-encode to the same byte.
-				return nil, fmt.Errorf("sessiond: snapshot: manifest fast flag %d not 0 or 1", fast)
-			}
-			if r.err == nil {
-				s.manifest = append(s.manifest, meshKey{object: obj, ratioStep: step, fast: fast == 1})
-			}
-		}
-	}
 	if r.err != nil {
 		return nil, r.err
 	}

@@ -58,11 +58,6 @@ func buildSnapshot(t *testing.T, id string, rounds int) *snapshot {
 		observes: uint64(rounds),
 		window:   window,
 		opt:      opt.ExportState(),
-		manifest: []meshKey{
-			{object: "teapot", ratioStep: 25, fast: false},
-			{object: "teapot", ratioStep: 40, fast: true},
-			{object: "bunny", ratioStep: 50, fast: false},
-		},
 	}
 }
 
@@ -94,28 +89,11 @@ func sameSnapshot(t *testing.T, got, want *snapshot) {
 		sameF64s(fmt.Sprintf("x[%d]", i), got.opt.X[i], want.opt.X[i])
 	}
 	sameF64s("y", got.opt.Y, want.opt.Y)
-	if got.opt.GPRows != want.opt.GPRows {
-		t.Fatalf("gp rows %d vs %d", got.opt.GPRows, want.opt.GPRows)
-	}
-	if want.opt.GPRows > 0 {
-		if math.Float64bits(got.opt.GPLengthScale) != math.Float64bits(want.opt.GPLengthScale) {
-			t.Fatalf("gp scale %v vs %v", got.opt.GPLengthScale, want.opt.GPLengthScale)
-		}
-		sameF64s("factor", got.opt.GPFactor, want.opt.GPFactor)
-	}
-	if len(got.manifest) != len(want.manifest) {
-		t.Fatalf("manifest: %d vs %d", len(got.manifest), len(want.manifest))
-	}
-	for i := range want.manifest {
-		if got.manifest[i] != want.manifest[i] {
-			t.Fatalf("manifest[%d]: %+v vs %+v", i, got.manifest[i], want.manifest[i])
-		}
-	}
 }
 
 // TestSnapshotRoundTrip is the codec's core contract: decode(encode(s))
 // reproduces every field bit for bit, at every stage of a session's life —
-// empty, mid-init, and with a live GP factor.
+// empty, mid-init, and in the GP phase.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, rounds := range []int{0, 2, 9} {
 		s := buildSnapshot(t, "round-trip", rounds)
@@ -238,56 +216,6 @@ func TestSnapshotRejectsHostileCounts(t *testing.T) {
 			t.Fatal("trailing bytes accepted")
 		}
 	})
-	t.Run("manifest fast byte not 0 or 1", func(t *testing.T) {
-		withMesh := *s
-		withMesh.manifest = []meshKey{{object: "a", ratioStep: 10}}
-		m := encodeSnapshot(&withMesh)
-		m = m[:len(m)-4]
-		m[len(m)-1] = 2 // the entry's fast byte; the encoder writes only 0 or 1
-		if _, err := decodeSnapshot(rewrapCRC(m)); err == nil {
-			t.Fatal("non-canonical fast byte accepted")
-		}
-	})
-}
-
-// TestMeshCacheManifestRoundTrip pins the manifest contract: restoring a
-// manifest reproduces LRU order with placeholder entries that miss (and
-// re-fill) on first touch rather than serving nil geometry.
-func TestMeshCacheManifestRoundTrip(t *testing.T) {
-	c := newMeshCache(4)
-	keys := []meshKey{
-		{object: "a", ratioStep: 10},
-		{object: "b", ratioStep: 20, fast: true},
-		{object: "c", ratioStep: 30},
-	}
-	for _, k := range keys {
-		c.put(k, nil)
-	}
-	man := c.manifest()
-	if len(man) != len(keys) {
-		t.Fatalf("manifest has %d entries, want %d", len(man), len(keys))
-	}
-	for i, k := range keys {
-		if man[i] != k {
-			t.Fatalf("manifest[%d] = %+v, want %+v (oldest first)", i, man[i], k)
-		}
-	}
-
-	r := newMeshCache(4)
-	r.restoreManifest(man)
-	got := r.manifest()
-	for i := range man {
-		if got[i] != man[i] {
-			t.Fatalf("restored manifest[%d] = %+v, want %+v", i, got[i], man[i])
-		}
-	}
-	// Placeholders must read as misses: identity survived, geometry did not.
-	if m := r.get(keys[0]); m != nil {
-		t.Fatalf("placeholder returned a mesh: %v", m)
-	}
-	if r.misses != 1 || r.hits != 0 {
-		t.Fatalf("placeholder get counted hits=%d misses=%d, want 0/1", r.hits, r.misses)
-	}
 }
 
 // corpusDir is where FuzzSnapshotDecode's checked-in seeds live.

@@ -68,7 +68,7 @@ type openResult struct {
 // parameters is returned as-is — an idempotent open, so a client retrying a
 // lost open response cannot destroy its own GP history; changed parameters
 // rebuild the session from scratch. A session absent from memory but
-// present in the store is restored from its snapshot in O(m) — the replay
+// present in the store is restored from its snapshot — the replay
 // path is needed only when the snapshot is missing or corrupt. A full shard
 // evicts its LRU victim first; with a store configured the victim's state
 // is snapshotted instead of dropped, so eviction demotes a session to disk
