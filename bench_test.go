@@ -260,7 +260,7 @@ func benchChaosSession(b *testing.B, failStop bool) {
 		rt.SetLODProvider(sessiond.NewLOD(ctx, sc))
 		if !failStop {
 			rt.SetLocalFallback(render.NewLocalDecimator(built.Library))
-			rt.SetBOBackend(sessiond.NewBackend(ctx, sc), 42)
+			rt.SetBOBackend(sessiond.NewBackend(ctx, sc))
 		}
 		sess, err := core.NewSession(rt, sessCfg, sim.NewRNG(uint64(i+1)))
 		if err != nil {

@@ -26,8 +26,8 @@ import (
 // chaosEdge hosts the edge service (sessiond over an edge.Server catalog of
 // the scenario's objects) on a loopback test server and returns the edge
 // client, built with cfg, plus a session client bound to it. The session
-// uses the scenario's HBO parameters and seed 42, the BO backend seed the
-// callers pass to SetBOBackend. stop shuts the server down.
+// uses the scenario's HBO parameters and BO seed 42. stop shuts the server
+// down.
 func chaosEdge(tb testing.TB, spec scenario.Spec, hbo core.Config, cfg edge.ClientConfig) (ec *edge.Client, sc *sessiond.Client, stop func()) {
 	tb.Helper()
 	specs := make([]render.ObjectSpec, 0, len(spec.Objects))
@@ -104,7 +104,7 @@ func TestChaosSessionSurvivesUnreliableEdge(t *testing.T) {
 	rt := built.Runtime
 	rt.SetLODProvider(sessiond.NewLOD(ctx, sc))
 	rt.SetLocalFallback(render.NewLocalDecimator(built.Library))
-	rt.SetBOBackend(sessiond.NewBackend(ctx, sc), 42)
+	rt.SetBOBackend(sessiond.NewBackend(ctx, sc))
 	sess, err := core.NewSession(rt, sessCfg, sim.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)

@@ -108,16 +108,19 @@ func TestLODNoFallbackSurfacesError(t *testing.T) {
 	}
 }
 
-// fakeBO is a scriptable remote BO backend.
+// fakeBO is a scriptable remote BO backend that records the activation
+// number of every call.
 type fakeBO struct {
-	point     []float64
-	err       error
-	available bool
-	calls     int
+	point       []float64
+	err         error
+	available   bool
+	calls       int
+	activations []int
 }
 
-func (f *fakeBO) BONextPoint(resources int, rmin float64, seed uint64, points [][]float64, costs []float64) ([]float64, error) {
+func (f *fakeBO) BONextPoint(activation int, points [][]float64, costs []float64) ([]float64, error) {
 	f.calls++
+	f.activations = append(f.activations, activation)
 	if f.err != nil {
 		return nil, f.err
 	}
@@ -138,7 +141,7 @@ func fastConfig() core.Config {
 func TestRemoteBOProposalsUsed(t *testing.T) {
 	built := buildScenario(t, scenario.SC2CF2(), 5)
 	remote := &fakeBO{point: []float64{0.5, 0.3, 0.2, 0.8}, available: true}
-	built.Runtime.SetBOBackend(remote, 42)
+	built.Runtime.SetBOBackend(remote)
 	res, err := core.RunActivation(built.Runtime, fastConfig(), sim.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +163,37 @@ func TestRemoteBOProposalsUsed(t *testing.T) {
 	}
 }
 
+// TestRemoteBOActivationNumbers pins the activation boundary the backend
+// scopes its server session to: every call within one RunActivation carries
+// the same number, and the next RunActivation on the same runtime a new one.
+func TestRemoteBOActivationNumbers(t *testing.T) {
+	built := buildScenario(t, scenario.SC2CF2(), 5)
+	remote := &fakeBO{point: []float64{0.5, 0.3, 0.2, 0.8}, available: true}
+	built.Runtime.SetBOBackend(remote)
+	for k := 0; k < 2; k++ {
+		if _, err := core.RunActivation(built.Runtime, fastConfig(), sim.NewRNG(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// fastConfig has 3 post-init iterations per activation.
+	if len(remote.activations) != 6 {
+		t.Fatalf("backend saw %d calls, want 6: %v", len(remote.activations), remote.activations)
+	}
+	first, second := remote.activations[0], remote.activations[3]
+	if first == second {
+		t.Fatalf("two activations passed the same number %d: %v", first, remote.activations)
+	}
+	for i, a := range remote.activations {
+		want := first
+		if i >= 3 {
+			want = second
+		}
+		if a != want {
+			t.Fatalf("call %d carried activation %d, want %d: %v", i, a, want, remote.activations)
+		}
+	}
+}
+
 func TestRemoteBOFallsBackLocally(t *testing.T) {
 	for name, remote := range map[string]*fakeBO{
 		"erroring":      {err: fmt.Errorf("link down"), available: true},
@@ -168,7 +202,7 @@ func TestRemoteBOFallsBackLocally(t *testing.T) {
 		"wrong-dim":     {point: []float64{0.5, 0.5}, available: true},
 	} {
 		built := buildScenario(t, scenario.SC2CF2(), 5)
-		built.Runtime.SetBOBackend(remote, 42)
+		built.Runtime.SetBOBackend(remote)
 		res, err := core.RunActivation(built.Runtime, fastConfig(), sim.NewRNG(5))
 		if err != nil {
 			t.Fatalf("%s backend aborted the activation: %v", name, err)
@@ -193,7 +227,7 @@ func TestActivationMatchesNoBackendRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := buildScenario(t, scenario.SC2CF2(), 7)
-	faulty.Runtime.SetBOBackend(&fakeBO{err: fmt.Errorf("down"), available: true}, 42)
+	faulty.Runtime.SetBOBackend(&fakeBO{err: fmt.Errorf("down"), available: true})
 	resFaulty, err := core.RunActivation(faulty.Runtime, fastConfig(), sim.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)

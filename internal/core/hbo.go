@@ -164,13 +164,14 @@ func RunActivation(rt *Runtime, cfg Config, rng *sim.RNG) (*Result, error) {
 		return nil, err
 	}
 	opt.SetObserver(rt.reg)
+	rt.activations++
 	rt.metActivations.Inc()
 	rt.emit(obs.Event{TimeMS: rt.Sys.Now(), Kind: "core.activation.start"})
 	res := &Result{}
 	total := cfg.InitSamples + cfg.Iterations
-	// points and costs mirror the optimizer's database for the (stateless)
-	// remote backend; the local optimizer observes every sample regardless
-	// of who proposed it, so it can take over mid-activation at any time.
+	// points and costs mirror the optimizer's database for the remote
+	// backend; the local optimizer observes every sample regardless of who
+	// proposed it, so it can take over mid-activation at any time.
 	var points [][]float64
 	var costs []float64
 	for i := 0; i < total; i++ {
@@ -240,7 +241,7 @@ func (rt *Runtime) proposeRemote(dom bo.Domain, cfg Config, i int, points [][]fl
 		res.FallbackProposals++
 		return nil
 	}
-	p, err := rt.boBackend.BONextPoint(tasks.NumResources, cfg.RMin, rt.boSeed, points, costs)
+	p, err := rt.boBackend.BONextPoint(rt.activations, points, costs)
 	if err != nil || len(p) != dom.Dim() || !dom.Contains(p) {
 		res.FallbackProposals++
 		return nil

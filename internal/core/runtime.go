@@ -35,7 +35,9 @@ type Runtime struct {
 	// boBackend, when set, proposes BO configurations remotely (§VI); on
 	// error the activation transparently falls back to the local optimizer.
 	boBackend BOBackend
-	boSeed    uint64
+	// activations numbers RunActivation calls, so the backend can scope
+	// one server-side optimizer to each activation.
+	activations int
 	// degraded is sticky across windows: true from the moment a fallback
 	// takes over until the primary provider serves successfully again.
 	degraded       bool
@@ -84,13 +86,17 @@ func (rt *Runtime) SetObserver(reg *obs.Registry) {
 // Observer returns the attached registry (nil when observability is off).
 func (rt *Runtime) Observer() *obs.Registry { return rt.reg }
 
-// BOBackend proposes the next BO configuration from the full observation
-// database — the §VI remote-BO step. Every call carries the whole history,
-// so any proposal can be lost to the link without corrupting the session.
-// sessiond.Backend implements it over the edge's session service, shipping
+// BOBackend proposes the next BO configuration from one activation's
+// observation database — the §VI remote-BO step. activation numbers the
+// runtime's RunActivation calls from 1: each activation is a fresh BO run over
+// its own database (Algorithm 1), so a new number must not be proposed
+// from an earlier activation's history. Every call carries the
+// activation's whole history, so any proposal can be lost to the link
+// without corrupting the session. sessiond.Backend implements it over the
+// edge's session service, one server session per activation, shipping
 // only the tail the server has not yet seen.
 type BOBackend interface {
-	BONextPoint(resources int, rmin float64, seed uint64, points [][]float64, costs []float64) ([]float64, error)
+	BONextPoint(activation int, points [][]float64, costs []float64) ([]float64, error)
 }
 
 // NewRuntime registers every task of the set on its profiled best resource
@@ -134,12 +140,11 @@ func (rt *Runtime) SetLocalFallback(p render.LODProvider) {
 	rt.fallbackLOD = p
 }
 
-// SetBOBackend attaches a remote BO proposer (the edge client) with the
-// seed its server-side optimizer runs under. Activations ask it for
-// post-init proposals and fall back to the local optimizer when it fails.
-func (rt *Runtime) SetBOBackend(b BOBackend, seed uint64) {
+// SetBOBackend attaches a remote BO proposer (the edge client).
+// Activations ask it for post-init proposals and fall back to the local
+// optimizer when it fails.
+func (rt *Runtime) SetBOBackend(b BOBackend) {
 	rt.boBackend = b
-	rt.boSeed = seed
 }
 
 // Degraded reports whether the runtime is currently operating on fallback

@@ -74,7 +74,7 @@ func (h *chaosHarness) backend(t *testing.T, id string, seed uint64) *Backend {
 func driveBackend(t *testing.T, b *Backend, points [][]float64, costs []float64, rounds int) ([][]float64, []float64) {
 	t.Helper()
 	for i := 0; i < rounds; i++ {
-		pt, err := b.BONextPoint(3, 0.1, b.c.p.seed, points, costs)
+		pt, err := b.BONextPoint(1, points, costs)
 		if err != nil {
 			t.Fatalf("BONextPoint: %v", err)
 		}
@@ -167,7 +167,7 @@ func TestChaosKillRestartBitIdentical(t *testing.T) {
 
 	for _, d := range sessions {
 		want := expectContinuation(t, d.seed, d.points, d.costs, d.rounds-1)
-		got, err := h2.backend(t, d.id, d.seed).BONextPoint(3, 0.1, d.seed, d.points, d.costs)
+		got, err := h2.backend(t, d.id, d.seed).BONextPoint(1, d.points, d.costs)
 		if err != nil {
 			t.Fatalf("post-restart BONextPoint for %s: %v", d.id, err)
 		}
@@ -179,7 +179,7 @@ func TestChaosKillRestartBitIdentical(t *testing.T) {
 	// The uncommitted session has no snapshot: its re-open reports zero
 	// observations and the backend transparently replays the full history.
 	want := expectContinuation(t, fresh.seed, fresh.points, fresh.costs, 0)
-	got, err := h2.backend(t, fresh.id, fresh.seed).BONextPoint(3, 0.1, fresh.seed, fresh.points, fresh.costs)
+	got, err := h2.backend(t, fresh.id, fresh.seed).BONextPoint(1, fresh.points, fresh.costs)
 	if err != nil {
 		t.Fatalf("full-replay BONextPoint: %v", err)
 	}
@@ -233,7 +233,7 @@ func TestChaosTornWriteDegradesToReplay(t *testing.T) {
 	// The restored session is two observations behind the client; the
 	// backend ships the missing tail and the stream continues bit-identically.
 	want := expectContinuation(t, seed, points, costs, rounds-2)
-	got, err := h2.backend(t, id, seed).BONextPoint(3, 0.1, seed, points, costs)
+	got, err := h2.backend(t, id, seed).BONextPoint(1, points, costs)
 	if err != nil {
 		t.Fatalf("post-recovery BONextPoint: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -336,39 +335,75 @@ func evicted(err error) bool {
 	return ok && code == http.StatusNotFound
 }
 
-// Backend adapts the session client to core.BOBackend: the runtime hands it
-// the full observation history every call, and the backend ships only the
+// Backend adapts the session client to core.BOBackend: one server session
+// per activation, fed that activation's history. The runtime hands it the
+// activation's full history every call, and the backend ships only the
 // tail the server has not seen yet before asking for the next suggestion.
-// When the server evicted the session mid-run, the backend transparently
-// re-admits: re-open, sync histories, and retry the suggestion once. With a
-// durable store behind the server the re-open restores from snapshot, so
-// the sync ships only the observations the snapshot missed — O(m) instead
-// of the full O(n) replay, which remains the corrupt/missing-snapshot
-// fallback (the session seed makes the rebuilt optimizer deterministic).
+// A new activation number closes the previous activation's server session
+// and opens a fresh one under the same seed, so no observation ever lands
+// in an earlier activation's optimizer. When the server evicted the session
+// mid-activation, the backend transparently re-admits: re-open, sync
+// histories, and retry the suggestion once. With a durable store behind
+// the server the re-open restores from snapshot, so the sync ships only the
+// observations the snapshot missed — O(m) instead of the full O(n) replay,
+// which remains the corrupt/missing-snapshot fallback (the session seed
+// makes the rebuilt optimizer deterministic).
 type Backend struct {
 	c   *Client
 	ctx context.Context
 
-	opened bool
-	sent   int
+	// activation is the activation the server session serves (0: none yet).
+	activation int
+	// sent counts the observations the server session holds; −1 means the
+	// session must be (re)opened to learn it.
+	sent int
 }
 
 // NewBackend wraps a session client for use as a core.BOBackend. The
 // context bounds every call the runtime makes through it.
 func NewBackend(ctx context.Context, c *Client) *Backend {
-	return &Backend{c: c, ctx: ctx}
+	return &Backend{c: c, ctx: ctx, sent: -1}
 }
 
-// BONextPoint implements core.BOBackend.
-func (b *Backend) BONextPoint(resources int, rmin float64, seed uint64, points [][]float64, costs []float64) ([]float64, error) {
+// BONextPoint implements core.BOBackend. The first activation a Backend
+// sees adopts whatever the server holds under the session ID (a warm
+// restart's snapshot is a prefix of the client's history); every later
+// activation starts from a closed session. A failed close fails the call —
+// core proposes locally for that iteration — and the next call retries it.
+func (b *Backend) BONextPoint(activation int, points [][]float64, costs []float64) ([]float64, error) {
 	if len(points) != len(costs) {
 		return nil, fmt.Errorf("sessiond: %d points vs %d costs", len(points), len(costs))
 	}
-	if resources != b.c.p.resources || math.Float64bits(rmin) != math.Float64bits(b.c.p.rmin) {
-		return nil, fmt.Errorf("sessiond: backend opened for %d resources (rmin %v), asked for %d (rmin %v)",
-			b.c.p.resources, b.c.p.rmin, resources, rmin)
+	if activation != b.activation {
+		if b.activation != 0 {
+			if err := b.c.CloseSession(b.ctx); err != nil {
+				return nil, err
+			}
+		}
+		b.activation, b.sent = activation, -1
 	}
-	if !b.opened {
+	p, err := b.syncSuggest(points, costs)
+	if evicted(err) {
+		// No second-chance recursion: a re-eviction inside this retry
+		// fails the call, and core's local fallback takes over.
+		b.sent = -1
+		p, err = b.syncSuggest(points, costs)
+		if b.sent >= 0 { // the re-open succeeded
+			b.c.reopens++
+			b.c.metReopens.Inc()
+		}
+	}
+	return p, err
+}
+
+// syncSuggest brings the server session up to the client's history and
+// asks it for the next point. When sent is unknown it opens the session
+// first: a restored snapshot already holds the first resp.Observations
+// points, and a fresh session none, so only the tail is shipped. The slot
+// index doubles as the idempotency index: a retry after a lost response
+// cannot double-apply.
+func (b *Backend) syncSuggest(points [][]float64, costs []float64) ([]float64, error) {
+	if b.sent < 0 {
 		resp, err := b.c.Open(b.ctx)
 		if err != nil {
 			return nil, err
@@ -376,61 +411,20 @@ func (b *Backend) BONextPoint(resources int, rmin float64, seed uint64, points [
 		if resp.Observations > len(points) {
 			return nil, fmt.Errorf("sessiond: server session holds %d observations, client only %d", resp.Observations, len(points))
 		}
-		b.opened = true
-		// A warm-restarted (or still-live) server session already holds a
-		// prefix of our history; only the tail needs shipping.
 		b.sent = resp.Observations
 	}
 	for b.sent < len(points) {
-		// The slot index doubles as the idempotency index: a retry after a
-		// lost response cannot double-apply.
 		if err := b.c.ObserveAt(b.ctx, b.sent, points[b.sent], costs[b.sent]); err != nil {
-			if evicted(err) {
-				return b.readmit(points, costs)
-			}
 			return nil, err
 		}
 		b.sent++
 	}
-	p, err := b.c.Suggest(b.ctx)
-	if err != nil {
-		if evicted(err) {
-			return b.readmit(points, costs)
-		}
-		return nil, err
-	}
-	return p, nil
+	return b.c.Suggest(b.ctx)
 }
 
 // Available lets core's degradation probe skip remote proposals while the
 // link's circuit is open.
 func (b *Backend) Available() bool { return b.c.Available() }
-
-// readmit re-opens an evicted session and syncs the observation history
-// before retrying the suggestion. When the re-open restored a snapshot the
-// server already holds the first resp.Observations points, so only the tail
-// is shipped; a missing or corrupt snapshot reports zero observations and
-// degrades to the full-history replay this method has always been. No
-// second-chance recursion: a re-eviction inside the sync fails the call,
-// and core's local fallback takes over for this iteration.
-func (b *Backend) readmit(points [][]float64, costs []float64) ([]float64, error) {
-	resp, err := b.c.Open(b.ctx)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Observations > len(points) {
-		return nil, fmt.Errorf("sessiond: restored session holds %d observations, client only %d", resp.Observations, len(points))
-	}
-	b.c.reopens++
-	b.c.metReopens.Inc()
-	for i := resp.Observations; i < len(points); i++ {
-		if err := b.c.ObserveAt(b.ctx, i, points[i], costs[i]); err != nil {
-			return nil, fmt.Errorf("sessiond: replaying history after eviction: %w", err)
-		}
-	}
-	b.sent = len(points)
-	return b.c.Suggest(b.ctx)
-}
 
 // LOD adapts the session client to render.LODProvider, binding a context
 // and the precise (non-fast) decimation path the paper's TD step uses.

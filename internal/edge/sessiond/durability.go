@@ -52,12 +52,9 @@ type DurabilityStats struct {
 // and has already checked sess.durable, so the assertion cannot fail.
 func (sess *session) snapshotLocked() *snapshot {
 	return &snapshot{
-		id:       sess.id,
-		p:        sess.p,
-		suggests: uint64(sess.suggests),
-		observes: uint64(sess.observes),
-		window:   append([]float64(nil), sess.window...),
-		opt:      sess.opt.(bo.DurablePolicy).ExportState(),
+		id:  sess.id,
+		p:   sess.p,
+		opt: sess.opt.(bo.DurablePolicy).ExportState(),
 	}
 }
 
@@ -135,14 +132,11 @@ func (s *Service) restoreSession(snap *snapshot) (*session, error) {
 	}
 	_, durable := opt.(bo.DurablePolicy)
 	return &session{
-		id:       snap.id,
-		p:        snap.p,
-		opt:      opt,
-		durable:  durable,
-		window:   snap.window,
-		suggests: int(snap.suggests),
-		observes: int(snap.observes),
-		meshes:   newMeshCache(s.cfg.MeshCacheCap),
+		id:      snap.id,
+		p:       snap.p,
+		opt:     opt,
+		durable: durable,
+		meshes:  newMeshCache(s.cfg.MeshCacheCap),
 	}, nil
 }
 

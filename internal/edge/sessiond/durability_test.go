@@ -349,9 +349,10 @@ func TestDurabilityParamChangeDiscardsSnapshot(t *testing.T) {
 
 // TestDurabilityCorruptSnapshotFallsBack checks the degradation path: a
 // snapshot that fails decode is counted, deleted, and the open falls back to
-// a fresh session (zero observations — the client's cue to replay). A
-// version-1 snapshot of a GP-phase session, which carried the Cholesky
-// factor, takes the same path: that is the v1 → v2 upgrade.
+// a fresh session (zero observations — the client's cue to replay). Older
+// snapshots of a GP-phase session take the same path, which is the upgrade
+// to version 3: version 1 carried the Cholesky factor, version 2
+// suggest/observe counts and a reward window that nothing read.
 func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 	store := snapstore.NewMemStore()
 	cfg := DefaultConfig()
@@ -380,26 +381,30 @@ func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal("corrupt snapshot not deleted")
 	}
 
-	v1, err := os.ReadFile("testdata/snapshot-v1-gp.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put("seed-gp", v1); err != nil {
-		t.Fatalf("seeding v1 blob: %v", err)
-	}
-	// The blob's own parameters, so only its version can refuse it.
-	sess, res, err = svc.open("seed-gp", params{resources: 3, rmin: 0.1, seed: 99, init: 4})
-	if err != nil || res.restored || res.existing {
-		t.Fatalf("open over v1 snapshot = (%+v err=%v), want fresh fallback", res, err)
-	}
-	if got := sess.observations(); got != 0 {
-		t.Fatalf("v1 fallback session holds %d observations, want 0", got)
-	}
-	if d := svc.Durability(); d.Corrupt != 2 || d.Restores != 0 {
-		t.Fatalf("durability = %+v, want the v1 blob counted corrupt, zero restores", d)
-	}
-	if _, ok, _ := store.Get("seed-gp"); ok {
-		t.Fatal("v1 snapshot not deleted")
+	for i, file := range []string{"testdata/snapshot-v1-gp.bin", "testdata/snapshot-v2-gp.bin"} {
+		old, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put("seed-gp", old); err != nil {
+			t.Fatalf("seeding %s: %v", file, err)
+		}
+		// The blob's own parameters, so only its version can refuse it.
+		sess, res, err = svc.open("seed-gp", params{resources: 3, rmin: 0.1, seed: 99, init: 4})
+		if err != nil || res.restored || res.existing {
+			t.Fatalf("open over %s = (%+v err=%v), want fresh fallback", file, res, err)
+		}
+		if got := sess.observations(); got != 0 {
+			t.Fatalf("%s fallback session holds %d observations, want 0", file, got)
+		}
+		if d := svc.Durability(); d.Corrupt != uint64(2+i) || d.Restores != 0 {
+			t.Fatalf("durability = %+v, want %s counted corrupt, zero restores", d, file)
+		}
+		if _, ok, _ := store.Get("seed-gp"); ok {
+			t.Fatalf("%s not deleted", file)
+		}
+		// Drop the fresh session so the next blob's open reads the store.
+		svc.remove("seed-gp")
 	}
 
 	// A snapshot stored under the wrong id is corruption too.
@@ -419,8 +424,8 @@ func TestDurabilityCorruptSnapshotFallsBack(t *testing.T) {
 	if _, res, err := svc.open("c", testParams(2)); err != nil || res.restored {
 		t.Fatalf("open over mismatched snapshot = (%+v err=%v), want fresh", res, err)
 	}
-	if svc.Durability().Corrupt != 3 {
-		t.Fatalf("Corrupt = %d, want 3", svc.Durability().Corrupt)
+	if svc.Durability().Corrupt != 4 {
+		t.Fatalf("Corrupt = %d, want 4", svc.Durability().Corrupt)
 	}
 }
 

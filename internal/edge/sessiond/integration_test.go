@@ -241,7 +241,7 @@ func TestBackendReplayAfterEviction(t *testing.T) {
 	var points [][]float64
 	var costs []float64
 	for k := 0; k < 4; k++ {
-		got, err := backend.BONextPoint(testResources, testRMin, 42, points, costs)
+		got, err := backend.BONextPoint(1, points, costs)
 		if err != nil {
 			t.Fatalf("backend step %d: %v", k, err)
 		}
@@ -274,7 +274,7 @@ func TestBackendReplayAfterEviction(t *testing.T) {
 	// from a fresh RNG stream, so the contract is equality with a fresh
 	// reference optimizer fed the same history — not with the pre-eviction
 	// persistent mirror, whose RNG had already advanced.
-	got, err := backend.BONextPoint(testResources, testRMin, 42, points, costs)
+	got, err := backend.BONextPoint(1, points, costs)
 	if err != nil {
 		t.Fatalf("backend after eviction: %v", err)
 	}

@@ -121,7 +121,7 @@ func TestBackendFaultsKeepHistoryInSync(t *testing.T) {
 	var points [][]float64
 	var costs []float64
 	for k := 0; k < 24; k++ {
-		p, err := b.BONextPoint(resources, rmin, seed, points, costs)
+		p, err := b.BONextPoint(1, points, costs)
 		if err != nil {
 			t.Fatalf("suggest %d: %v", k, err)
 		}

@@ -1,9 +1,6 @@
 package sessiond
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // suggestResult is one served suggest: the point and the session's
 // database size, or the optimizer's error.
@@ -44,16 +41,15 @@ func suggestOne(sess *session) suggestResult {
 	if err != nil {
 		return suggestResult{err: fmt.Errorf("sessiond: suggest for %s: %w", sess.id, err)}
 	}
-	sess.suggests++
 	sess.dirty++ // the suggest advanced the RNG: the stored snapshot is stale
 	return suggestResult{point: point, observations: sess.opt.Observations()}
 }
 
 // observeLocked records one (point, cost) pair into the session's GP
-// history and activation window, returning the database size and the
-// session's mutation count since its last snapshot (the periodic-snapshot
-// trigger input). The caller holds sess.mu (observeAt checks the
-// idempotency index under the same lock acquisition as the append).
+// history, returning the database size and the session's mutation count
+// since its last snapshot (the periodic-snapshot trigger input). The caller
+// holds sess.mu (observeAt checks the idempotency index under the same lock
+// acquisition as the append).
 //
 //hbo:noalloc
 func (sess *session) observeLocked(point []float64, cost float64) (int, int, error) {
@@ -63,12 +59,7 @@ func (sess *session) observeLocked(point []float64, cost float64) (int, int, err
 	if err := sess.opt.Observe(point, cost); err != nil {
 		return 0, 0, err
 	}
-	sess.observes++
 	sess.dirty++
-	sess.window = append(sess.window, -cost)
-	if len(sess.window) > windowCap {
-		sess.window = sess.window[len(sess.window)-windowCap:]
-	}
 	return sess.opt.Observations(), sess.dirty, nil
 }
 
@@ -77,20 +68,4 @@ func (sess *session) observations() int {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.opt.Observations()
-}
-
-// windowStats summarizes the activation window: sample count and the mean
-// of the retained recent rewards (NaN-free by construction — Observe
-// rejects non-finite costs).
-func (sess *session) windowStats() (n int, mean float64) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if len(sess.window) == 0 {
-		return 0, math.NaN()
-	}
-	sum := 0.0
-	for _, v := range sess.window {
-		sum += v
-	}
-	return len(sess.window), sum / float64(len(sess.window))
 }

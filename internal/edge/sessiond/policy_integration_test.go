@@ -231,7 +231,7 @@ func TestBackendReplayRecoversEphemeralPolicy(t *testing.T) {
 	var points [][]float64
 	var costs []float64
 	for k := 0; k < 5; k++ {
-		got, err := backend.BONextPoint(testResources, testRMin, seed, points, costs)
+		got, err := backend.BONextPoint(1, points, costs)
 		if err != nil {
 			t.Fatalf("backend step %d: %v", k, err)
 		}
@@ -258,7 +258,7 @@ func TestBackendReplayRecoversEphemeralPolicy(t *testing.T) {
 		t.Fatalf("open intruder: %v", err)
 	}
 
-	got, err := backend.BONextPoint(testResources, testRMin, seed, points, costs)
+	got, err := backend.BONextPoint(1, points, costs)
 	if err != nil {
 		t.Fatalf("backend after eviction: %v", err)
 	}

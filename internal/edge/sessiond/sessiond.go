@@ -2,8 +2,9 @@
 // paper's Figure 3 edge — mesh decimation and the Bayesian-optimization
 // step — and keeps one HBO session per connected client alive server-side:
 // its GP history (the BO database and the incrementally extended Cholesky
-// factorization), its activation window of recent rewards, and a
-// per-session mesh cache over the shared object catalog.
+// factorization) and a per-session mesh cache over the shared object
+// catalog. A session is one activation's BO run: the client's backend opens
+// a fresh session at each activation's first remote suggest.
 //
 // The store is sharded and lock-striped: a session's ID hashes to one of
 // Config.Shards shards, each holding an independent mutex, session map, and
@@ -57,8 +58,6 @@ const (
 	maxSessionObservations = 10000
 	// maxIDLen bounds session identifiers.
 	maxIDLen = 128
-	// windowCap bounds the per-session activation window of recent rewards.
-	windowCap = 32
 	// retryAfterSec is the Retry-After hint (whole seconds) sent with
 	// admission rejections.
 	retryAfterSec = 1
@@ -172,12 +171,7 @@ type session struct {
 	// sessions snapshot on eviction/drain, ephemeral ones (e.g. cmaes) are
 	// dropped and rebuilt via the client's replay fallback.
 	durable bool
-	// window is the activation window: the most recent rewards (−cost), a
-	// bounded ring surfaced through /session/statz.
-	window   []float64
-	suggests int
-	observes int
-	meshes   *meshCache
+	meshes  *meshCache
 	// dirty counts mutations (observations and served suggests — both move
 	// optimizer state) since the last snapshot save; zero means the store
 	// already holds this session's exact state.

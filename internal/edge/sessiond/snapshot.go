@@ -16,19 +16,19 @@ import (
 //	flags   u16  bit1: a policy name follows (bit0, v1's GP factor, is unused)
 //	id      u16 length + bytes                  (≤ maxIDLen)
 //	params  resources u32, rmin f64, seed u64, init u32
-//	counts  suggests u64, observes u64
 //	rng     u64  sim.RNG state
-//	window  u32 n + n×f64                       (≤ windowCap)
 //	obs     u32 n, u32 dim, n×dim f64 xs, n f64 ys
 //	policy  [flag] u16 length + bytes           (≤ maxSnapshotPolicyLen)
 //	crc     u32  IEEE CRC-32 of every preceding byte
 //
-// The optimizer's part is its observation database and RNG word only: the
-// GP surrogate is derived from them and refit at the first suggest after a
-// restore, and the session's mesh LRU restarts empty. Version 1 also
-// carried the Cholesky factor and a mesh-LRU manifest; a v1 blob fails
-// decode, and the corrupt-snapshot path (a fresh session, then the
-// client's replay) recovers it.
+// The session's state is its parameters, its optimizer's observation
+// database and its RNG word, nothing else: the GP surrogate is derived from
+// them and refit at the first suggest after a restore, and the session's
+// mesh LRU restarts empty. Version 1 also carried the Cholesky factor and a
+// mesh-LRU manifest; versions 1 and 2 carried suggest/observe counts and a
+// window of recent rewards that nothing read. An older blob fails decode,
+// and the corrupt-snapshot path (a fresh session, then the client's replay)
+// recovers it.
 //
 // All integers are little-endian; floats are raw IEEE-754 bit patterns, so
 // encode∘decode is bit-exact and two encodes of the same state are
@@ -39,7 +39,7 @@ import (
 // over-allocating, and the trailing CRC rejects bit rot up front.
 const (
 	snapshotMagic   = 0x48425353 // "HBSS"
-	snapshotVersion = 2
+	snapshotVersion = 3
 
 	// snapFlagPolicy marks a non-default optimizer policy name. The flag is
 	// set if and only if the name is non-empty (the GP-EI default is always
@@ -53,12 +53,9 @@ const (
 
 // snapshot is the decoded form of one session's durable state.
 type snapshot struct {
-	id       string
-	p        params
-	suggests uint64
-	observes uint64
-	window   []float64
-	opt      *bo.OptimizerState
+	id  string
+	p   params
+	opt *bo.OptimizerState
 }
 
 // encodeSnapshot serializes a snapshot. The layout above is append-only
@@ -72,8 +69,7 @@ func encodeSnapshot(s *snapshot) []byte {
 	size := 4 + 2 + 2 + // magic, version, flags
 		2 + len(s.id) +
 		4 + 8 + 8 + 4 + // params
-		8 + 8 + 8 + // counts, rng
-		4 + 8*len(s.window) +
+		8 + // rng
 		4 + 4 + 8*n*dim + 8*n +
 		4 // crc
 	hasPolicy := s.p.policy != ""
@@ -95,13 +91,7 @@ func encodeSnapshot(s *snapshot) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.p.rmin))
 	b = binary.LittleEndian.AppendUint64(b, s.p.seed)
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.p.init))
-	b = binary.LittleEndian.AppendUint64(b, s.suggests)
-	b = binary.LittleEndian.AppendUint64(b, s.observes)
 	b = binary.LittleEndian.AppendUint64(b, s.opt.RNGState)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.window)))
-	for _, v := range s.window {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	b = binary.LittleEndian.AppendUint32(b, uint32(dim))
 	for _, x := range s.opt.X {
@@ -230,15 +220,7 @@ func decodeSnapshot(blob []byte) (*snapshot, error) {
 			return nil, fmt.Errorf("sessiond: snapshot: %w", err)
 		}
 	}
-	s.suggests = r.u64()
-	s.observes = r.u64()
 	s.opt.RNGState = r.u64()
-
-	wn := int(r.u32())
-	if r.err == nil && wn > windowCap {
-		return nil, fmt.Errorf("sessiond: snapshot: window of %d over cap %d", wn, windowCap)
-	}
-	s.window = r.f64s(wn)
 
 	n := int(r.u32())
 	dim := int(r.u32())

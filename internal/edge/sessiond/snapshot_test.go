@@ -35,37 +35,22 @@ func buildSnapshot(t *testing.T, id string, rounds int) *snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := make([]float64, 0, windowCap)
 	for i := 0; i < rounds; i++ {
 		pt, err := opt.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := snapTestCost(pt)
-		if err := opt.Observe(pt, c); err != nil {
+		if err := opt.Observe(pt, snapTestCost(pt)); err != nil {
 			t.Fatal(err)
 		}
-		if len(window) == windowCap {
-			copy(window, window[1:])
-			window = window[:windowCap-1]
-		}
-		window = append(window, -c)
 	}
-	return &snapshot{
-		id:       id,
-		p:        p,
-		suggests: uint64(rounds),
-		observes: uint64(rounds),
-		window:   window,
-		opt:      opt.ExportState(),
-	}
+	return &snapshot{id: id, p: p, opt: opt.ExportState()}
 }
 
 // sameSnapshot compares every field of two snapshots bit for bit.
 func sameSnapshot(t *testing.T, got, want *snapshot) {
 	t.Helper()
-	if got.id != want.id || got.p != want.p ||
-		got.suggests != want.suggests || got.observes != want.observes {
+	if got.id != want.id || got.p != want.p {
 		t.Fatalf("header mismatch: got %+v want %+v", got, want)
 	}
 	sameF64s := func(tag string, g, w []float64) {
@@ -78,7 +63,6 @@ func sameSnapshot(t *testing.T, got, want *snapshot) {
 			}
 		}
 	}
-	sameF64s("window", got.window, want.window)
 	if got.opt.RNGState != want.opt.RNGState {
 		t.Fatalf("rng state %x vs %x", got.opt.RNGState, want.opt.RNGState)
 	}
@@ -184,8 +168,7 @@ func TestSnapshotRejectsHostileCounts(t *testing.T) {
 	idLen := len(s.id)
 
 	// Byte offsets into the fixed prefix of the wire format (see snapshot.go).
-	offWindow := 8 + 2 + idLen + 24 + 24
-	offObsCount := offWindow + 4 + 8*len(s.window)
+	offObsCount := 8 + 2 + idLen + 24 + 8
 
 	mutate := func(name string, off int, val uint32) {
 		t.Run(name, func(t *testing.T) {
@@ -196,8 +179,6 @@ func TestSnapshotRejectsHostileCounts(t *testing.T) {
 			}
 		})
 	}
-	mutate("window count over cap", offWindow, windowCap+1)
-	mutate("window count huge", offWindow, math.MaxUint32)
 	mutate("observation count over cap", offObsCount, maxSessionObservations+1)
 	mutate("observation count huge", offObsCount, math.MaxUint32)
 	mutate("dim mismatch", offObsCount+4, uint32(s.p.resources+2))

@@ -291,7 +291,7 @@ func runOne(ctx context.Context, cfg Config, idx int, seed uint64) SessionResult
 	if cfg.Observer != nil {
 		sc.SetObserver(cfg.Observer)
 	}
-	built.Runtime.SetBOBackend(sessiond.NewBackend(ctx, sc), boSeed)
+	built.Runtime.SetBOBackend(sessiond.NewBackend(ctx, sc))
 	if cfg.UseLOD {
 		built.Runtime.SetLODProvider(sessiond.NewLOD(ctx, sc))
 		built.Runtime.SetLocalFallback(render.NewLocalDecimator(built.Library))
