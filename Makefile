@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzMeshDecode -fuzztime=$(FUZZTIME) ./internal/edge/sessiond/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzPredictBatch -fuzztime=$(FUZZTIME) ./internal/bo/
+	$(GO) test -run=^$$ -fuzz=FuzzPolicyRestore -fuzztime=$(FUZZTIME) ./internal/bo/policies/
 
 # cover runs the full suite with coverage and prints the per-function
 # summary; the HTML report lands in cover.html. It then enforces a coverage

@@ -14,16 +14,15 @@ import (
 // overkill for the HBO decision space (a handful of dimensions, tens of
 // evaluations) and the diagonal restriction keeps every update O(d).
 //
-// The ask/tell shape is adapted to the Policy contract: Next pops the next
-// phenotype of the current generation (sampling it on demand from the
-// seeded RNG), Observe assigns fitness to outstanding phenotypes FIFO, and
-// the distribution update fires when a full generation of λ samples has
-// been scored. Observations that arrive with no outstanding phenotype
-// (e.g. a re-admission replay into a fresh instance) only extend the
-// history — the evolution state restarts from the replayed best, which is
-// exactly the ephemeral-policy contract: CMA-ES carries evolution paths an
-// OptimizerState cannot express, so it deliberately does NOT implement
-// bo.DurablePolicy.
+// The ask/tell shape is adapted to the Policy contract by making the
+// distribution a pure function of the observation history: the mean starts
+// at the best of the cfg.InitSamples warm-up observations, and every λ
+// observations after warm-up form one generation, ranked by their own
+// costs. Next samples N(m, σ²·diag(C)) from the seeded RNG and never
+// touches the distribution, so an unobserved suggestion, or an observation
+// of a point the policy never suggested, cannot misalign a later ranking.
+// Like every other entrant, the snapshot is the RNG position plus the
+// history, and Restore replays Observe.
 type CMAES struct {
 	dom bo.Domain
 	cfg bo.Config
@@ -44,31 +43,19 @@ type CMAES struct {
 	cmu     float64
 	chiN    float64
 
-	// Evolving distribution state; initialized lazily at the first
-	// post-warm-up Next from the best observed point.
-	started bool
-	mean    []float64
-	sigma   float64
-	diagC   []float64 // diagonal covariance
-	ps      []float64 // conjugate evolution path (step size)
-	pc      []float64 // evolution path (covariance)
-	gen     int       // completed generation count
-
-	// Current generation: phenotypes issued by Next awaiting fitness,
-	// scored FIFO by Observe.
-	pending []cmaSample
-	scored  int
+	// Evolving distribution state, set by start once the warm-up is
+	// observed and advanced by update at every generation boundary.
+	mean  []float64
+	sigma float64
+	diagC []float64 // diagonal covariance
+	ps    []float64 // conjugate evolution path (step size)
+	pc    []float64 // evolution path (covariance)
+	gen   int       // completed generation count
 }
 
-// cmaSample is one issued phenotype and, once Observe assigns it, its cost.
-type cmaSample struct {
-	phen     []float64
-	cost     float64
-	observed bool
-}
-
-// NewCMAES builds the strategy over dom. cfg.InitSamples uniform draws seed
-// the history before the distribution starts from the best of them.
+// NewCMAES builds the strategy over dom. The first cfg.InitSamples
+// observations are the warm-up; the distribution starts from the best of
+// them.
 func NewCMAES(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*CMAES, error) {
 	if err := dom.Validate(); err != nil {
 		return nil, err
@@ -114,15 +101,11 @@ func NewCMAES(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*CMAES, error) {
 	}, nil
 }
 
-// Next suggests uniformly at random during warm-up, then samples the next
-// phenotype of the current generation from N(m, σ²·diag(C)) projected onto
-// the domain.
+// Next suggests uniformly at random during warm-up, then samples from
+// N(m, σ²·diag(C)) projected onto the domain.
 func (c *CMAES) Next() ([]float64, error) {
 	if len(c.xs) < c.cfg.InitSamples {
 		return c.dom.Sample(c.rng), nil
-	}
-	if !c.started {
-		c.start()
 	}
 	d := c.dom.Dim()
 	phen := make([]float64, d)
@@ -130,35 +113,12 @@ func (c *CMAES) Next() ([]float64, error) {
 		phen[k] = c.mean[k] + c.sigma*math.Sqrt(c.diagC[k])*c.rng.Norm()
 	}
 	c.dom.Project(phen)
-	c.pending = append(c.pending, cmaSample{phen: append([]float64(nil), phen...)})
 	return phen, nil
 }
 
-// start initializes the distribution from the warm-up's best observation.
-func (c *CMAES) start() {
-	d := c.dom.Dim()
-	best, _, ok := bestOf(c.xs, c.ys)
-	if !ok {
-		best = make([]float64, d)
-		for i := 0; i < c.dom.N; i++ {
-			best[i] = 1 / float64(c.dom.N)
-		}
-		best[c.dom.N] = (c.dom.RMin + 1) / 2
-	}
-	c.mean = best
-	c.sigma = 0.3
-	c.diagC = make([]float64, d)
-	for k := range c.diagC {
-		c.diagC[k] = 1
-	}
-	c.ps = make([]float64, d)
-	c.pc = make([]float64, d)
-	c.started = true
-}
-
-// Observe records the cost and assigns it FIFO to the oldest unscored
-// outstanding phenotype; a full generation triggers the distribution
-// update. Observations with nothing outstanding only extend the history.
+// Observe records the cost. The last warm-up observation starts the
+// distribution; every λ-th observation after it completes a generation and
+// triggers the update.
 func (c *CMAES) Observe(p []float64, cost float64) error {
 	if !c.dom.Contains(p) {
 		return fmt.Errorf("policies: cmaes observed point %v outside domain", p)
@@ -168,15 +128,26 @@ func (c *CMAES) Observe(p []float64, cost float64) error {
 	}
 	c.xs = append(c.xs, append([]float64(nil), p...))
 	c.ys = append(c.ys, cost)
-	if c.scored < len(c.pending) {
-		c.pending[c.scored].cost = cost
-		c.pending[c.scored].observed = true
-		c.scored++
-		if c.scored >= c.lambda {
-			c.update()
-		}
+	switch n := len(c.xs) - c.cfg.InitSamples; {
+	case n == 0:
+		c.start()
+	case n > 0 && n%c.lambda == 0:
+		c.update(c.xs[len(c.xs)-c.lambda:], c.ys[len(c.ys)-c.lambda:])
 	}
 	return nil
+}
+
+// start initializes the distribution at the warm-up's best observation.
+func (c *CMAES) start() {
+	d := c.dom.Dim()
+	c.mean, _, _ = bestOf(c.xs, c.ys)
+	c.sigma = 0.3
+	c.diagC = make([]float64, d)
+	for k := range c.diagC {
+		c.diagC[k] = 1
+	}
+	c.ps = make([]float64, d)
+	c.pc = make([]float64, d)
 }
 
 // Observations returns the number of recorded (point, cost) pairs.
@@ -187,30 +158,29 @@ func (c *CMAES) Best() ([]float64, float64, bool) {
 	return bestOf(c.xs, c.ys)
 }
 
-// update performs one sep-CMA-ES generation step over the λ scored
-// phenotypes: rank by cost (ties broken by issue order), recombine the
-// mean from the top μ, and adapt the evolution paths, the step size, and
-// the diagonal covariance.
-func (c *CMAES) update() {
+// update performs one sep-CMA-ES generation step over one generation's λ
+// observations: rank by cost (ties broken by observation order), recombine
+// the mean from the top μ, and adapt the evolution paths, the step size,
+// and the diagonal covariance.
+func (c *CMAES) update(xs [][]float64, ys []float64) {
 	d := c.dom.Dim()
-	scored := c.pending[:c.lambda]
 	order := make([]int, c.lambda)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return scored[order[a]].cost < scored[order[b]].cost
+		return ys[order[a]] < ys[order[b]]
 	})
 
-	// Effective steps are measured from the evaluated (projected)
-	// phenotypes, not the raw genotypes, so boundary clipping feeds back
-	// into the distribution consistently with what was scored.
+	// Effective steps are measured from the evaluated (projected) points,
+	// not the raw genotypes, so boundary clipping feeds back into the
+	// distribution consistently with what was scored.
 	oldMean := append([]float64(nil), c.mean...)
 	yw := make([]float64, d)
 	for i := 0; i < c.mu; i++ {
-		s := scored[order[i]]
+		x := xs[order[i]]
 		for k := 0; k < d; k++ {
-			yw[k] += c.weights[i] * (s.phen[k] - oldMean[k]) / c.sigma
+			yw[k] += c.weights[i] * (x[k] - oldMean[k]) / c.sigma
 		}
 	}
 	for k := 0; k < d; k++ {
@@ -236,7 +206,7 @@ func (c *CMAES) update() {
 	for k := 0; k < d; k++ {
 		rankMu := 0.0
 		for i := 0; i < c.mu; i++ {
-			y := (scored[order[i]].phen[k] - oldMean[k]) / c.sigma
+			y := (xs[order[i]][k] - oldMean[k]) / c.sigma
 			rankMu += c.weights[i] * y * y
 		}
 		c.diagC[k] = (1-c.c1-c.cmu)*c.diagC[k] +
@@ -253,8 +223,10 @@ func (c *CMAES) update() {
 	if c.sigma > 10 {
 		c.sigma = 10
 	}
+}
 
-	// Carry any phenotypes issued past the generation boundary forward.
-	c.pending = append(c.pending[:0], c.pending[c.lambda:]...)
-	c.scored -= c.lambda
+// ExportState deep-copies the resumable state: the RNG position and the
+// history, from which Restore replays the whole evolution.
+func (c *CMAES) ExportState() *bo.OptimizerState {
+	return historyState(c.rng, c.xs, c.ys)
 }

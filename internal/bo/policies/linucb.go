@@ -205,23 +205,6 @@ func (l *LinUCB) ExportState() *bo.OptimizerState {
 	return historyState(l.rng, l.xs, l.ys)
 }
 
-// restoreLinUCB rebuilds a bandit by replaying the exported history (the
-// Observe path consumes no randomness, so replay is exact) and restoring
-// the RNG position.
-func restoreLinUCB(dom bo.Domain, cfg bo.Config, st *bo.OptimizerState) (*LinUCB, error) {
-	if st == nil {
-		return nil, fmt.Errorf("policies: nil linucb state")
-	}
-	l, err := NewLinUCB(dom, cfg, sim.NewRNG(st.RNGState))
-	if err != nil {
-		return nil, err
-	}
-	if err := replayHistory(l, st); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // ucb scores an arm: θᵀf + α√(fᵀ A⁻¹ f).
 func (l *LinUCB) ucb(arm []float64) float64 {
 	f := l.features(arm)
@@ -299,18 +282,4 @@ func historyState(rng *sim.RNG, xs [][]float64, ys []float64) *bo.OptimizerState
 		st.X[i] = append([]float64(nil), x...)
 	}
 	return st
-}
-
-// replayHistory feeds an exported history back through a policy's Observe
-// path, validating as the live path would.
-func replayHistory(p bo.Policy, st *bo.OptimizerState) error {
-	if len(st.X) != len(st.Y) {
-		return fmt.Errorf("policies: state has %d points but %d costs", len(st.X), len(st.Y))
-	}
-	for i, x := range st.X {
-		if err := p.Observe(x, st.Y[i]); err != nil {
-			return fmt.Errorf("policies: replaying observation %d: %w", i, err)
-		}
-	}
-	return nil
 }

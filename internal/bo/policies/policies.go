@@ -6,12 +6,14 @@
 // contract (all randomness via sim.RNG, no wall clock, bit-identical
 // replay from equal seeds); the GP-EI bo.Optimizer registers here too so
 // every serving and tournament path selects policies by name through one
-// registry.
+// registry. Every entrant's state is a function of its RNG position and
+// its observation history, so every entrant snapshots the same way
+// (ExportState) and restores through one Restore.
 package policies
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/sim"
@@ -30,19 +32,13 @@ const (
 
 // Names returns the registered policy names, sorted.
 func Names() []string {
-	names := []string{NameGPEI, NameLinUCB, NameCMAES, NameRandom, NameThompson}
-	sort.Strings(names)
-	return names
+	return []string{NameCMAES, NameGPEI, NameLinUCB, NameRandom, NameThompson}
 }
 
 // Valid reports whether name selects a registered policy. The empty string
 // is valid (it means the GP-EI default).
 func Valid(name string) bool {
-	switch name {
-	case "", NameGPEI, NameLinUCB, NameCMAES, NameRandom, NameThompson:
-		return true
-	}
-	return false
+	return name == "" || slices.Contains(Names(), name)
 }
 
 // Canonical maps a policy name to its canonical serving form: the GP-EI
@@ -53,13 +49,6 @@ func Canonical(name string) string {
 		return ""
 	}
 	return name
-}
-
-// Durable reports whether the named policy's sessions survive eviction via
-// snapshots. CMA-ES carries evolution paths an OptimizerState cannot
-// express, so it is ephemeral; everything else round-trips.
-func Durable(name string) bool {
-	return Canonical(name) != NameCMAES
 }
 
 // New constructs the named policy over dom. cfg supplies the shared search
@@ -82,22 +71,26 @@ func New(name string, dom bo.Domain, cfg bo.Config, rng *sim.RNG) (bo.Policy, er
 	return nil, fmt.Errorf("policies: unknown policy %q (have %v)", name, Names())
 }
 
-// Restore rebuilds the named policy from an exported state so its future
-// suggestion stream continues bit-identically. Only durable policies
-// restore; asking for an ephemeral one is an error the caller must map to
-// its replay fallback.
+// Restore rebuilds the named policy from an exported state: a fresh
+// instance at the exported RNG position, fed the exported history through
+// Observe (which validates it as the live path would). Every entrant's state
+// is a function of those two, so the restored suggestion stream continues
+// bit-identically.
 func Restore(name string, dom bo.Domain, cfg bo.Config, st *bo.OptimizerState) (bo.Policy, error) {
-	switch Canonical(name) {
-	case "":
-		return bo.NewOptimizerFromState(dom, cfg, st)
-	case NameLinUCB:
-		return restoreLinUCB(dom, cfg, st)
-	case NameRandom:
-		return restoreRandom(dom, cfg, st)
-	case NameThompson:
-		return restoreThompson(dom, cfg, st)
-	case NameCMAES:
-		return nil, fmt.Errorf("policies: %s is ephemeral and cannot be restored from a snapshot", NameCMAES)
+	if st == nil {
+		return nil, fmt.Errorf("policies: nil %q state", name)
 	}
-	return nil, fmt.Errorf("policies: unknown policy %q (have %v)", name, Names())
+	p, err := New(name, dom, cfg, sim.NewRNG(st.RNGState))
+	if err != nil {
+		return nil, err
+	}
+	if len(st.X) != len(st.Y) {
+		return nil, fmt.Errorf("policies: state has %d points but %d costs", len(st.X), len(st.Y))
+	}
+	for i, x := range st.X {
+		if err := p.Observe(x, st.Y[i]); err != nil {
+			return nil, fmt.Errorf("policies: replaying observation %d: %w", i, err)
+		}
+	}
+	return p, nil
 }

@@ -183,76 +183,212 @@ func samePoint(a, b []float64) bool {
 	return true
 }
 
-// TestDurableRoundTrip drives each durable policy, snapshots it mid-stream,
-// restores through the registry, and requires the restored instance to
-// continue bit-identically with the uninterrupted original.
+// TestDurableRoundTrip drives each policy, snapshots it, restores through
+// the registry, and requires the restored instance to continue
+// bit-identically with the uninterrupted original. The cuts sit inside the
+// warm-up, mid-generation, on a generation boundary and two generations
+// in (CMA-ES's λ, with the warm-up, sets where those fall for every
+// entrant alike), and each continuation crosses a generation boundary.
 func TestDurableRoundTrip(t *testing.T) {
 	dom := bo.Domain{N: 3, RMin: 0.1}
+	cfg := testConfig()
+	cma, err := NewCMAES(dom, cfg, sim.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	init, lambda := cfg.InitSamples, cma.lambda
+	cuts := []int{init - 1, init + lambda/2, init + lambda, init + 2*lambda + 3}
 	for _, name := range Names() {
-		if !Durable(name) {
-			continue
-		}
 		name := name
 		t.Run(name, func(t *testing.T) {
-			pol, err := New(name, dom, testConfig(), sim.NewRNG(99))
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			for i := 0; i < 7; i++ {
-				p, err := pol.Next()
+			for _, cut := range cuts {
+				pol, err := New(name, dom, cfg, sim.NewRNG(99))
 				if err != nil {
-					t.Fatalf("Next %d: %v", i, err)
+					t.Fatalf("New: %v", err)
 				}
-				if err := pol.Observe(p, syntheticCost(p)); err != nil {
-					t.Fatalf("Observe %d: %v", i, err)
+				for i := 0; i < cut; i++ {
+					p, err := pol.Next()
+					if err != nil {
+						t.Fatalf("Next %d: %v", i, err)
+					}
+					if err := pol.Observe(p, syntheticCost(p)); err != nil {
+						t.Fatalf("Observe %d: %v", i, err)
+					}
 				}
-			}
-			dp, ok := pol.(bo.DurablePolicy)
-			if !ok {
-				t.Fatalf("%s marked durable but does not implement bo.DurablePolicy", name)
-			}
-			restored, err := Restore(name, dom, testConfig(), dp.ExportState())
-			if err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			if got, want := restored.Observations(), pol.Observations(); got != want {
-				t.Fatalf("restored observations = %d, want %d", got, want)
-			}
-			for i := 0; i < 5; i++ {
-				want, err := pol.Next()
+				restored, err := Restore(name, dom, cfg, pol.ExportState())
 				if err != nil {
-					t.Fatalf("original Next: %v", err)
+					t.Fatalf("cut %d: Restore: %v", cut, err)
 				}
-				got, err := restored.Next()
-				if err != nil {
-					t.Fatalf("restored Next: %v", err)
+				if got, want := restored.Observations(), pol.Observations(); got != want {
+					t.Fatalf("cut %d: restored observations = %d, want %d", cut, got, want)
 				}
-				if !samePoint(got, want) {
-					t.Fatalf("post-restore suggestion %d = %v, want bit-identical %v", i, got, want)
-				}
-				cost := syntheticCost(want)
-				if err := pol.Observe(want, cost); err != nil {
-					t.Fatalf("original Observe: %v", err)
-				}
-				if err := restored.Observe(got, cost); err != nil {
-					t.Fatalf("restored Observe: %v", err)
+				for i := 0; i <= lambda; i++ {
+					want, err := pol.Next()
+					if err != nil {
+						t.Fatalf("original Next: %v", err)
+					}
+					got, err := restored.Next()
+					if err != nil {
+						t.Fatalf("restored Next: %v", err)
+					}
+					if !samePoint(got, want) {
+						t.Fatalf("cut %d: post-restore suggestion %d = %v, want bit-identical %v", cut, i, got, want)
+					}
+					cost := syntheticCost(want)
+					if err := pol.Observe(want, cost); err != nil {
+						t.Fatalf("original Observe: %v", err)
+					}
+					if err := restored.Observe(got, cost); err != nil {
+						t.Fatalf("restored Observe: %v", err)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestEphemeralPolicyRefusesRestore: CMA-ES must not pretend to restore.
-func TestEphemeralPolicyRefusesRestore(t *testing.T) {
-	if Durable(NameCMAES) {
-		t.Fatal("cmaes must be marked ephemeral")
+// TestCMAESGenerationFollowsObservations: a generation is the observations
+// themselves, ranked by their own costs, whatever was suggested in
+// between. A suggest whose response was lost (the RNG advanced, nothing
+// observed) and an observation of a point the policy never suggested must
+// both leave CMA-ES where a fresh instance at the same RNG position, fed
+// the same observations, would be.
+func TestCMAESGenerationFollowsObservations(t *testing.T) {
+	dom := bo.Domain{N: 3, RMin: 0.1}
+	cfg := testConfig()
+	for _, tc := range []struct {
+		name string
+		skew func(c *CMAES) []float64 // returns the point to observe
+	}{
+		{"lost suggest", func(c *CMAES) []float64 {
+			if _, err := c.Next(); err != nil {
+				t.Fatal(err)
+			}
+			p, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+		{"foreign point", func(c *CMAES) []float64 { return dom.Sample(sim.NewRNG(uint64(len(c.xs)))) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 5; seed++ {
+				live, err := NewCMAES(dom, cfg, sim.NewRNG(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				step := func(c *CMAES, p []float64) {
+					if err := c.Observe(p, syntheticCost(p)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < cfg.InitSamples+2; i++ {
+					p, err := live.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					step(live, p)
+				}
+				step(live, tc.skew(live))
+
+				fresh, err := NewCMAES(dom, cfg, sim.NewRNG(live.rng.State()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range live.xs {
+					if err := fresh.Observe(x, live.ys[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 3*live.lambda; i++ {
+					want, err := fresh.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := live.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !samePoint(got, want) {
+						t.Fatalf("seed %d: suggestion %d after the skew = %v, want %v", seed, i, got, want)
+					}
+					step(live, got)
+					step(fresh, want)
+				}
+			}
+		})
 	}
-	if _, err := Restore(NameCMAES, bo.Domain{N: 3, RMin: 0.1}, testConfig(), &bo.OptimizerState{}); err == nil {
-		t.Fatal("Restore(cmaes) succeeded, want ephemeral error")
+}
+
+// FuzzPolicyRestore drives a random entrant through a random interleaving
+// of suggest+observe, suggests whose response is lost, and observations of
+// points the policy never suggested, snapshots it at a random cut, and
+// requires the restored policy to continue bit-identically.
+func FuzzPolicyRestore(f *testing.F) {
+	for i := range Names() {
+		f.Add(uint8(i), uint64(i+1), uint8(2), []byte{0, 0, 0, 0, 2, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(9))
 	}
-	if _, ok := interface{}(&CMAES{}).(bo.DurablePolicy); ok {
-		t.Fatal("CMAES implements DurablePolicy; its evolution paths cannot round-trip an OptimizerState")
-	}
+	f.Fuzz(func(t *testing.T, which uint8, seed uint64, nRaw uint8, script []byte, cutRaw uint8) {
+		names := Names()
+		name := names[int(which)%len(names)]
+		dom := bo.Domain{N: 1 + int(nRaw%5), RMin: 0.1}
+		cfg := testConfig()
+		if len(script) > 64 {
+			script = script[:64]
+		}
+		cut := int(cutRaw) % (len(script) + 1)
+		live, err := New(name, dom, cfg, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outside := sim.NewRNG(^seed)
+		var twin bo.Policy
+		observe := func(p []float64) {
+			cost := syntheticCost(p)
+			if err := live.Observe(p, cost); err != nil {
+				t.Fatal(err)
+			}
+			if twin != nil {
+				if err := twin.Observe(p, cost); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i <= len(script); i++ {
+			if i == cut {
+				if twin, err = Restore(name, dom, cfg, live.ExportState()); err != nil {
+					t.Fatalf("%s: Restore at %d: %v", name, i, err)
+				}
+			}
+			if i == len(script) {
+				break
+			}
+			if script[i]%4 == 3 {
+				observe(dom.Sample(outside))
+				continue
+			}
+			p, err := live.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if twin != nil {
+				q, err := twin.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !samePoint(q, p) {
+					t.Fatalf("%s: op %d after a restore at %d: suggestion %v, want %v", name, i, cut, q, p)
+				}
+			}
+			if script[i]%4 != 2 {
+				observe(p)
+			}
+		}
+		if got, want := twin.Observations(), live.Observations(); got != want {
+			t.Fatalf("%s: restored observations = %d, want %d", name, got, want)
+		}
+	})
 }
 
 // TestRegistry pins the registry surface: name set, aliasing, validation.

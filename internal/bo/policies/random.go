@@ -64,27 +64,3 @@ func (r *Random) Best() ([]float64, float64, bool) {
 func (r *Random) ExportState() *bo.OptimizerState {
 	return historyState(r.rng, r.xs, r.ys)
 }
-
-// restoreRandom rebuilds the policy from an exported state.
-func restoreRandom(dom bo.Domain, cfg bo.Config, st *bo.OptimizerState) (*Random, error) {
-	if st == nil {
-		return nil, fmt.Errorf("policies: nil random state")
-	}
-	r, err := NewRandom(dom, cfg, sim.NewRNG(st.RNGState))
-	if err != nil {
-		return nil, err
-	}
-	if err := replayHistory(r, st); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Interface assertions: LinUCB and Random are durable, CMA-ES is
-// deliberately only a Policy (its evolution paths don't fit an
-// OptimizerState).
-var (
-	_ bo.DurablePolicy = (*LinUCB)(nil)
-	_ bo.DurablePolicy = (*Random)(nil)
-	_ bo.Policy        = (*CMAES)(nil)
-)

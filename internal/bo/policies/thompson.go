@@ -115,22 +115,6 @@ func (t *Thompson) ExportState() *bo.OptimizerState {
 	return historyState(t.rng, t.xs, t.ys)
 }
 
-// restoreThompson rebuilds a sampler by replaying the exported history and
-// restoring the RNG position.
-func restoreThompson(dom bo.Domain, cfg bo.Config, st *bo.OptimizerState) (*Thompson, error) {
-	if st == nil {
-		return nil, fmt.Errorf("policies: nil thompson state")
-	}
-	t, err := NewThompson(dom, cfg, sim.NewRNG(st.RNGState))
-	if err != nil {
-		return nil, err
-	}
-	if err := replayHistory(t, st); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // globalMean is the prior mean: the average of every observed cost.
 func (t *Thompson) globalMean() float64 {
 	sum := 0.0
@@ -158,5 +142,3 @@ func (t *Thompson) nearestArm(p []float64) int {
 	}
 	return bestIdx
 }
-
-var _ bo.DurablePolicy = (*Thompson)(nil)

@@ -13,7 +13,9 @@ package bo
 //     order may influence a suggestion.
 //   - Next is a pure function of (construction parameters, RNG position,
 //     observation history): two policies built identically and fed the same
-//     Observe sequence emit bit-identical suggestion streams.
+//     Observe sequence emit bit-identical suggestion streams. Next may
+//     advance the RNG; anything else it keeps is derived from the history,
+//     so a suggestion that is never observed costs only its draws.
 //   - Observe must not retroactively mutate a slice previously returned by
 //     Next; suggestions are owned by the caller once returned.
 //
@@ -31,24 +33,13 @@ type Policy interface {
 	// Best returns the lowest-cost observed point, ok=false before any
 	// observation.
 	Best() (p []float64, cost float64, ok bool)
-}
-
-// DurablePolicy is a Policy whose complete resumable state fits in an
-// OptimizerState: the RNG position plus the observation database.
-// sessiond snapshots DurablePolicy
-// sessions across evictions and restarts; policies that carry state an
-// OptimizerState cannot express (e.g. CMA-ES evolution paths) are
-// "ephemeral" — eviction drops them and re-admission rebuilds via client
-// replay.
-type DurablePolicy interface {
-	Policy
-	// ExportState deep-copies the policy's resumable state. Restoring via
-	// the policies registry must yield a policy whose future suggestion
-	// stream is bit-identical to the exporter's.
+	// ExportState deep-copies the resumable state: the RNG position and
+	// the observation history. Everything else a policy holds is a
+	// function of those, so the policies registry restores any policy by
+	// replaying the history into a fresh instance at that RNG position,
+	// and the restored suggestion stream is bit-identical to the
+	// exporter's.
 	ExportState() *OptimizerState
 }
 
-var (
-	_ Policy        = (*Optimizer)(nil)
-	_ DurablePolicy = (*Optimizer)(nil)
-)
+var _ Policy = (*Optimizer)(nil)

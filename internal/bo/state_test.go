@@ -1,9 +1,11 @@
-package bo
+package bo_test
 
 import (
 	"math"
 	"testing"
 
+	"github.com/mar-hbo/hbo/internal/bo"
+	"github.com/mar-hbo/hbo/internal/bo/policies"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
 
@@ -17,7 +19,7 @@ func stateTestCost(p []float64) float64 {
 }
 
 // drive advances an optimizer through k suggest+observe rounds.
-func drive(t *testing.T, o *Optimizer, k int) {
+func drive(t *testing.T, o *bo.Optimizer, k int) {
 	t.Helper()
 	for i := 0; i < k; i++ {
 		p, err := o.Next()
@@ -44,24 +46,30 @@ func samePoints(t *testing.T, tag string, got, want []float64) {
 	}
 }
 
+// restore rebuilds a GP-EI optimizer from an exported state through the
+// policies registry, the one restore path every caller uses.
+func restore(dom bo.Domain, cfg bo.Config, st *bo.OptimizerState) (bo.Policy, error) {
+	return policies.Restore(policies.NameGPEI, dom, cfg, st)
+}
+
 // TestExportImportBitIdentity is the core durability contract: exporting an
 // optimizer at any point of its life and rebuilding it from the state must
 // continue the exact suggestion stream the original would have produced —
 // through the init phase, right after init, and deep into GP-driven search.
 func TestExportImportBitIdentity(t *testing.T) {
-	dom := Domain{N: 3, RMin: 0.1}
-	cfg := DefaultConfig()
+	dom := bo.Domain{N: 3, RMin: 0.1}
+	cfg := bo.DefaultConfig()
 	cfg.Candidates = 128
 	cfg.RefineSteps = 10
 	for _, rounds := range []int{0, 2, 5, 9, 17} {
-		live, err := NewOptimizer(dom, cfg, sim.NewRNG(42))
+		live, err := bo.NewOptimizer(dom, cfg, sim.NewRNG(42))
 		if err != nil {
 			t.Fatalf("optimizer: %v", err)
 		}
 		drive(t, live, rounds)
 		st := live.ExportState()
 
-		restored, err := NewOptimizerFromState(dom, cfg, st)
+		restored, err := restore(dom, cfg, st)
 		if err != nil {
 			t.Fatalf("rounds=%d: restore: %v", rounds, err)
 		}
@@ -94,11 +102,11 @@ func TestExportImportBitIdentity(t *testing.T) {
 // tier hits constantly: state exported between a suggest and its observe
 // (RNG already advanced) must resume bit-identically.
 func TestExportAfterSuggestBeforeObserve(t *testing.T) {
-	dom := Domain{N: 2, RMin: 0.2}
-	cfg := DefaultConfig()
+	dom := bo.Domain{N: 2, RMin: 0.2}
+	cfg := bo.DefaultConfig()
 	cfg.Candidates = 64
 	cfg.RefineSteps = 5
-	live, err := NewOptimizer(dom, cfg, sim.NewRNG(7))
+	live, err := bo.NewOptimizer(dom, cfg, sim.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +114,7 @@ func TestExportAfterSuggestBeforeObserve(t *testing.T) {
 	if _, err := live.Next(); err != nil { // dangling suggest: RNG moved, no observe yet
 		t.Fatal(err)
 	}
-	restored, err := NewOptimizerFromState(dom, cfg, live.ExportState())
+	restored, err := restore(dom, cfg, live.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +132,11 @@ func TestExportAfterSuggestBeforeObserve(t *testing.T) {
 // TestImportValidation exercises the defensive checks against states that
 // crossed a disk boundary and rotted.
 func TestImportValidation(t *testing.T) {
-	dom := Domain{N: 2, RMin: 0.1}
-	cfg := DefaultConfig()
+	dom := bo.Domain{N: 2, RMin: 0.1}
+	cfg := bo.DefaultConfig()
 	cfg.Candidates = 32
 	cfg.RefineSteps = 2
-	base, err := NewOptimizer(dom, cfg, sim.NewRNG(3))
+	base, err := bo.NewOptimizer(dom, cfg, sim.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,17 +144,17 @@ func TestImportValidation(t *testing.T) {
 
 	mutations := []struct {
 		name string
-		mut  func(st *OptimizerState)
+		mut  func(st *bo.OptimizerState)
 	}{
 		{"nil state is rejected via nil pointer", nil},
-		{"length mismatch", func(st *OptimizerState) { st.Y = st.Y[:len(st.Y)-1] }},
-		{"point outside domain", func(st *OptimizerState) { st.X[0][0] = 9 }},
-		{"non-finite cost", func(st *OptimizerState) { st.Y[0] = math.NaN() }},
+		{"length mismatch", func(st *bo.OptimizerState) { st.Y = st.Y[:len(st.Y)-1] }},
+		{"point outside domain", func(st *bo.OptimizerState) { st.X[0][0] = 9 }},
+		{"non-finite cost", func(st *bo.OptimizerState) { st.Y[0] = math.NaN() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			if m.mut == nil {
-				if _, err := NewOptimizerFromState(dom, cfg, nil); err == nil {
+				if _, err := restore(dom, cfg, nil); err == nil {
 					t.Fatal("nil state accepted")
 				}
 				return
@@ -154,7 +162,7 @@ func TestImportValidation(t *testing.T) {
 			// Re-export so each mutation starts from a pristine deep copy.
 			st := base.ExportState()
 			m.mut(st)
-			if _, err := NewOptimizerFromState(dom, cfg, st); err == nil {
+			if _, err := restore(dom, cfg, st); err == nil {
 				t.Fatal("corrupt state accepted")
 			}
 		})

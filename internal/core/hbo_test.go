@@ -226,7 +226,7 @@ func TestLookupTable(t *testing.T) {
 		t.Fatal("empty table found an entry")
 	}
 	point := []float64{0.2, 0.2, 0.6, 0.9}
-	tab.Store(key, core.LookupEntry{Point: point, Reward: 0.5})
+	tab.Store(key, core.LookupEntry{Point: point})
 	got, ok := tab.Find(key)
 	if !ok {
 		t.Fatal("stored entry not found")

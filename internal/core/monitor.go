@@ -74,8 +74,7 @@ func (k EnvironmentKey) String() string {
 
 // LookupEntry is one remembered solution.
 type LookupEntry struct {
-	Point  []float64
-	Reward float64
+	Point []float64
 }
 
 // LookupTable is the §VI future-work extension: remember the solution found

@@ -315,7 +315,7 @@ func (s *Session) activate() error {
 	s.lastActivation = s.rt.Sys.Now()
 	s.activations = append(s.activations, ActivationMark{TimeMS: start, EndMS: s.rt.Sys.Now(), Result: res})
 	if s.lookup != nil {
-		s.lookup.Store(Key(s.rt), LookupEntry{Point: res.Point, Reward: -res.Cost})
+		s.lookup.Store(Key(s.rt), LookupEntry{Point: res.Point})
 	}
 	return nil
 }

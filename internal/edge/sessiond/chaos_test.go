@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mar-hbo/hbo/internal/bo"
+	"github.com/mar-hbo/hbo/internal/bo/policies"
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/snapstore"
 	"github.com/mar-hbo/hbo/internal/faults"
@@ -58,13 +59,16 @@ func (h *chaosHarness) kill() {
 	h.ts.Close()
 }
 
-// backend builds a fresh client+backend for one session, as a restarted MAR
-// device would.
-func (h *chaosHarness) backend(t *testing.T, id string, seed uint64) *Backend {
+// backend builds a fresh client+backend for one session under the named
+// policy, as a restarted MAR device would.
+func (h *chaosHarness) backend(t *testing.T, id, policy string, seed uint64) *Backend {
 	t.Helper()
 	c, err := NewClient(h.ec, id, 3, 0.1, seed, 5)
 	if err != nil {
 		t.Fatalf("NewClient %s: %v", id, err)
+	}
+	if err := c.SetPolicy(policy); err != nil {
+		t.Fatalf("SetPolicy %s: %v", policy, err)
 	}
 	return NewBackend(context.Background(), c)
 }
@@ -85,17 +89,17 @@ func driveBackend(t *testing.T, b *Backend, points [][]float64, costs []float64,
 }
 
 // expectContinuation computes the bit-exact suggestion a correct recovery
-// must produce: a mirror optimizer replays committed rounds as full
-// suggest+observe cycles (asserting the recorded points really are the
+// must produce: a mirror of the named policy replays committed rounds as
+// full suggest+observe cycles (asserting the recorded points really are the
 // deterministic stream), ingests the uncommitted tail as bare observations
 // (their suggest-side RNG draws died with the process), and asks for the
 // next point.
-func expectContinuation(t *testing.T, seed uint64, points [][]float64, costs []float64, committed int) []float64 {
+func expectContinuation(t *testing.T, policy string, seed uint64, points [][]float64, costs []float64, committed int) []float64 {
 	t.Helper()
 	p := params{resources: 3, rmin: 0.1, seed: seed, init: 5}
-	opt, err := bo.NewOptimizer(bo.Domain{N: p.resources, RMin: p.rmin}, boConfig(p), sim.NewRNG(p.seed))
+	opt, err := policies.New(policy, bo.Domain{N: p.resources, RMin: p.rmin}, boConfig(p), sim.NewRNG(p.seed))
 	if err != nil {
-		t.Fatalf("mirror optimizer: %v", err)
+		t.Fatalf("mirror policy: %v", err)
 	}
 	for i := 0; i < committed; i++ {
 		pt, err := opt.Next()
@@ -125,66 +129,74 @@ func expectContinuation(t *testing.T, seed uint64, points [][]float64, costs []f
 // SIGKILL'd service restarted over the same store directory serves every
 // previously-committed session with a bit-identical next suggestion, using
 // snapshot restore plus tail-only replay — and a session that never reached
-// a commit point degrades to the full-replay fallback.
+// a commit point degrades to the full-replay fallback. Every entrant runs
+// it, with sessions cut inside the warm-up and past one and two CMA-ES
+// generations (init 5 + λ 8 at d = 4).
 func TestChaosKillRestartBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	h1 := startChaosService(t, nil, dir)
+	for _, policy := range policies.Names() {
+		t.Run(policy, func(t *testing.T) {
+			dir := t.TempDir()
+			h1 := startChaosService(t, nil, dir)
 
-	// Committed sessions: m calls commit m−1 observations each (every
-	// observe saves; the final suggest's RNG advance dies with the process).
-	type driven struct {
-		id     string
-		seed   uint64
-		rounds int
-		points [][]float64
-		costs  []float64
-	}
-	sessions := []*driven{
-		{id: "kill-a", seed: 11, rounds: 5},
-		{id: "kill-b", seed: 22, rounds: 3},
-		{id: "kill-c", seed: 33, rounds: 7},
-	}
-	for _, d := range sessions {
-		d.points, d.costs = driveBackend(t, h1.backend(t, d.id, d.seed), nil, nil, d.rounds)
-	}
-	// One session killed before any commit point: a single suggest, no
-	// observe ever reached the server's store.
-	fresh := &driven{id: "kill-virgin", seed: 44, rounds: 1}
-	fresh.points, fresh.costs = driveBackend(t, h1.backend(t, fresh.id, fresh.seed), nil, nil, fresh.rounds)
+			// Committed sessions: m calls commit m−1 observations each
+			// (every observe saves; the final suggest's RNG advance dies
+			// with the process).
+			type driven struct {
+				id     string
+				seed   uint64
+				rounds int
+				points [][]float64
+				costs  []float64
+			}
+			sessions := []*driven{
+				{id: "kill-a", seed: 11, rounds: 15},
+				{id: "kill-b", seed: 22, rounds: 3},
+				{id: "kill-c", seed: 33, rounds: 23},
+			}
+			for _, d := range sessions {
+				d.points, d.costs = driveBackend(t, h1.backend(t, d.id, policy, d.seed), nil, nil, d.rounds)
+			}
+			// One session killed before any commit point: a single suggest,
+			// no observe ever reached the server's store.
+			fresh := &driven{id: "kill-virgin", seed: 44, rounds: 1}
+			fresh.points, fresh.costs = driveBackend(t, h1.backend(t, fresh.id, policy, fresh.seed), nil, nil, fresh.rounds)
 
-	h1.kill()
+			h1.kill()
 
-	h2 := startChaosService(t, nil, dir)
-	defer func() { h2.kill(); _ = h2.store.Close() }()
-	for _, d := range sessions {
-		if _, ok, _ := h2.store.Get(d.id); !ok {
-			t.Fatalf("session %s missing from the recovered store", d.id)
-		}
-	}
-	if got := h2.svc.Durability().Restores; got != uint64(len(sessions)) {
-		t.Fatalf("warm restart restored %d sessions, want %d", got, len(sessions))
-	}
+			h2 := startChaosService(t, nil, dir)
+			defer func() { h2.kill(); _ = h2.store.Close() }()
+			for _, d := range sessions {
+				if _, ok, _ := h2.store.Get(d.id); !ok {
+					t.Fatalf("session %s missing from the recovered store", d.id)
+				}
+			}
+			if got := h2.svc.Durability().Restores; got != uint64(len(sessions)) {
+				t.Fatalf("warm restart restored %d sessions, want %d", got, len(sessions))
+			}
 
-	for _, d := range sessions {
-		want := expectContinuation(t, d.seed, d.points, d.costs, d.rounds-1)
-		got, err := h2.backend(t, d.id, d.seed).BONextPoint(1, d.points, d.costs)
-		if err != nil {
-			t.Fatalf("post-restart BONextPoint for %s: %v", d.id, err)
-		}
-		if !samePoint(got, want) {
-			t.Fatalf("session %s post-restart suggestion = %v, want bit-identical %v", d.id, got, want)
-		}
-	}
+			for _, d := range sessions {
+				want := expectContinuation(t, policy, d.seed, d.points, d.costs, d.rounds-1)
+				got, err := h2.backend(t, d.id, policy, d.seed).BONextPoint(1, d.points, d.costs)
+				if err != nil {
+					t.Fatalf("post-restart BONextPoint for %s: %v", d.id, err)
+				}
+				if !samePoint(got, want) {
+					t.Fatalf("session %s post-restart suggestion = %v, want bit-identical %v", d.id, got, want)
+				}
+			}
 
-	// The uncommitted session has no snapshot: its re-open reports zero
-	// observations and the backend transparently replays the full history.
-	want := expectContinuation(t, fresh.seed, fresh.points, fresh.costs, 0)
-	got, err := h2.backend(t, fresh.id, fresh.seed).BONextPoint(1, fresh.points, fresh.costs)
-	if err != nil {
-		t.Fatalf("full-replay BONextPoint: %v", err)
-	}
-	if !samePoint(got, want) {
-		t.Fatalf("full-replay continuation = %v, want %v", got, want)
+			// The uncommitted session has no snapshot: its re-open reports
+			// zero observations and the backend transparently replays the
+			// full history.
+			want := expectContinuation(t, policy, fresh.seed, fresh.points, fresh.costs, 0)
+			got, err := h2.backend(t, fresh.id, policy, fresh.seed).BONextPoint(1, fresh.points, fresh.costs)
+			if err != nil {
+				t.Fatalf("full-replay BONextPoint: %v", err)
+			}
+			if !samePoint(got, want) {
+				t.Fatalf("full-replay continuation = %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -206,7 +218,7 @@ func TestChaosTornWriteDegradesToReplay(t *testing.T) {
 	h1 := startChaosService(t, ffs, dir)
 
 	const id, seed = "torn", uint64(77)
-	points, costs := driveBackend(t, h1.backend(t, id, seed), nil, nil, rounds)
+	points, costs := driveBackend(t, h1.backend(t, id, "", seed), nil, nil, rounds)
 	if got := h1.svc.Durability(); got.SaveErrors != 1 || got.Saves != rounds-2 {
 		t.Fatalf("pre-kill durability = %+v, want %d saves and 1 torn-write error", got, rounds-2)
 	}
@@ -232,8 +244,8 @@ func TestChaosTornWriteDegradesToReplay(t *testing.T) {
 
 	// The restored session is two observations behind the client; the
 	// backend ships the missing tail and the stream continues bit-identically.
-	want := expectContinuation(t, seed, points, costs, rounds-2)
-	got, err := h2.backend(t, id, seed).BONextPoint(1, points, costs)
+	want := expectContinuation(t, "", seed, points, costs, rounds-2)
+	got, err := h2.backend(t, id, "", seed).BONextPoint(1, points, costs)
 	if err != nil {
 		t.Fatalf("post-recovery BONextPoint: %v", err)
 	}

@@ -125,16 +125,12 @@ func (c *Client) Available() bool { return c.ec.Available() }
 // this open displaced ("" when the shard had room). Observations is the
 // session's current database size — after a restore, the client replays
 // only the history past this point instead of all of it.
-// Ephemeral marks a session whose policy cannot snapshot (it carries state
-// the snapshot format cannot express): eviction drops it and re-admission
-// rebuilds via the client's full replay.
 type OpenResponse struct {
 	ID           string
 	Existing     bool
 	Restored     bool
 	Evicted      string
 	Observations int
-	Ephemeral    bool
 }
 
 // Open creates (or idempotently re-finds) the server-side session. The
@@ -174,7 +170,6 @@ func (c *Client) open(ctx context.Context) (OpenResponse, error) {
 		Restored:     r.Flags&wire.FlagRestored != 0,
 		Evicted:      string(r.Evicted),
 		Observations: int(r.Observations),
-		Ephemeral:    r.Flags&wire.FlagEphemeral != 0,
 	}, nil
 }
 

@@ -48,25 +48,22 @@ type DurabilityStats struct {
 	StoreBytes int64 `json:"store_bytes"`
 }
 
-// snapshotLocked captures the session's durable state. Caller holds sess.mu
-// and has already checked sess.durable, so the assertion cannot fail.
+// snapshotLocked captures the session's durable state. Caller holds sess.mu.
 func (sess *session) snapshotLocked() *snapshot {
 	return &snapshot{
 		id:  sess.id,
 		p:   sess.p,
-		opt: sess.opt.(bo.DurablePolicy).ExportState(),
+		opt: sess.opt.ExportState(),
 	}
 }
 
 // saveSession snapshots a dirty session into the store. A clean session
-// (nothing mutated since the last save) is skipped for free, and so is an
-// ephemeral one — its policy carries state the snapshot cannot express, so
-// eviction drops it and the client's replay fallback rebuilds it. Save
-// errors leave the session live and dirty — the next trigger retries — and
-// are surfaced only through counters, because every call site (eviction,
+// (nothing mutated since the last save) is skipped for free. Save errors
+// leave the session live and dirty — the next trigger retries — and are
+// surfaced only through counters, because every call site (eviction,
 // drain, periodic) must keep serving regardless.
 func (s *Service) saveSession(sess *session) {
-	if s.cfg.Store == nil || !sess.durable {
+	if s.cfg.Store == nil {
 		return
 	}
 	sess.mu.Lock()
@@ -122,21 +119,18 @@ func (s *Service) timedRestore(restore func()) {
 // restoreSession rebuilds a live session from a decoded snapshot: the
 // policy resumes from its exported database and RNG word via the registry
 // (GP-EI refits its surrogate once, at its next suggest), and the mesh
-// cache starts empty. A snapshot naming an ephemeral policy cannot exist
-// through the save path and fails here, degrading to the replay fallback.
+// cache starts empty.
 func (s *Service) restoreSession(snap *snapshot) (*session, error) {
 	dom := bo.Domain{N: snap.p.resources, RMin: snap.p.rmin}
 	opt, err := policies.Restore(snap.p.policy, dom, boConfig(snap.p), snap.opt)
 	if err != nil {
 		return nil, fmt.Errorf("sessiond: restoring %s: %w", snap.id, err)
 	}
-	_, durable := opt.(bo.DurablePolicy)
 	return &session{
-		id:      snap.id,
-		p:       snap.p,
-		opt:     opt,
-		durable: durable,
-		meshes:  newMeshCache(s.cfg.MeshCacheCap),
+		id:     snap.id,
+		p:      snap.p,
+		opt:    opt,
+		meshes: newMeshCache(s.cfg.MeshCacheCap),
 	}, nil
 }
 

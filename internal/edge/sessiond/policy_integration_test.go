@@ -92,14 +92,19 @@ func drivePolicySteps(t *testing.T, ctx context.Context, sc *sessiond.Client, re
 	}
 }
 
-// TestLinUCBSessionSurvivesEviction drives a linucb session over both
-// carriers (single-frame POSTs and a multiplexed stream) through the full durability lifecycle: open with an explicit
-// policy, build history, get evicted by an intruder in a size-1 shard,
-// re-open from the snapshot (Restored=true), and continue bit-identically
-// with an uninterrupted reference policy. This is the acceptance criterion:
-// a non-default policy serves suggest/observe over either carrier and
-// survives eviction/re-admission.
+// TestLinUCBSessionSurvivesEviction drives a session of every registered
+// policy over both carriers (single-frame POSTs and a multiplexed stream)
+// through the full durability lifecycle: open with an explicit policy,
+// build history past one CMA-ES generation, get evicted by an intruder in a
+// size-1 shard, re-open from the snapshot (Restored=true), and continue
+// bit-identically with an uninterrupted reference policy across another
+// generation boundary. This is the acceptance criterion: every policy
+// serves suggest/observe over either carrier and survives
+// eviction/re-admission.
 func TestLinUCBSessionSurvivesEviction(t *testing.T) {
+	// CMA-ES samples λ = 8 per generation at d = testResources+1 = 4; the
+	// cut falls three observations into its second generation.
+	const cut, end = testInit + 8 + 3, testInit + 3*8
 	for _, tc := range []struct {
 		name   string
 		stream bool
@@ -108,178 +113,51 @@ func TestLinUCBSessionSurvivesEviction(t *testing.T) {
 		{"stream", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := snapstore.NewMemStore()
-			svc := newPolicyService(t, store)
-			ts := httptest.NewServer(svc.Handler())
-			t.Cleanup(ts.Close)
+			for _, policy := range policies.Names() {
+				t.Run(policy, func(t *testing.T) {
+					store := snapstore.NewMemStore()
+					svc := newPolicyService(t, store)
+					ts := httptest.NewServer(svc.Handler())
+					t.Cleanup(ts.Close)
 
-			ctx := context.Background()
-			const seed = 42
-			sc := newPolicyClient(t, ts.URL, "victim", policies.NameLinUCB, seed, tc.stream)
-			res, err := sc.Open(ctx)
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			if res.Ephemeral {
-				t.Fatal("linucb session reported ephemeral, want durable")
-			}
-			ref := refPolicy(t, policies.NameLinUCB, seed)
-			drivePolicySteps(t, ctx, sc, ref, seed, 0, 7)
+					ctx := context.Background()
+					const seed = 42
+					sc := newPolicyClient(t, ts.URL, "victim", policy, seed, tc.stream)
+					if _, err := sc.Open(ctx); err != nil {
+						t.Fatalf("open: %v", err)
+					}
+					ref := refPolicy(t, policy, seed)
+					drivePolicySteps(t, ctx, sc, ref, seed, 0, cut)
 
-			// Evict the victim; its snapshot must land in the store.
-			intruder := newPolicyClient(t, ts.URL, "intruder", "", 7, tc.stream)
-			ires, err := intruder.Open(ctx)
-			if err != nil {
-				t.Fatalf("open intruder: %v", err)
-			}
-			if ires.Evicted != "victim" {
-				t.Fatalf("intruder evicted %q, want victim", ires.Evicted)
-			}
-			if _, ok, err := store.Get("victim"); err != nil || !ok {
-				t.Fatalf("store.Get(victim) = ok=%v err=%v, want snapshot present", ok, err)
-			}
+					// Evict the victim; its snapshot must land in the store.
+					intruder := newPolicyClient(t, ts.URL, "intruder", "", 7, tc.stream)
+					ires, err := intruder.Open(ctx)
+					if err != nil {
+						t.Fatalf("open intruder: %v", err)
+					}
+					if ires.Evicted != "victim" {
+						t.Fatalf("intruder evicted %q, want victim", ires.Evicted)
+					}
+					if _, ok, err := store.Get("victim"); err != nil || !ok {
+						t.Fatalf("store.Get(victim) = ok=%v err=%v, want snapshot present", ok, err)
+					}
 
-			// Re-open restores from the snapshot; the continuation must stay
-			// bit-identical to the never-evicted reference.
-			res, err = sc.Open(ctx)
-			if err != nil {
-				t.Fatalf("re-open: %v", err)
+					// Re-open restores from the snapshot; the continuation
+					// must stay bit-identical to the never-evicted reference.
+					res, err := sc.Open(ctx)
+					if err != nil {
+						t.Fatalf("re-open: %v", err)
+					}
+					if !res.Restored {
+						t.Fatal("re-open did not restore from snapshot")
+					}
+					if res.Observations != cut {
+						t.Fatalf("restored observations = %d, want %d", res.Observations, cut)
+					}
+					drivePolicySteps(t, ctx, sc, ref, seed, cut, end)
+				})
 			}
-			if !res.Restored {
-				t.Fatal("re-open did not restore from snapshot")
-			}
-			if res.Observations != 7 {
-				t.Fatalf("restored observations = %d, want 7", res.Observations)
-			}
-			drivePolicySteps(t, ctx, sc, ref, seed, 7, 12)
 		})
-	}
-}
-
-// TestEphemeralPolicySession checks the cmaes contract on both carriers:
-// the open response carries the ephemeral marker, eviction writes no
-// snapshot, and a re-open starts a fresh session (Restored=false) whose
-// suggestion stream equals a fresh reference policy's.
-func TestEphemeralPolicySession(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stream bool
-	}{
-		{"oneshot", false},
-		{"stream", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := snapstore.NewMemStore()
-			svc := newPolicyService(t, store)
-			ts := httptest.NewServer(svc.Handler())
-			t.Cleanup(ts.Close)
-
-			ctx := context.Background()
-			const seed = 11
-			sc := newPolicyClient(t, ts.URL, "eph", policies.NameCMAES, seed, tc.stream)
-			res, err := sc.Open(ctx)
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			if !res.Ephemeral {
-				t.Fatal("cmaes session not marked ephemeral")
-			}
-			ref := refPolicy(t, policies.NameCMAES, seed)
-			drivePolicySteps(t, ctx, sc, ref, seed, 0, 6)
-
-			intruder := newPolicyClient(t, ts.URL, "intruder", "", 7, tc.stream)
-			if _, err := intruder.Open(ctx); err != nil {
-				t.Fatalf("open intruder: %v", err)
-			}
-			if _, ok, err := store.Get("eph"); err != nil || ok {
-				t.Fatalf("store.Get(eph) = ok=%v err=%v, want no snapshot for ephemeral policy", ok, err)
-			}
-
-			// Re-open is a fresh start, still marked ephemeral.
-			res, err = sc.Open(ctx)
-			if err != nil {
-				t.Fatalf("re-open: %v", err)
-			}
-			if res.Restored {
-				t.Fatal("ephemeral session claims restored")
-			}
-			if !res.Ephemeral {
-				t.Fatal("re-opened cmaes session not marked ephemeral")
-			}
-			fresh := refPolicy(t, policies.NameCMAES, seed)
-			drivePolicySteps(t, ctx, sc, fresh, seed, 0, 3)
-		})
-	}
-}
-
-// TestBackendReplayRecoversEphemeralPolicy checks that the client-side
-// replay fallback makes even a snapshot-less policy survive eviction: the
-// Backend re-opens the session and replays the full history, and the result
-// equals a fresh reference policy fed that history.
-func TestBackendReplayRecoversEphemeralPolicy(t *testing.T) {
-	store := snapstore.NewMemStore()
-	svc := newPolicyService(t, store)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	ctx := context.Background()
-	const seed = 42
-	sc := newPolicyClient(t, ts.URL, "victim", policies.NameCMAES, seed, false)
-	backend := sessiond.NewBackend(ctx, sc)
-
-	ref := refPolicy(t, policies.NameCMAES, seed)
-	var points [][]float64
-	var costs []float64
-	for k := 0; k < 5; k++ {
-		got, err := backend.BONextPoint(1, points, costs)
-		if err != nil {
-			t.Fatalf("backend step %d: %v", k, err)
-		}
-		want, err := ref.Next()
-		if err != nil {
-			t.Fatalf("reference step %d: %v", k, err)
-		}
-		for d := range want {
-			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-				t.Fatalf("pre-eviction step %d dim %d: got %x want %x",
-					k, d, math.Float64bits(got[d]), math.Float64bits(want[d]))
-			}
-		}
-		cost := testCost(seed, k, want)
-		if err := ref.Observe(want, cost); err != nil {
-			t.Fatalf("reference observe: %v", err)
-		}
-		points = append(points, want)
-		costs = append(costs, cost)
-	}
-
-	intruder := newTestClient(t, ts.URL, "intruder", 7)
-	if _, err := intruder.Open(ctx); err != nil {
-		t.Fatalf("open intruder: %v", err)
-	}
-
-	got, err := backend.BONextPoint(1, points, costs)
-	if err != nil {
-		t.Fatalf("backend after eviction: %v", err)
-	}
-	rebuilt := refPolicy(t, policies.NameCMAES, seed)
-	for i := range points {
-		if err := rebuilt.Observe(points[i], costs[i]); err != nil {
-			t.Fatalf("rebuilt reference observe: %v", err)
-		}
-	}
-	want, err := rebuilt.Next()
-	if err != nil {
-		t.Fatalf("rebuilt reference: %v", err)
-	}
-	for d := range want {
-		if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-			t.Fatalf("post-readmission dim %d: got %x want %x",
-				d, math.Float64bits(got[d]), math.Float64bits(want[d]))
-		}
-	}
-	if sc.Reopens() != 1 {
-		t.Fatalf("Reopens() = %d, want 1", sc.Reopens())
 	}
 }
 

@@ -165,13 +165,9 @@ type session struct {
 	// lastTouch is the logical LRU tick, written under the shard mutex.
 	lastTouch uint64
 
-	mu  sync.Mutex
-	opt bo.Policy
-	// durable reports whether opt implements bo.DurablePolicy: durable
-	// sessions snapshot on eviction/drain, ephemeral ones (e.g. cmaes) are
-	// dropped and rebuilt via the client's replay fallback.
-	durable bool
-	meshes  *meshCache
+	mu     sync.Mutex
+	opt    bo.Policy
+	meshes *meshCache
 	// dirty counts mutations (observations and served suggests — both move
 	// optimizer state) since the last snapshot save; zero means the store
 	// already holds this session's exact state.
@@ -312,12 +308,10 @@ func (s *Service) newSession(id string, p params) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, durable := opt.(bo.DurablePolicy)
 	return &session{
-		id:      id,
-		p:       p,
-		opt:     opt,
-		durable: durable,
-		meshes:  newMeshCache(s.cfg.MeshCacheCap),
+		id:     id,
+		p:      p,
+		opt:    opt,
+		meshes: newMeshCache(s.cfg.MeshCacheCap),
 	}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/mar-hbo/hbo/internal/bo"
+	"github.com/mar-hbo/hbo/internal/bo/policies"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
 
@@ -95,11 +96,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 
 		// A restored optimizer must continue the suggestion stream.
-		restored, err := bo.NewOptimizerFromState(bo.Domain{N: s.p.resources, RMin: s.p.rmin}, boConfig(s.p), got.opt)
+		restored, err := policies.Restore(s.p.policy, bo.Domain{N: s.p.resources, RMin: s.p.rmin}, boConfig(s.p), got.opt)
 		if err != nil {
 			t.Fatalf("rounds=%d: restore: %v", rounds, err)
 		}
-		ref, err := bo.NewOptimizerFromState(bo.Domain{N: s.p.resources, RMin: s.p.rmin}, boConfig(s.p), s.opt)
+		ref, err := policies.Restore(s.p.policy, bo.Domain{N: s.p.resources, RMin: s.p.rmin}, boConfig(s.p), s.opt)
 		if err != nil {
 			t.Fatal(err)
 		}

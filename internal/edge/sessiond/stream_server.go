@@ -164,9 +164,6 @@ func (s *Service) streamOpen(req, resp *wire.Frame) {
 	if res.restored {
 		resp.Flags |= wire.FlagRestored
 	}
-	if !sess.durable {
-		resp.Flags |= wire.FlagEphemeral
-	}
 	resp.Evicted = append(resp.Evicted[:0], res.evicted...)
 	resp.Observations = uint32(sess.observations())
 }

@@ -100,11 +100,10 @@ const (
 	// FlagExisting marks an open that found the session already live with
 	// identical parameters.
 	FlagExisting uint16 = 1 << 0
-	// FlagRestored marks an open satisfied from a durable snapshot.
+	// FlagRestored marks an open satisfied from a durable snapshot. Bit 2
+	// is retired: every policy snapshots, so no session is ephemeral, and
+	// the decoder rejects it like any other unknown bit.
 	FlagRestored uint16 = 1 << 1
-	// FlagEphemeral marks a session whose policy cannot snapshot: eviction
-	// drops it and re-admission rebuilds via the client's full replay.
-	FlagEphemeral uint16 = 1 << 2
 )
 
 // NoIndex is the ObserveReq index meaning "no idempotency information:
@@ -197,7 +196,7 @@ func allowedFlags(t Type) uint16 {
 	case TOpenReq:
 		return FlagPolicy
 	case TOpenResp:
-		return FlagExisting | FlagRestored | FlagEphemeral
+		return FlagExisting | FlagRestored
 	}
 	return 0
 }

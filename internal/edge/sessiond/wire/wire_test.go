@@ -14,7 +14,7 @@ func sampleFrames() []Frame {
 		{Type: TOpenReq, Seq: 2, ID: []byte("c0001"), Resources: 3, RMin: 0.1, Seed: 42, Init: 5},
 		{Type: TOpenReq, Seq: 2, Flags: FlagPolicy, ID: []byte("c0001"), Resources: 3, RMin: 0.1, Seed: 42, Init: 5, Policy: []byte("linucb")},
 		{Type: TOpenResp, Seq: 2, Flags: FlagExisting | FlagRestored, Observations: 7, Evicted: []byte("c0009")},
-		{Type: TOpenResp, Seq: 2, Flags: FlagEphemeral, Observations: 0},
+		{Type: TOpenResp, Seq: 2, Flags: FlagRestored, Observations: 0},
 		{Type: TSuggestReq, Seq: 3, ID: []byte("c0001")},
 		{Type: TSuggestResp, Seq: 3, Observations: 7, Point: []float64{0.25, 0.5, 0.25, 0.75}},
 		{Type: TObserveReq, Seq: 4, ID: []byte("c0001"), Index: 7, Cost: -1.25, Point: []float64{0.25, 0.5, 0.25, 0.75}},
@@ -114,6 +114,12 @@ func TestDecodeRejects(t *testing.T) {
 	badFlags := append([]byte(nil), body...)
 	binary.LittleEndian.PutUint16(badFlags[2:], 0x8000)
 	cases["unknown flags"] = recrc(badFlags)
+
+	// OpenResp bit 2 once marked a session whose policy could not snapshot;
+	// every policy snapshots now, so the bit is retired.
+	retiredFlag := append([]byte(nil), encode(t, &Frame{Type: TOpenResp, Seq: 1})[4:]...)
+	binary.LittleEndian.PutUint16(retiredFlag[2:], 1<<2)
+	cases["retired open-resp flag"] = recrc(retiredFlag)
 
 	trailing := append(append([]byte(nil), body[:len(body)-4]...), 0)
 	cases["trailing byte"] = recrc(append(trailing, 0, 0, 0, 0)[:len(trailing)+4])

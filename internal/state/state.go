@@ -120,7 +120,6 @@ type lookupRow struct {
 	DistBucket int       `json:"dist_bucket"`
 	Objects    int       `json:"objects"`
 	Point      []float64 `json:"point"`
-	Reward     float64   `json:"reward"`
 }
 
 const lookupVersion = 1
@@ -131,7 +130,7 @@ func SaveLookup(w io.Writer, t *core.LookupTable) error {
 	for k, e := range t.Entries() {
 		doc.Rows = append(doc.Rows, lookupRow{
 			Taskset: k.Taskset, TriBucket: k.TriBucket, DistBucket: k.DistBucket,
-			Objects: k.Objects, Point: e.Point, Reward: e.Reward,
+			Objects: k.Objects, Point: e.Point,
 		})
 	}
 	sort.Slice(doc.Rows, func(i, j int) bool {
@@ -169,7 +168,7 @@ func LoadLookup(r io.Reader) (*core.LookupTable, error) {
 		t.Store(core.EnvironmentKey{
 			Taskset: row.Taskset, TriBucket: row.TriBucket,
 			DistBucket: row.DistBucket, Objects: row.Objects,
-		}, core.LookupEntry{Point: row.Point, Reward: row.Reward})
+		}, core.LookupEntry{Point: row.Point})
 	}
 	return t, nil
 }

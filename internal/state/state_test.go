@@ -81,8 +81,8 @@ func TestLookupRoundTrip(t *testing.T) {
 	tab := core.NewLookupTable()
 	k1 := core.EnvironmentKey{Taskset: "CF1", TriBucket: 20, DistBucket: 3, Objects: 9}
 	k2 := core.EnvironmentKey{Taskset: "CF2", TriBucket: 14, DistBucket: 2, Objects: 7}
-	tab.Store(k1, core.LookupEntry{Point: []float64{0.4, 0.1, 0.5, 0.72}, Reward: 0.3})
-	tab.Store(k2, core.LookupEntry{Point: []float64{0.0, 0.3, 0.7, 1.0}, Reward: 0.8})
+	tab.Store(k1, core.LookupEntry{Point: []float64{0.4, 0.1, 0.5, 0.72}})
+	tab.Store(k2, core.LookupEntry{Point: []float64{0.0, 0.3, 0.7, 1.0}})
 
 	var buf bytes.Buffer
 	if err := SaveLookup(&buf, tab); err != nil {
@@ -99,8 +99,20 @@ func TestLookupRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("k1 missing after round trip")
 	}
-	if e.Reward != 0.3 || e.Point[3] != 0.72 {
+	if e.Point[0] != 0.4 || e.Point[3] != 0.72 {
 		t.Fatalf("k1 entry changed: %+v", e)
+	}
+
+	// Files written while entries still carried the activation's reward
+	// keep loading: the field is ignored, the point is kept.
+	old := `{"version":1,"rows":[{"taskset":"CF1","tri_bucket":20,"dist_bucket":3,"objects":9,` +
+		`"point":[0.4,0.1,0.5,0.72],"reward":0.3}]}`
+	back, err = LoadLookup(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("lookup file with a reward field: %v", err)
+	}
+	if e, ok := back.Find(k1); !ok || e.Point[3] != 0.72 {
+		t.Fatalf("lookup file with a reward field: entry %+v ok=%v", e, ok)
 	}
 }
 
@@ -108,7 +120,7 @@ func TestSaveLookupDeterministic(t *testing.T) {
 	tab := core.NewLookupTable()
 	for i := 0; i < 8; i++ {
 		tab.Store(core.EnvironmentKey{Taskset: "CF1", TriBucket: i, Objects: i},
-			core.LookupEntry{Point: []float64{1, 0, 0, 1}, Reward: float64(i)})
+			core.LookupEntry{Point: []float64{1, 0, 0, float64(i) / 8}})
 	}
 	var a, b bytes.Buffer
 	if err := SaveLookup(&a, tab); err != nil {
