@@ -148,12 +148,8 @@ func DefaultConfig() Config {
 // surrogate's Cholesky factorization and extends it incrementally, so a
 // suggestion costs O(n²) in the database size instead of O(n³).
 type Optimizer struct {
-	dom Domain
+	History
 	cfg Config
-	rng *sim.RNG
-
-	xs [][]float64
-	ys []float64
 
 	// Persistent surrogate: built at the first GP-phase Next, then extended
 	// incrementally across Next calls (see DESIGN.md §9).
@@ -199,11 +195,7 @@ func (o *Optimizer) SetObserver(reg *obs.Registry) {
 	o.metUpdates = reg.Counter("bo.gp_incremental_updates")
 	o.metRestarts = reg.Counter("bo.jitter_restarts")
 	o.metGPSize = reg.Gauge("bo.gp_size")
-	if reg != nil {
-		o.metSuggestMS = reg.Histogram("bo.suggest_wall_ms", obs.LatencyBucketsMS)
-	} else {
-		o.metSuggestMS = nil
-	}
+	o.metSuggestMS = reg.Histogram("bo.suggest_wall_ms", obs.LatencyBucketsMS)
 	if o.gp != nil {
 		o.gp.metRestarts = o.metRestarts
 	}
@@ -211,11 +203,9 @@ func (o *Optimizer) SetObserver(reg *obs.Registry) {
 
 // NewOptimizer builds an optimizer for the domain.
 func NewOptimizer(dom Domain, cfg Config, rng *sim.RNG) (*Optimizer, error) {
-	if err := dom.Validate(); err != nil {
+	h, err := NewHistory(dom, cfg.InitSamples, rng)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.InitSamples < 1 {
-		return nil, fmt.Errorf("bo: InitSamples must be >= 1, got %d", cfg.InitSamples)
 	}
 	if cfg.Candidates < 1 || cfg.RefineSteps < 0 {
 		return nil, fmt.Errorf("bo: invalid search budget %d/%d", cfg.Candidates, cfg.RefineSteps)
@@ -223,53 +213,10 @@ func NewOptimizer(dom Domain, cfg Config, rng *sim.RNG) (*Optimizer, error) {
 	if cfg.LengthScale <= 0 {
 		return nil, fmt.Errorf("bo: length scale must be positive, got %v", cfg.LengthScale)
 	}
-	if rng == nil {
-		return nil, fmt.Errorf("bo: nil RNG")
-	}
 	if cfg.Acquisition == nil {
 		cfg.Acquisition = EI{}
 	}
-	return &Optimizer{dom: dom, cfg: cfg, rng: rng}, nil
-}
-
-// Observations returns the number of recorded (point, cost) pairs.
-func (o *Optimizer) Observations() int { return len(o.xs) }
-
-// Observe records the measured cost of a previously suggested point; it is
-// Algorithm 1's database update (line 26).
-func (o *Optimizer) Observe(p []float64, cost float64) error {
-	if !o.dom.Contains(p) {
-		return fmt.Errorf("bo: observed point %v outside domain", p)
-	}
-	if math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return fmt.Errorf("bo: non-finite cost %v", cost)
-	}
-	cp := append([]float64(nil), p...)
-	o.xs = append(o.xs, cp)
-	o.ys = append(o.ys, cost)
-	return nil
-}
-
-// Best returns the lowest-cost observed point. It returns ok=false before
-// any observation.
-func (o *Optimizer) Best() (p []float64, cost float64, ok bool) {
-	if len(o.ys) == 0 {
-		return nil, 0, false
-	}
-	bi := o.bestIndex()
-	return append([]float64(nil), o.xs[bi]...), o.ys[bi], true
-}
-
-// bestIndex returns the index of the first lowest-cost observation; there
-// must be at least one.
-func (o *Optimizer) bestIndex() int {
-	bi := 0
-	for i, y := range o.ys {
-		if y < o.ys[bi] {
-			bi = i
-		}
-	}
-	return bi
+	return &Optimizer{History: h, cfg: cfg}, nil
 }
 
 // Next suggests the next configuration to evaluate: random during the
@@ -291,13 +238,13 @@ func (o *Optimizer) Next() ([]float64, error) {
 }
 
 func (o *Optimizer) next() ([]float64, error) {
-	if len(o.xs) < o.cfg.InitSamples {
-		return o.dom.Sample(o.rng), nil
+	if p, ok := o.WarmUp(); ok {
+		return p, nil
 	}
 	if err := o.ensureSurrogate(o.clippedCosts()); err != nil {
 		return nil, err
 	}
-	bi := o.bestIndex()
+	bi := o.BestIndex()
 	bestPoint, best := o.xs[bi], o.ys[bi]
 
 	dim := o.dom.Dim()

@@ -1,7 +1,6 @@
 package policies
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -24,12 +23,7 @@ import (
 // Like every other entrant, the snapshot is the RNG position plus the
 // history, and Restore replays Observe.
 type CMAES struct {
-	dom bo.Domain
-	cfg bo.Config
-	rng *sim.RNG
-
-	xs [][]float64
-	ys []float64
+	bo.History
 
 	// Strategy parameters, fixed at construction for d = dom.Dim().
 	lambda  int
@@ -57,14 +51,9 @@ type CMAES struct {
 // observations are the warm-up; the distribution starts from the best of
 // them.
 func NewCMAES(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*CMAES, error) {
-	if err := dom.Validate(); err != nil {
+	h, err := bo.NewHistory(dom, cfg.InitSamples, rng)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.InitSamples < 1 {
-		return nil, fmt.Errorf("policies: cmaes InitSamples must be >= 1, got %d", cfg.InitSamples)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("policies: cmaes nil RNG")
 	}
 	d := float64(dom.Dim())
 	lambda := 4 + int(3*math.Log(d))
@@ -85,9 +74,7 @@ func NewCMAES(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*CMAES, error) {
 	c1 := 2 / ((d+1.3)*(d+1.3) + mueff) * (d + 2) / 3 // sep-CMA-ES ×(d+2)/3 rate boost
 	cmu := math.Min(1-c1, 2*(mueff-2+1/mueff)/((d+2)*(d+2)+mueff)*(d+2)/3)
 	return &CMAES{
-		dom:     dom,
-		cfg:     cfg,
-		rng:     rng,
+		History: h,
 		lambda:  lambda,
 		mu:      mu,
 		weights: weights,
@@ -104,15 +91,15 @@ func NewCMAES(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*CMAES, error) {
 // Next suggests uniformly at random during warm-up, then samples from
 // N(m, σ²·diag(C)) projected onto the domain.
 func (c *CMAES) Next() ([]float64, error) {
-	if len(c.xs) < c.cfg.InitSamples {
-		return c.dom.Sample(c.rng), nil
+	if p, ok := c.WarmUp(); ok {
+		return p, nil
 	}
-	d := c.dom.Dim()
-	phen := make([]float64, d)
-	for k := 0; k < d; k++ {
-		phen[k] = c.mean[k] + c.sigma*math.Sqrt(c.diagC[k])*c.rng.Norm()
+	dom, rng := c.Domain(), c.RNG()
+	phen := make([]float64, dom.Dim())
+	for k := range phen {
+		phen[k] = c.mean[k] + c.sigma*math.Sqrt(c.diagC[k])*rng.Norm()
 	}
-	c.dom.Project(phen)
+	dom.Project(phen)
 	return phen, nil
 }
 
@@ -120,27 +107,24 @@ func (c *CMAES) Next() ([]float64, error) {
 // distribution; every λ-th observation after it completes a generation and
 // triggers the update.
 func (c *CMAES) Observe(p []float64, cost float64) error {
-	if !c.dom.Contains(p) {
-		return fmt.Errorf("policies: cmaes observed point %v outside domain", p)
+	if err := c.History.Observe(p, cost); err != nil {
+		return err
 	}
-	if math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return fmt.Errorf("policies: cmaes non-finite cost %v", cost)
-	}
-	c.xs = append(c.xs, append([]float64(nil), p...))
-	c.ys = append(c.ys, cost)
-	switch n := len(c.xs) - c.cfg.InitSamples; {
+	switch n := c.PastWarmUp(); {
 	case n == 0:
 		c.start()
 	case n > 0 && n%c.lambda == 0:
-		c.update(c.xs[len(c.xs)-c.lambda:], c.ys[len(c.ys)-c.lambda:])
+		xs, ys := c.Data()
+		c.update(xs[len(xs)-c.lambda:], ys[len(ys)-c.lambda:])
 	}
 	return nil
 }
 
 // start initializes the distribution at the warm-up's best observation.
 func (c *CMAES) start() {
-	d := c.dom.Dim()
-	c.mean, _, _ = bestOf(c.xs, c.ys)
+	xs, _ := c.Data()
+	d := c.Domain().Dim()
+	c.mean = append([]float64(nil), xs[c.BestIndex()]...)
 	c.sigma = 0.3
 	c.diagC = make([]float64, d)
 	for k := range c.diagC {
@@ -150,20 +134,12 @@ func (c *CMAES) start() {
 	c.pc = make([]float64, d)
 }
 
-// Observations returns the number of recorded (point, cost) pairs.
-func (c *CMAES) Observations() int { return len(c.xs) }
-
-// Best returns the lowest-cost observed point.
-func (c *CMAES) Best() ([]float64, float64, bool) {
-	return bestOf(c.xs, c.ys)
-}
-
 // update performs one sep-CMA-ES generation step over one generation's λ
 // observations: rank by cost (ties broken by observation order), recombine
 // the mean from the top μ, and adapt the evolution paths, the step size,
 // and the diagonal covariance.
 func (c *CMAES) update(xs [][]float64, ys []float64) {
-	d := c.dom.Dim()
+	d := c.Domain().Dim()
 	order := make([]int, c.lambda)
 	for i := range order {
 		order[i] = i
@@ -223,10 +199,4 @@ func (c *CMAES) update(xs [][]float64, ys []float64) {
 	if c.sigma > 10 {
 		c.sigma = 10
 	}
-}
-
-// ExportState deep-copies the resumable state: the RNG position and the
-// history, from which Restore replays the whole evolution.
-func (c *CMAES) ExportState() *bo.OptimizerState {
-	return historyState(c.rng, c.xs, c.ys)
 }

@@ -1,7 +1,6 @@
 package policies
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/mar-hbo/hbo/internal/bo"
@@ -35,18 +34,13 @@ const linucbMaxArms = 2048
 // observation history, so an OptimizerState (RNG position + history) fully
 // determines the policy and restore is a replay of Observe calls.
 type LinUCB struct {
-	dom bo.Domain
-	cfg bo.Config
-	rng *sim.RNG
+	bo.History
 
 	arms [][]float64 // discretized configurations, fixed at construction
 	dim  int         // feature dimension: Dim()+1 for the bias term
 
 	ainv []float64 // d×d row-major inverse design matrix, starts at I
 	bvec []float64 // d reward-weighted feature sums
-
-	xs [][]float64
-	ys []float64
 
 	theta []float64 // scratch: A⁻¹ b
 	fbuf  []float64 // scratch: arm features
@@ -57,27 +51,20 @@ type LinUCB struct {
 // the design matrix before UCB takes over; other GP-specific cfg fields are
 // ignored.
 func NewLinUCB(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*LinUCB, error) {
-	if err := dom.Validate(); err != nil {
+	h, err := bo.NewHistory(dom, cfg.InitSamples, rng)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.InitSamples < 1 {
-		return nil, fmt.Errorf("policies: linucb InitSamples must be >= 1, got %d", cfg.InitSamples)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("policies: linucb nil RNG")
 	}
 	d := dom.Dim() + 1
 	l := &LinUCB{
-		dom:   dom,
-		cfg:   cfg,
-		rng:   rng,
-		arms:  buildArms(dom),
-		dim:   d,
-		ainv:  make([]float64, d*d),
-		bvec:  make([]float64, d),
-		theta: make([]float64, d),
-		fbuf:  make([]float64, d),
-		abuf:  make([]float64, d),
+		History: h,
+		arms:    buildArms(dom),
+		dim:     d,
+		ainv:    make([]float64, d*d),
+		bvec:    make([]float64, d),
+		theta:   make([]float64, d),
+		fbuf:    make([]float64, d),
+		abuf:    make([]float64, d),
 	}
 	for i := 0; i < d; i++ {
 		l.ainv[i*d+i] = 1 // ridge prior A = λI with λ=1
@@ -143,8 +130,8 @@ func ratioGridValue(rmin float64, k, size int) float64 {
 // Next suggests uniformly at random during warm-up, then the UCB-maximizing
 // arm (ties broken by lowest arm index, so scans are order-stable).
 func (l *LinUCB) Next() ([]float64, error) {
-	if len(l.xs) < l.cfg.InitSamples {
-		return l.dom.Sample(l.rng), nil
+	if p, ok := l.WarmUp(); ok {
+		return p, nil
 	}
 	l.solveTheta()
 	bestIdx := 0
@@ -162,15 +149,9 @@ func (l *LinUCB) Next() ([]float64, error) {
 // ridge design via Sherman–Morrison. The reward is the negated cost, so
 // argmax-UCB minimizes cost.
 func (l *LinUCB) Observe(p []float64, cost float64) error {
-	if !l.dom.Contains(p) {
-		return fmt.Errorf("policies: linucb observed point %v outside domain", p)
+	if err := l.History.Observe(p, cost); err != nil {
+		return err
 	}
-	if math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return fmt.Errorf("policies: linucb non-finite cost %v", cost)
-	}
-	l.xs = append(l.xs, append([]float64(nil), p...))
-	l.ys = append(l.ys, cost)
-
 	f := l.features(p)
 	// Sherman–Morrison: A⁻¹ ← A⁻¹ − (A⁻¹ f)(A⁻¹ f)ᵀ / (1 + fᵀ A⁻¹ f).
 	af := l.matVec(l.abuf, f)
@@ -188,21 +169,6 @@ func (l *LinUCB) Observe(p []float64, cost float64) error {
 		l.bvec[i] += -cost * v
 	}
 	return nil
-}
-
-// Observations returns the number of recorded (point, cost) pairs.
-func (l *LinUCB) Observations() int { return len(l.xs) }
-
-// Best returns the lowest-cost observed point.
-func (l *LinUCB) Best() ([]float64, float64, bool) {
-	return bestOf(l.xs, l.ys)
-}
-
-// ExportState deep-copies the bandit's resumable state. The design matrix
-// is not exported: it is a deterministic function of the history, so
-// restore replays Observe instead — the snapshot stays policy-agnostic.
-func (l *LinUCB) ExportState() *bo.OptimizerState {
-	return historyState(l.rng, l.xs, l.ys)
 }
 
 // ucb scores an arm: θᵀf + α√(fᵀ A⁻¹ f).
@@ -253,33 +219,4 @@ func (l *LinUCB) solveTheta() {
 		}
 		l.theta[i] = s
 	}
-}
-
-// bestOf is the shared lowest-cost scan (first minimum wins, matching the
-// GP optimizer's tie-break).
-func bestOf(xs [][]float64, ys []float64) ([]float64, float64, bool) {
-	if len(ys) == 0 {
-		return nil, 0, false
-	}
-	bi := 0
-	for i, y := range ys {
-		if y < ys[bi] {
-			bi = i
-		}
-	}
-	return append([]float64(nil), xs[bi]...), ys[bi], true
-}
-
-// historyState packs (RNG position, history) into the policy-agnostic
-// OptimizerState.
-func historyState(rng *sim.RNG, xs [][]float64, ys []float64) *bo.OptimizerState {
-	st := &bo.OptimizerState{
-		RNGState: rng.State(),
-		X:        make([][]float64, len(xs)),
-		Y:        append([]float64(nil), ys...),
-	}
-	for i, x := range xs {
-		st.X[i] = append([]float64(nil), x...)
-	}
-	return st
 }

@@ -6,9 +6,10 @@
 // contract (all randomness via sim.RNG, no wall clock, bit-identical
 // replay from equal seeds); the GP-EI bo.Optimizer registers here too so
 // every serving and tournament path selects policies by name through one
-// registry. Every entrant's state is a function of its RNG position and
-// its observation history, so every entrant snapshots the same way
-// (ExportState) and restores through one Restore.
+// registry. Every entrant embeds bo.History, which owns the observation
+// database, its checks and its snapshot; every entrant's state is a
+// function of its RNG position and that history, so every entrant
+// snapshots the same way (ExportState) and restores through one Restore.
 package policies
 
 import (
@@ -73,7 +74,7 @@ func New(name string, dom bo.Domain, cfg bo.Config, rng *sim.RNG) (bo.Policy, er
 
 // Restore rebuilds the named policy from an exported state: a fresh
 // instance at the exported RNG position, fed the exported history through
-// Observe (which validates it as the live path would). Every entrant's state
+// Observe (whose bo.History checks validate it as the live path would). Every entrant's state
 // is a function of those two, so the restored suggestion stream continues
 // bit-identically.
 func Restore(name string, dom bo.Domain, cfg bo.Config, st *bo.OptimizerState) (bo.Policy, error) {

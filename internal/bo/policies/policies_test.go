@@ -2,6 +2,7 @@ package policies
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -270,7 +271,7 @@ func TestCMAESGenerationFollowsObservations(t *testing.T) {
 			}
 			return p
 		}},
-		{"foreign point", func(c *CMAES) []float64 { return dom.Sample(sim.NewRNG(uint64(len(c.xs)))) }},
+		{"foreign point", func(c *CMAES) []float64 { return dom.Sample(sim.NewRNG(uint64(c.Observations()))) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
@@ -292,12 +293,13 @@ func TestCMAESGenerationFollowsObservations(t *testing.T) {
 				}
 				step(live, tc.skew(live))
 
-				fresh, err := NewCMAES(dom, cfg, sim.NewRNG(live.rng.State()))
+				fresh, err := NewCMAES(dom, cfg, sim.NewRNG(live.RNG().State()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, x := range live.xs {
-					if err := fresh.Observe(x, live.ys[i]); err != nil {
+				xs, ys := live.Data()
+				for i, x := range xs {
+					if err := fresh.Observe(x, ys[i]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -322,12 +324,22 @@ func TestCMAESGenerationFollowsObservations(t *testing.T) {
 }
 
 // FuzzPolicyRestore drives a random entrant through a random interleaving
-// of suggest+observe, suggests whose response is lost, and observations of
-// points the policy never suggested, snapshots it at a random cut, and
-// requires the restored policy to continue bit-identically.
+// of suggest+observe, suggests whose response is lost, observations of
+// points the policy never suggested, and rejected observations (a NaN cost
+// or a point outside the domain), snapshots it at a random cut, and
+// requires the restored policy to continue bit-identically. A rejected
+// observation must fail on every policy and change nothing: the exported
+// state stays put, and a policy restored from that state follows the rest
+// of the script bit-identically too.
 func FuzzPolicyRestore(f *testing.F) {
 	for i := range Names() {
-		f.Add(uint8(i), uint64(i+1), uint8(2), []byte{0, 0, 0, 0, 2, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(9))
+		f.Add(uint8(i), uint64(i+1), uint8(2), []byte{0, 0, 0, 4, 2, 0, 3, 0, 0, 0, 9, 0, 0, 0, 2, 0, 4, 0, 0, 0, 0, 0, 0, 0}, uint8(9))
+	}
+	// Past the warm-up on foreign points, then two rejected out-of-domain
+	// points: a Thompson sampler that counts a point before checking it
+	// suggests differently afterwards.
+	for i := range Names() {
+		f.Add(uint8(i), uint64(4), uint8(2), []byte{3, 3, 3, 3, 3, 3, 9, 9}, uint8(7))
 	}
 	f.Fuzz(func(t *testing.T, which uint8, seed uint64, nRaw uint8, script []byte, cutRaw uint8) {
 		names := Names()
@@ -343,50 +355,79 @@ func FuzzPolicyRestore(f *testing.F) {
 			t.Fatal(err)
 		}
 		outside := sim.NewRNG(^seed)
-		var twin bo.Policy
+		// followers are restored copies of live that must stay in lockstep
+		// with it: the one restored at the cut, and one restored after each
+		// rejected observation.
+		var followers []bo.Policy
+		follow := func(op int) {
+			p, err := Restore(name, dom, cfg, live.ExportState())
+			if err != nil {
+				t.Fatalf("%s: Restore at %d: %v", name, op, err)
+			}
+			followers = append(followers, p)
+		}
 		observe := func(p []float64) {
 			cost := syntheticCost(p)
-			if err := live.Observe(p, cost); err != nil {
-				t.Fatal(err)
-			}
-			if twin != nil {
-				if err := twin.Observe(p, cost); err != nil {
+			for _, pol := range append([]bo.Policy{live}, followers...) {
+				if err := pol.Observe(p, cost); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		reject := func(op int, nanCost bool) {
+			bad := dom.Sample(outside)
+			cost := syntheticCost(bad)
+			if nanCost {
+				cost = math.NaN()
+			} else {
+				bad[dom.N] = -1
+			}
+			for _, pol := range append([]bo.Policy{live}, followers...) {
+				before := pol.ExportState()
+				if err := pol.Observe(bad, cost); err == nil {
+					t.Fatalf("%s: op %d: Observe(%v, %v) accepted", name, op, bad, cost)
+				}
+				if !reflect.DeepEqual(pol.ExportState(), before) {
+					t.Fatalf("%s: op %d: a rejected observation changed the state", name, op)
+				}
+			}
+			follow(op)
+		}
 		for i := 0; i <= len(script); i++ {
 			if i == cut {
-				if twin, err = Restore(name, dom, cfg, live.ExportState()); err != nil {
-					t.Fatalf("%s: Restore at %d: %v", name, i, err)
-				}
+				follow(i)
 			}
 			if i == len(script) {
 				break
 			}
-			if script[i]%4 == 3 {
+			switch script[i] % 5 {
+			case 3:
 				observe(dom.Sample(outside))
 				continue
+			case 4:
+				reject(i, script[i]/5%2 == 0)
 			}
 			p, err := live.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if twin != nil {
-				q, err := twin.Next()
+			for k, pol := range followers {
+				q, err := pol.Next()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !samePoint(q, p) {
-					t.Fatalf("%s: op %d after a restore at %d: suggestion %v, want %v", name, i, cut, q, p)
+					t.Fatalf("%s: op %d (cut %d): follower %d suggests %v, want %v", name, i, cut, k, q, p)
 				}
 			}
-			if script[i]%4 != 2 {
+			if script[i]%5 != 2 {
 				observe(p)
 			}
 		}
-		if got, want := twin.Observations(), live.Observations(); got != want {
-			t.Fatalf("%s: restored observations = %d, want %d", name, got, want)
+		for _, pol := range followers {
+			if got, want := pol.Observations(), live.Observations(); got != want {
+				t.Fatalf("%s: restored observations = %d, want %d", name, got, want)
+			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package policies
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/mar-hbo/hbo/internal/bo"
@@ -26,38 +25,26 @@ const thompsonPriorSigma = 1.0
 // the observation history, so an OptimizerState (RNG position + history)
 // fully determines the policy and restore is a replay of Observe calls.
 type Thompson struct {
-	dom bo.Domain
-	cfg bo.Config
-	rng *sim.RNG
+	bo.History
 
 	arms   [][]float64 // discretized configurations, fixed at construction
 	counts []int       // per-arm observation counts
 	sums   []float64   // per-arm cost sums
-
-	xs [][]float64
-	ys []float64
 }
 
 // NewThompson builds the sampler over dom. cfg.InitSamples bounds the
 // uniform warm-up; GP-specific cfg fields are ignored.
 func NewThompson(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*Thompson, error) {
-	if err := dom.Validate(); err != nil {
+	h, err := bo.NewHistory(dom, cfg.InitSamples, rng)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.InitSamples < 1 {
-		return nil, fmt.Errorf("policies: thompson InitSamples must be >= 1, got %d", cfg.InitSamples)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("policies: thompson nil RNG")
 	}
 	arms := buildArms(dom)
 	return &Thompson{
-		dom:    dom,
-		cfg:    cfg,
-		rng:    rng,
-		arms:   arms,
-		counts: make([]int, len(arms)),
-		sums:   make([]float64, len(arms)),
+		History: h,
+		arms:    arms,
+		counts:  make([]int, len(arms)),
+		sums:    make([]float64, len(arms)),
 	}, nil
 }
 
@@ -65,9 +52,10 @@ func NewThompson(dom bo.Domain, cfg bo.Config, rng *sim.RNG) (*Thompson, error) 
 // arm's posterior and plays the lowest draw (strict minimum, so ties keep
 // the lowest arm index).
 func (t *Thompson) Next() ([]float64, error) {
-	if len(t.xs) < t.cfg.InitSamples {
-		return t.dom.Sample(t.rng), nil
+	if p, ok := t.WarmUp(); ok {
+		return p, nil
 	}
+	rng := t.RNG()
 	prior := t.globalMean()
 	bestIdx := 0
 	bestDraw := math.Inf(1)
@@ -75,7 +63,7 @@ func (t *Thompson) Next() ([]float64, error) {
 		n := float64(t.counts[i])
 		mean := (prior + t.sums[i]) / (n + 1)
 		sigma := thompsonPriorSigma / math.Sqrt(n+1)
-		if draw := mean + sigma*t.rng.Norm(); draw < bestDraw {
+		if draw := mean + sigma*rng.Norm(); draw < bestDraw {
 			bestDraw = draw
 			bestIdx = i
 		}
@@ -86,42 +74,23 @@ func (t *Thompson) Next() ([]float64, error) {
 // Observe records the measured cost against the nearest arm. The update
 // consumes no randomness, so snapshot restores replay it exactly.
 func (t *Thompson) Observe(p []float64, cost float64) error {
-	if !t.dom.Contains(p) {
-		return fmt.Errorf("policies: thompson observed point %v outside domain", p)
+	if err := t.History.Observe(p, cost); err != nil {
+		return err
 	}
-	if math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return fmt.Errorf("policies: thompson non-finite cost %v", cost)
-	}
-	t.xs = append(t.xs, append([]float64(nil), p...))
-	t.ys = append(t.ys, cost)
 	a := t.nearestArm(p)
 	t.counts[a]++
 	t.sums[a] += cost
 	return nil
 }
 
-// Observations returns the number of recorded (point, cost) pairs.
-func (t *Thompson) Observations() int { return len(t.xs) }
-
-// Best returns the lowest-cost observed point.
-func (t *Thompson) Best() ([]float64, float64, bool) {
-	return bestOf(t.xs, t.ys)
-}
-
-// ExportState deep-copies the sampler's resumable state (RNG position +
-// history; posteriors rebuild by replay, keeping the snapshot
-// policy-agnostic).
-func (t *Thompson) ExportState() *bo.OptimizerState {
-	return historyState(t.rng, t.xs, t.ys)
-}
-
 // globalMean is the prior mean: the average of every observed cost.
 func (t *Thompson) globalMean() float64 {
+	_, ys := t.Data()
 	sum := 0.0
-	for _, y := range t.ys {
+	for _, y := range ys {
 		sum += y
 	}
-	return sum / float64(len(t.ys))
+	return sum / float64(len(ys))
 }
 
 // nearestArm maps a point to the closest arm by squared L2 distance,

@@ -19,6 +19,11 @@ package bo
 //   - Observe must not retroactively mutate a slice previously returned by
 //     Next; suggestions are owned by the caller once returned.
 //
+// Every implementation embeds History, which owns the observation database
+// D and supplies Observe (its checks and the append), Observations and
+// ExportState; a policy with a model of its own wraps Observe to update it.
+// Callers that want the incumbent track it themselves.
+//
 // Policies are not safe for concurrent use; callers serialize access
 // (sessiond holds the per-session lock, the arena runs one policy per
 // goroutine).
@@ -26,13 +31,11 @@ type Policy interface {
 	// Next suggests the next configuration to evaluate, encoded as
 	// [c_1 ... c_N, x] in the policy's Domain.
 	Next() ([]float64, error)
-	// Observe records the measured cost of a previously suggested point.
+	// Observe records the measured cost of a point; a point outside the
+	// Domain or a non-finite cost is rejected and changes nothing.
 	Observe(p []float64, cost float64) error
 	// Observations returns the number of recorded (point, cost) pairs.
 	Observations() int
-	// Best returns the lowest-cost observed point, ok=false before any
-	// observation.
-	Best() (p []float64, cost float64, ok bool)
 	// ExportState deep-copies the resumable state: the RNG position and
 	// the observation history. Everything else a policy holds is a
 	// function of those, so the policies registry restores any policy by

@@ -18,8 +18,8 @@ func stateTestCost(p []float64) float64 {
 	return math.Sin(c*7) + c
 }
 
-// drive advances an optimizer through k suggest+observe rounds.
-func drive(t *testing.T, o *bo.Optimizer, k int) {
+// drive advances a policy through k suggest+observe rounds.
+func drive(t *testing.T, o bo.Policy, k int) {
 	t.Helper()
 	for i := 0; i < k; i++ {
 		p, err := o.Next()
@@ -129,18 +129,22 @@ func TestExportAfterSuggestBeforeObserve(t *testing.T) {
 	samePoints(t, "dangling suggest", gp, wp)
 }
 
-// TestImportValidation exercises the defensive checks against states that
-// crossed a disk boundary and rotted.
+// TestImportValidation exercises every entrant's defensive checks against
+// states that crossed a disk boundary and rotted.
 func TestImportValidation(t *testing.T) {
 	dom := bo.Domain{N: 2, RMin: 0.1}
 	cfg := bo.DefaultConfig()
 	cfg.Candidates = 32
 	cfg.RefineSteps = 2
-	base, err := bo.NewOptimizer(dom, cfg, sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
+	bases := make(map[string]bo.Policy)
+	for _, name := range policies.Names() {
+		base, err := policies.New(name, dom, cfg, sim.NewRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, base, 8)
+		bases[name] = base
 	}
-	drive(t, base, 8)
 
 	mutations := []struct {
 		name string
@@ -153,17 +157,44 @@ func TestImportValidation(t *testing.T) {
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
-			if m.mut == nil {
-				if _, err := restore(dom, cfg, nil); err == nil {
-					t.Fatal("nil state accepted")
+			for _, name := range policies.Names() {
+				var st *bo.OptimizerState
+				if m.mut != nil {
+					// Re-export so each mutation starts from a pristine deep copy.
+					st = bases[name].ExportState()
+					m.mut(st)
 				}
-				return
+				if _, err := policies.Restore(name, dom, cfg, st); err == nil {
+					t.Errorf("%s: corrupt state accepted", name)
+				}
 			}
-			// Re-export so each mutation starts from a pristine deep copy.
-			st := base.ExportState()
-			m.mut(st)
-			if _, err := restore(dom, cfg, st); err == nil {
-				t.Fatal("corrupt state accepted")
+		})
+	}
+}
+
+// TestNewValidation: every entrant rejects a nil RNG and an invalid domain,
+// and every entrant with a warm-up rejects an empty one.
+func TestNewValidation(t *testing.T) {
+	dom := bo.Domain{N: 2, RMin: 0.1}
+	noWarmUp := bo.DefaultConfig()
+	noWarmUp.InitSamples = 0
+	for _, name := range policies.Names() {
+		t.Run(name, func(t *testing.T) {
+			if _, err := policies.New(name, dom, bo.DefaultConfig(), nil); err == nil {
+				t.Error("nil RNG accepted")
+			}
+			for _, bad := range []bo.Domain{{N: 0, RMin: 0.1}, {N: 2, RMin: -0.1}, {N: 2, RMin: 1.5}} {
+				if _, err := policies.New(name, bad, bo.DefaultConfig(), sim.NewRNG(1)); err == nil {
+					t.Errorf("domain %+v accepted", bad)
+				}
+			}
+			_, err := policies.New(name, dom, noWarmUp, sim.NewRNG(1))
+			if name == policies.NameRandom {
+				if err != nil {
+					t.Errorf("random search reads no InitSamples, yet 0 is rejected: %v", err)
+				}
+			} else if err == nil {
+				t.Error("InitSamples 0 accepted")
 			}
 		})
 	}

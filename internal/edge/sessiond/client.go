@@ -88,11 +88,7 @@ func (c *Client) SetPolicy(name string) error {
 // counter. Passing nil detaches.
 func (c *Client) SetObserver(reg *obs.Registry) {
 	c.metReopens = reg.Counter("load.session_reopens")
-	if reg != nil {
-		c.metSuggestMS = reg.Histogram("load.suggest_wall_ms", obs.LatencyBucketsMS)
-	} else {
-		c.metSuggestMS = nil
-	}
+	c.metSuggestMS = reg.Histogram("load.suggest_wall_ms", obs.LatencyBucketsMS)
 }
 
 // SetStream multiplexes the session ops (open/suggest/observe/close) over

@@ -274,15 +274,9 @@ func (s *Service) SetObserver(reg *obs.Registry) {
 	s.metStreamFramesOut = reg.Counter("sessiond.stream_frames_out")
 	s.metStreamDecodeErrs = reg.Counter("sessiond.stream_decode_errors")
 	s.metStreamsOpen = reg.Gauge("sessiond.streams_open")
-	if reg != nil {
-		s.metSnapSaveMS = reg.Histogram("sessiond.snapshot_save_ms", obs.LatencyBucketsMS)
-		s.metSnapRestoreMS = reg.Histogram("sessiond.snapshot_restore_ms", obs.LatencyBucketsMS)
-		s.metStreamDurMS = reg.Histogram("sessiond.stream_open_ms", obs.LatencyBucketsMS)
-	} else {
-		s.metSnapSaveMS = nil
-		s.metSnapRestoreMS = nil
-		s.metStreamDurMS = nil
-	}
+	s.metSnapSaveMS = reg.Histogram("sessiond.snapshot_save_ms", obs.LatencyBucketsMS)
+	s.metSnapRestoreMS = reg.Histogram("sessiond.snapshot_restore_ms", obs.LatencyBucketsMS)
+	s.metStreamDurMS = reg.Histogram("sessiond.stream_open_ms", obs.LatencyBucketsMS)
 }
 
 // Close is a no-op: every session op runs on the goroutine that read it,

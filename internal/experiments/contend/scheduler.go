@@ -169,11 +169,7 @@ func (s *Scheduler) SetObserver(reg *obs.Registry) {
 	s.met.degrades = reg.Counter("contend.sched_degrades")
 	s.met.defers = reg.Counter("contend.sched_defers")
 	s.met.forced = reg.Counter("contend.sched_forced_admits")
-	if reg != nil {
-		s.met.planUtil = reg.Histogram("contend.sched_plan_util", planUtilBuckets)
-	} else {
-		s.met.planUtil = nil
-	}
+	s.met.planUtil = reg.Histogram("contend.sched_plan_util", planUtilBuckets)
 }
 
 // Credit returns the user's current service credit (negative = starved).

@@ -152,15 +152,9 @@ func (e *SharedEdge) SetObserver(reg *obs.Registry) {
 	e.met.inferSubmits = reg.Counter("contend.inference_submits")
 	e.met.decimSubmits = reg.Counter("contend.decimation_submits")
 	e.met.completions = reg.Counter("contend.completions")
-	if reg != nil {
-		e.met.gpuDepth = reg.Histogram("contend.gpu_queue_depth", queueDepthBuckets)
-		e.met.decimDepth = reg.Histogram("contend.decim_queue_depth", queueDepthBuckets)
-		e.met.latency = reg.Histogram("contend.latency_ms", obs.LatencyBucketsMS)
-	} else {
-		e.met.gpuDepth = nil
-		e.met.decimDepth = nil
-		e.met.latency = nil
-	}
+	e.met.gpuDepth = reg.Histogram("contend.gpu_queue_depth", queueDepthBuckets)
+	e.met.decimDepth = reg.Histogram("contend.decim_queue_depth", queueDepthBuckets)
+	e.met.latency = reg.Histogram("contend.latency_ms", obs.LatencyBucketsMS)
 }
 
 // Now returns the model's current virtual time.
