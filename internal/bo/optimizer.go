@@ -157,16 +157,17 @@ type Optimizer struct {
 
 	// Reusable scratch: winsorization buffers, the candidate pool, its
 	// scores and posterior variances, per-scorer prediction scratch, and the
-	// two refinement buffers.
-	clipBuf   []float64
-	sortBuf   []float64
-	candFlat  []float64
-	cands     [][]float64
-	scores    []float64
-	variances []float64
-	scratches []PredictScratch
-	refineA   []float64
-	refineB   []float64
+	// refinement's point, normals and quad of speculative steps.
+	clipBuf    []float64
+	sortBuf    []float64
+	candFlat   []float64
+	cands      [][]float64
+	scores     []float64
+	variances  []float64
+	scratches  []PredictScratch
+	refineTop  []float64
+	refineZ    []float64
+	refineQuad [predictWidth][]float64
 
 	// The draw/score hand-off, reused across suggestions (see scorePool).
 	// ready carries the index of each drawn block, then one stop sentinel
@@ -241,8 +242,20 @@ func (o *Optimizer) next() ([]float64, error) {
 	if p, ok := o.WarmUp(); ok {
 		return p, nil
 	}
-	if err := o.ensureSurrogate(o.clippedCosts()); err != nil {
+	start, topEI, best, err := o.bestOfPool()
+	if err != nil {
 		return nil, err
+	}
+	return o.refine(start, topEI, best), nil
+}
+
+// bestOfPool syncs the surrogate, draws and scores the candidate pool, and
+// returns its first highest-scoring candidate with that score and the
+// incumbent's cost. The candidate is pool storage, valid until the next
+// suggestion.
+func (o *Optimizer) bestOfPool() (start []float64, topEI, best float64, err error) {
+	if err := o.ensureSurrogate(o.clippedCosts()); err != nil {
+		return nil, 0, 0, err
 	}
 	bi := o.BestIndex()
 	bestPoint, best := o.xs[bi], o.ys[bi]
@@ -253,31 +266,64 @@ func (o *Optimizer) next() ([]float64, error) {
 	o.ensureSearchBuffers(o.cfg.Candidates, dim, blocks, workers)
 	o.scorePool(bestPoint, best, blocks, workers)
 	topIdx := 0
-	topEI := math.Inf(-1)
+	topEI = math.Inf(-1)
 	for i, ei := range o.scores[:o.cfg.Candidates] {
 		if ei > topEI {
 			topEI = ei
 			topIdx = i
 		}
 	}
+	return o.cands[topIdx], topEI, best, nil
+}
 
-	// Stochastic local refinement with a shrinking step.
-	top := append(o.refineA[:0], o.cands[topIdx]...)
-	cand := o.refineB[:dim]
-	scratch := &o.scratches[0]
-	step := 0.2
-	for i := 0; i < o.cfg.RefineSteps; i++ {
-		o.perturbInto(cand, top, step)
-		mean, variance := o.gp.PredictInto(cand, scratch)
-		if ei := o.cfg.Acquisition.Score(mean, variance, best); ei > topEI {
-			topEI = ei
-			top, cand = cand, top
-		} else {
-			step *= 0.93
-		}
+// refine runs the stochastic local refinement from start, whose score is
+// topEI, and returns the point it ends on. Step i perturbs the current
+// point by step·z_i, with z_i the step's dim normals, and moves there if
+// the perturbation scores above topEI; a rejected step shrinks step by
+// 0.93. Every step draws its normals whatever its outcome, so all of them
+// are drawn up front in the serial order. The steps are then scored a quad
+// at a time on the guess that each is rejected: step i+j perturbs the same
+// point by step·0.93^j. The quad is walked in order up to its first
+// acceptance, and the search resumes from the accepted point at the next
+// step with the accepted step's scale. Every point whose score is
+// compared, and the one returned, is the one-step-at-a-time loop's, bit
+// for bit; a speculated step past an acceptance is discarded unread.
+func (o *Optimizer) refine(start []float64, topEI, best float64) []float64 {
+	dim := len(start)
+	steps := o.cfg.RefineSteps
+	zs := o.refineZ[:steps*dim]
+	for i := range zs {
+		zs[i] = o.rng.Norm()
 	}
-	o.refineA, o.refineB = top, cand
-	return append([]float64(nil), top...), nil
+	top := append(o.refineTop[:0], start...)
+	var means, variances, scales [predictWidth]float64
+	step := 0.2
+	for i := 0; i < steps; {
+		quad := o.refineQuad[:min(predictWidth, steps-i)]
+		scale := step
+		for j, p := range quad {
+			z := zs[(i+j)*dim:]
+			for d := range p {
+				p[d] = top[d] + scale*z[d]
+			}
+			o.dom.Project(p)
+			scales[j] = scale
+			scale *= 0.93
+		}
+		o.gp.PredictBatchInto(quad, means[:], variances[:], &o.scratches[0])
+		next := i + len(quad)
+		step = scale
+		for j := range quad {
+			if ei := o.cfg.Acquisition.Score(means[j], variances[j], best); ei > topEI {
+				topEI = ei
+				copy(top, quad[j])
+				step, next = scales[j], i+j+1
+				break
+			}
+		}
+		i = next
+	}
+	return append([]float64(nil), top...)
 }
 
 // ensureSurrogate brings the persistent GP in sync with the observation
@@ -323,11 +369,15 @@ func (o *Optimizer) ensureSearchBuffers(n, dim, blocks, workers int) {
 		o.variances = make([]float64, n)
 	}
 	o.scores, o.variances = o.scores[:n], o.variances[:n]
-	if cap(o.refineA) < dim {
-		o.refineA = make([]float64, dim)
-		o.refineB = make([]float64, dim)
+	if cap(o.refineTop) < dim {
+		o.refineTop = make([]float64, dim)
+		for j := range o.refineQuad {
+			o.refineQuad[j] = make([]float64, dim)
+		}
 	}
-	o.refineA, o.refineB = o.refineA[:dim], o.refineB[:dim]
+	if cap(o.refineZ) < o.cfg.RefineSteps*dim {
+		o.refineZ = make([]float64, o.cfg.RefineSteps*dim)
+	}
 	if len(o.scratches) < workers {
 		o.scratches = make([]PredictScratch, workers)
 	}

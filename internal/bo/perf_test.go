@@ -410,6 +410,16 @@ func FuzzPredictBatch(f *testing.F) {
 	f.Add([]byte{2, 5, 2, 10, 200, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 7, 9, 11, 13, 1, 2, 3}, 0.3)
 	f.Add([]byte{0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, 1.0)
 	f.Add([]byte{5, 39, 0, 255, 255, 0, 0, 128, 128, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, 0.01)
+	// Odd database sizes, so the quad kernel's paired substitution rows
+	// end on an unpaired one: three coordinates and a target per
+	// observation, then eight pool points.
+	for _, n := range []byte{1, 3, 7, 13} {
+		seed := []byte{2, n, 0}
+		for i := range 4*int(n) + 3*8 {
+			seed = append(seed, byte(37*i+11))
+		}
+		f.Add(seed, 0.3)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, lengthScale float64) {
 		if len(data) < 3 || !(lengthScale > 0) || math.IsInf(lengthScale, 0) {
 			t.Skip()

@@ -9,8 +9,10 @@ var quadKernel = hasAVX2FMA()
 
 // predictQuadAVX2 runs rows from, from+1, … of PredictBatchInto's pass for
 // the quad in st, four candidates to a YMM register, with st.m and st.v
-// held in registers until it returns. Each operation is predictRows' in
-// its operand order; exp is math.Exp's FMA sequence lane by lane. It
+// held in registers until it returns. It evaluates every row's kernel
+// values first, then runs the substitutions two rows at a time. Each
+// operation is predictRows' in its operand order, and m and v are
+// updated in row order; exp is math.Exp's FMA sequence lane by lane. It
 // returns st.n once every row is done, or the first row at which a
 // candidate's √5·r/ℓ is above 708 or NaN — where math.Exp would leave its
 // main path — without touching that row, so the caller can score it with

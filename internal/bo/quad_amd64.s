@@ -47,9 +47,20 @@ GLOBL qbias<>(SB), RODATA|NOPTR, $16
 
 // func predictQuadAVX2(st *quadState, from int) int
 //
-// Registers: CX row i, DX n, R8 dim·8, SI candidates, R9 &xs[i], R10 α,
-// R11 factor row i, R12 stride·8, R13 solved rows; Y8 m, Y9 v, Y10 √5/ℓ,
-// Y11 5/(3ℓ²), Y12 σ².
+// Two passes over rows from, from+1, …. Pass 1 evaluates each row's kernel
+// values into rows[i] and adds their α-weighted terms to m, in row order,
+// up to the first row that fails the 708 check; the rows' exp chains are
+// independent, so they overlap. Pass 2 solves the rows pass 1 filled, in
+// order and two at a time: both rows' substitution steps over j < i share
+// the load of rows[j] and run as two independent chains; row i then
+// divides, and row i+1 takes its j = i step and divides. Each row keeps
+// predictRows' operations in its operand order, and v takes each row's
+// square in row order, so the split changes no bit.
+//
+// Registers, pass 1: CX row i, DX n, R8 dim·8, SI candidates, R9 &xs[i],
+// R10 α, R13 rows; Y8 m, Y10 √5/ℓ, Y11 5/(3ℓ²), Y12 σ². Pass 2: CX row i,
+// DX the stop row, R11 factor row i, R9 factor row i+1, R12 stride·8, R13
+// rows; Y9 v.
 TEXT ·predictQuadAVX2(SB), NOSPLIT, $0-24
 	MOVQ st+0(FP), DI
 	MOVQ from+8(FP), CX
@@ -75,9 +86,9 @@ TEXT ·predictQuadAVX2(SB), NOSPLIT, $0-24
 	VBROADCASTSD quadState_k+matern52c_fiveOver3L2(DI), Y11
 	VBROADCASTSD quadState_k+matern52c_signalVar(DI), Y12
 
-row:
+kernrow:
 	CMPQ CX, DX
-	JGE  done
+	JGE  kerndone
 
 	// r = Σ_d (p_d − x_d)²
 	MOVQ   (R9), BX
@@ -102,7 +113,7 @@ distdone:
 	VCMPPD    $0x12, qmaxarg<>(SB), Y1, Y6
 	VMOVMSKPD Y6, AX
 	CMPQ      AX, $15
-	JNE       done
+	JNE       kerndone
 
 	// e = exp(−s), math.Exp's FMA path in each lane.
 	VXORPD       qnegzero<>(SB), Y1, Y2
@@ -141,14 +152,78 @@ distdone:
 	VMULPD Y3, Y12, Y3
 	VMULPD Y2, Y3, Y3
 
-	// m += k·α_i
+	// m += k·α_i; rows[i] = k
 	VBROADCASTSD (R10)(CX*8), Y6
 	VMULPD       Y6, Y3, Y6
 	VADDPD       Y6, Y8, Y8
+	MOVQ         CX, AX
+	SHLQ         $5, AX
+	VMOVUPD      Y3, (R13)(AX*1)
 
-	// k −= L[i][j]·rows[j] for j < i, then divide by the pivot L[i][i].
+	ADDQ $24, R9
+	INCQ CX
+	JMP  kernrow
+
+kerndone:
+	// Pass 2 solves rows from … CX−1; CX is the row to hand back.
+	MOVQ CX, DX
+	MOVQ from+8(FP), CX
+
+pair:
+	LEAQ 1(CX), AX
+	CMPQ AX, DX
+	JGE  single
+
+	// Rows i and i+1: k −= L[·][j]·rows[j] for j < i, one chain per row.
+	LEAQ   (R11)(R12*1), R9
+	MOVQ   CX, BX
+	SHLQ   $3, BX
+	VMOVUPD (R13)(BX*4), Y3
+	VMOVUPD 32(R13)(BX*4), Y4
+	XORQ   AX, AX
+
+pairsub:
+	CMPQ         AX, BX
+	JGE          pairsubdone
+	VMOVUPD      (R13)(AX*4), Y5
+	VBROADCASTSD (R11)(AX*1), Y6
+	VMULPD       Y5, Y6, Y6
+	VSUBPD       Y6, Y3, Y3
+	VBROADCASTSD (R9)(AX*1), Y7
+	VMULPD       Y5, Y7, Y7
+	VSUBPD       Y7, Y4, Y4
+	ADDQ         $8, AX
+	JMP          pairsub
+
+pairsubdone:
+	// Row i: divide by L[i][i], store, v −= rows[i]².
+	VBROADCASTSD (R11)(BX*1), Y6
+	VDIVPD       Y6, Y3, Y3
+	VMOVUPD      Y3, (R13)(BX*4)
+	VMULPD       Y3, Y3, Y6
+	VSUBPD       Y6, Y9, Y9
+
+	// Row i+1: its j = i step, divide by L[i+1][i+1], store, v −= rows[i+1]².
+	VBROADCASTSD (R9)(BX*1), Y7
+	VMULPD       Y3, Y7, Y7
+	VSUBPD       Y7, Y4, Y4
+	VBROADCASTSD 8(R9)(BX*1), Y7
+	VDIVPD       Y7, Y4, Y4
+	VMOVUPD      Y4, 32(R13)(BX*4)
+	VMULPD       Y4, Y4, Y7
+	VSUBPD       Y7, Y9, Y9
+
+	LEAQ (R9)(R12*1), R11
+	ADDQ $2, CX
+	JMP  pair
+
+single:
+	// A last unpaired row: the same steps for row i alone.
+	CMPQ CX, DX
+	JGE  done
 	MOVQ CX, BX
 	SHLQ $3, BX
+	VMOVUPD (R13)(BX*4), Y3
 	XORQ AX, AX
 
 sub:
@@ -164,21 +239,14 @@ subdone:
 	VBROADCASTSD (R11)(BX*1), Y6
 	VDIVPD       Y6, Y3, Y3
 	VMOVUPD      Y3, (R13)(BX*4)
-
-	// v −= rows[i]²
-	VMULPD Y3, Y3, Y6
-	VSUBPD Y6, Y9, Y9
-
-	ADDQ $24, R9
-	ADDQ R12, R11
-	INCQ CX
-	JMP  row
+	VMULPD       Y3, Y3, Y6
+	VSUBPD       Y6, Y9, Y9
 
 done:
 	VMOVUPD Y8, quadState_m(DI)
 	VMOVUPD Y9, quadState_v(DI)
 	VZEROUPPER
-	MOVQ    CX, ret+16(FP)
+	MOVQ    DX, ret+16(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -120,53 +120,68 @@ func TestQuadKernelNaNTrainingPoint(t *testing.T) {
 }
 
 // TestQuadKernelStopsAtFarRow calls the kernel directly on quads whose
-// last candidate is far from training row 4 only: √5·r/ℓ there is 894,
+// last candidate is far from one training row only: √5·r/ℓ there is 894,
 // where exp(−s) underflows to zero, or 730, where math.Exp takes its
-// denormal branch. The kernel must stop at that row, leave it for
-// predictRows, and finish from row 5 with the portable loop's bits.
+// denormal branch. The far row sits at every index of GPs with 1 to 10
+// observations, so the stop lands on either row of a pair in the kernel's
+// substitution pass, both from row 0 and on the resumed call. The kernel
+// must stop at that row, leave it for predictRows, and finish from the next
+// with the portable loop's bits in m, v and every solved row.
 func TestQuadKernelStopsAtFarRow(t *testing.T) {
 	requireQuadKernel(t)
 	rng := sim.NewRNG(23)
-	const n, far, l = 10, 4, 0.3
-	xs := make([][]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64(), 0.5}
-		ys[i] = rng.Norm()
-	}
-	xs[far][0] = 60
-	gp, err := NewGP(Matern52{LengthScale: l, SignalVar: 1}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gp.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []float64{894, 730} {
-		q := [predictWidth][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}, {60 - s*l/sqrt5, 0.5}}
-		cand := make([]float64, 0, 2*predictWidth)
-		for d := 0; d < 2; d++ {
-			cand = append(cand, q[0][d], q[1][d], q[2][d], q[3][d])
-		}
-		rows := make([][predictWidth]float64, n)
-		st := quadState{
-			cand: &cand[0], dim: 2, xs: &gp.x[0], alpha: &gp.alpha[0], chol: &gp.chol[0],
-			stride: gp.stride, rows: &rows[0], n: n, k: gp.k,
-		}
-		if stop := predictQuadAVX2(&st, 0); stop != far {
-			t.Fatalf("s %v: kernel stopped at row %d, want the far row %d", s, stop, far)
-		}
-		gp.predictRows(&q, &st, rows, far, far+1)
-		if stop := predictQuadAVX2(&st, far+1); stop != n {
-			t.Fatalf("s %v: resumed kernel stopped at row %d, want %d", s, stop, n)
-		}
-		var ref quadState
-		gp.predictRows(&q, &ref, make([][predictWidth]float64, n), 0, n)
-		for c := range q {
-			if math.Float64bits(st.m[c]) != math.Float64bits(ref.m[c]) ||
-				math.Float64bits(st.v[c]) != math.Float64bits(ref.v[c]) {
-				t.Fatalf("s %v: candidate %d: kernel (m %v, v %v) != portable (m %v, v %v)",
-					s, c, st.m[c], st.v[c], ref.m[c], ref.v[c])
+	const l = 0.3
+	for n := 1; n <= 10; n++ {
+		for far := 0; far < n; far++ {
+			xs := make([][]float64, n)
+			ys := make([]float64, n)
+			for i := range xs {
+				xs[i] = []float64{rng.Float64(), 0.5}
+				ys[i] = rng.Norm()
+			}
+			xs[far][0] = 60
+			gp, err := NewGP(Matern52{LengthScale: l, SignalVar: 1}, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := gp.Fit(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []float64{894, 730} {
+				name := fmt.Sprintf("n %d far row %d s %v", n, far, s)
+				q := [predictWidth][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}, {60 - s*l/sqrt5, 0.5}}
+				cand := make([]float64, 0, 2*predictWidth)
+				for d := 0; d < 2; d++ {
+					cand = append(cand, q[0][d], q[1][d], q[2][d], q[3][d])
+				}
+				rows := make([][predictWidth]float64, n)
+				st := quadState{
+					cand: &cand[0], dim: 2, xs: &gp.x[0], alpha: &gp.alpha[0], chol: &gp.chol[0],
+					stride: gp.stride, rows: &rows[0], n: n, k: gp.k,
+				}
+				if stop := predictQuadAVX2(&st, 0); stop != far {
+					t.Fatalf("%s: kernel stopped at row %d, want the far row", name, stop)
+				}
+				gp.predictRows(&q, &st, rows, far, far+1)
+				if stop := predictQuadAVX2(&st, far+1); stop != n {
+					t.Fatalf("%s: resumed kernel stopped at row %d, want %d", name, stop, n)
+				}
+				var ref quadState
+				refRows := make([][predictWidth]float64, n)
+				gp.predictRows(&q, &ref, refRows, 0, n)
+				for c := range q {
+					if math.Float64bits(st.m[c]) != math.Float64bits(ref.m[c]) ||
+						math.Float64bits(st.v[c]) != math.Float64bits(ref.v[c]) {
+						t.Fatalf("%s: candidate %d: kernel (m %v, v %v) != portable (m %v, v %v)",
+							name, c, st.m[c], st.v[c], ref.m[c], ref.v[c])
+					}
+					for i := range rows {
+						if math.Float64bits(rows[i][c]) != math.Float64bits(refRows[i][c]) {
+							t.Fatalf("%s: candidate %d row %d: kernel %v != portable %v",
+								name, c, i, rows[i][c], refRows[i][c])
+						}
+					}
+				}
 			}
 		}
 	}
