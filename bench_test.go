@@ -205,23 +205,6 @@ func BenchmarkSimulatorSecond(b *testing.B) {
 	}
 }
 
-// BenchmarkClustering measures the vertex-clustering fast path on the same
-// workload as BenchmarkDecimation, quantifying the speed gap that justifies
-// offering both on the edge server.
-func BenchmarkClustering(b *testing.B) {
-	m, err := mesh.Blob(3000, 7, 0.3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mesh.VertexClustering(m, m.TriangleCount()/2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchChaosSession drives a Periodic session through a link to the edge
 // session service whose requests drop, 5xx, and spike (seeded injector,
 // reproducible per iteration). The fault-tolerant client retries, breaks

@@ -21,6 +21,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/faults"
@@ -113,20 +114,24 @@ func run() error {
 		dx := p[3] - 0.72
 		return (1-p[2])*0.8 + 3*dx*dx
 	}
-	best, bestCost := []float64(nil), 0.0
+	// Each observe names its database slot, so a retried observe whose
+	// response was lost is acknowledged rather than appended twice.
+	best, bestCost, observed := []float64(nil), 0.0, 0
 	observe := func(p []float64) error {
 		c := cost(p)
 		if best == nil || c < bestCost {
 			best, bestCost = p, c
 		}
-		return sess.Observe(ctx, p, c)
+		if err := sess.ObserveAt(ctx, observed, p, c); err != nil {
+			return err
+		}
+		observed++
+		return nil
 	}
 	rng := sim.NewRNG(9)
+	dom := bo.Domain{N: 3, RMin: 0.1}
 	for i := 0; i < 5; i++ { // initial random exploration happens on-device
-		p := []float64{0, 0, 0, 0}
-		rng.Dirichlet(1, p[:3])
-		p[3] = 0.1 + 0.9*rng.Float64()
-		if err := observe(p); err != nil {
+		if err := observe(dom.Sample(rng)); err != nil {
 			return err
 		}
 	}

@@ -148,36 +148,49 @@ func (r *Result) InputDistances() []float64 {
 	return out
 }
 
-// RunActivation executes one full HBO activation (Algorithm 1 repeated for
-// InitSamples + Iterations periods): propose a configuration, enforce it
-// through the heuristics, measure a control period, feed the cost back into
-// the BO database — then enforce the best configuration found.
+// RunActivation executes one full HBO activation with the paper's GP-EI
+// optimizer (see RunPolicy).
 func RunActivation(rt *Runtime, cfg Config, rng *sim.RNG) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dom := bo.Domain{N: tasks.NumResources, RMin: cfg.RMin}
 	boCfg := bo.DefaultConfig()
 	boCfg.InitSamples = cfg.InitSamples
-	opt, err := bo.NewOptimizer(dom, boCfg, rng)
+	opt, err := bo.NewOptimizer(bo.Domain{N: tasks.NumResources, RMin: cfg.RMin}, boCfg, rng)
 	if err != nil {
 		return nil, err
 	}
 	opt.SetObserver(rt.reg)
+	return RunPolicy(rt, cfg, opt)
+}
+
+// RunPolicy executes one full HBO activation (Algorithm 1 repeated for
+// InitSamples + Iterations periods) with pol proposing: propose a
+// configuration, enforce it through the heuristics, measure a control
+// period, feed the cost back into pol — then enforce the best configuration
+// found. pol must be fresh, over bo.Domain{N: tasks.NumResources, RMin:
+// cfg.RMin}, with cfg.InitSamples warm-up points; the runtime's remote BO
+// backend, when set, still proposes the post-init iterations.
+func RunPolicy(rt *Runtime, cfg Config, pol bo.Policy) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	dom := bo.Domain{N: tasks.NumResources, RMin: cfg.RMin}
 	rt.activations++
 	rt.metActivations.Inc()
 	rt.emit(obs.Event{TimeMS: rt.Sys.Now(), Kind: "core.activation.start"})
 	res := &Result{}
 	total := cfg.InitSamples + cfg.Iterations
-	// points and costs mirror the optimizer's database for the remote
-	// backend; the local optimizer observes every sample regardless of who
-	// proposed it, so it can take over mid-activation at any time.
+	// points and costs mirror pol's database for the remote backend; pol
+	// observes every sample regardless of who proposed it, so it can take
+	// over mid-activation at any time.
 	var points [][]float64
 	var costs []float64
 	for i := 0; i < total; i++ {
 		point := rt.proposeRemote(dom, cfg, i, points, costs, res)
 		if point == nil {
-			point, err = opt.Next()
+			var err error
+			point, err = pol.Next()
 			if err != nil {
 				return nil, fmt.Errorf("core: BO suggestion %d: %w", i, err)
 			}
@@ -192,7 +205,7 @@ func RunActivation(rt *Runtime, cfg Config, rng *sim.RNG) (*Result, error) {
 			return nil, err
 		}
 		cost := m.Cost(cfg.Weight)
-		if err := opt.Observe(point, cost); err != nil {
+		if err := pol.Observe(point, cost); err != nil {
 			return nil, err
 		}
 		points = append(points, point)

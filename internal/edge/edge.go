@@ -1,7 +1,7 @@
 // Package edge holds the two halves of the paper's Figure 3 edge that do
 // not depend on sessions: the catalog decimation core (Server.Decimate:
 // full-quality geometry built once per object, then a prefix of the
-// object's progressive collapse log, or vertex clustering when fast) and
+// object's progressive collapse log) and
 // the device side's fault-tolerant HTTP transport (Client: per-attempt
 // timeouts, retries with capped backoff, and a circuit breaker). The
 // served routes live in package sessiond, which decimates through a Server
@@ -10,6 +10,7 @@
 package edge
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -145,11 +146,16 @@ func (o *object) collapseLog() (*mesh.Progressive, error) {
 
 // Decimate runs the server's decimation pipeline directly: full-quality
 // geometry from the catalog cache, then the prefix of the object's
-// progressive log that equals quadric edge collapse to the ratio (or vertex
-// clustering when fast). A full-resolution ratio returns a copy of the
-// geometry and builds no log. The session service serves its per-session
-// mesh caches through it (it satisfies sessiond.Decimator).
+// progressive log that equals quadric edge collapse to the ratio. A
+// full-resolution ratio returns a copy of the geometry and builds no log.
+// fast must be false: the edge serves only quadric edge collapse, and the
+// flag stays in the signature only because sessiond.Decimator keeps it.
+// The session service serves its per-session mesh caches through it (it
+// satisfies sessiond.Decimator).
 func (s *Server) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, error) {
+	if fast {
+		return nil, errors.New("edge: the fast decimation path is not served")
+	}
 	if math.IsNaN(ratio) || ratio <= 0 || ratio > 1 {
 		return nil, fmt.Errorf("edge: ratio %v out of (0,1]", ratio)
 	}
@@ -158,13 +164,6 @@ func (s *Server) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, 
 		return nil, err
 	}
 	full := o.full
-	if fast {
-		target := int(ratio * float64(full.TriangleCount()))
-		if target < 1 {
-			target = 1
-		}
-		return mesh.VertexClustering(full, target)
-	}
 	target, err := mesh.RatioTarget(ratio, full.TriangleCount())
 	if err != nil {
 		return nil, err

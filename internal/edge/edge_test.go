@@ -101,21 +101,18 @@ func TestServerConcurrentDecimation(t *testing.T) {
 	}
 }
 
-func TestDecimateFastPath(t *testing.T) {
+// TestDecimateRejectsFast pins that the server decimates only by quadric
+// edge collapse: a fast request is an error, for a known object and an
+// unknown one alike, since it fails before the catalog is consulted.
+func TestDecimateRejectsFast(t *testing.T) {
 	srv := newTestServer(t)
-	precise, err := srv.Decimate("apricot", 0.3, false)
-	if err != nil {
-		t.Fatal(err)
+	for _, object := range []string{"apricot", "no-such-object"} {
+		if m, err := srv.Decimate(object, 0.3, true); err == nil {
+			t.Fatalf("Decimate(%q, 0.3, fast) = %d triangles, want an error", object, m.TriangleCount())
+		}
 	}
-	fast, err := srv.Decimate("apricot", 0.3, true)
-	if err != nil {
+	if _, err := srv.Decimate("apricot", 0.3, false); err != nil {
 		t.Fatal(err)
-	}
-	if err := fast.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if fast.TriangleCount() > precise.TriangleCount()+100 {
-		t.Fatalf("fast path returned %d triangles vs target-bound %d", fast.TriangleCount(), precise.TriangleCount())
 	}
 }
 

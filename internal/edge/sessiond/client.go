@@ -193,25 +193,17 @@ func (c *Client) suggest(ctx context.Context) ([]float64, error) {
 	return append([]float64(nil), call.resp.Point...), nil
 }
 
-// Observe records one measured (point, cost) pair into the session's GP
-// history, appending unconditionally (no idempotency index).
-func (c *Client) Observe(ctx context.Context, point []float64, cost float64) error {
-	return c.ObserveAt(ctx, -1, point, cost)
-}
-
-// ObserveAt is Observe with an idempotency index: the 0-based database slot
-// this observation belongs in (how many observations the server held when
-// it was measured). A retried observe whose first send actually landed —
-// its response lost to a drop, a truncation or a severed stream — is
-// acknowledged rather than double-applied, on either carrier. index < 0
-// sends wire.NoIndex, which always appends.
+// ObserveAt records one measured (point, cost) pair into the session's GP
+// history at an idempotency index: the 0-based database slot this
+// observation belongs in (how many observations the server held when it was
+// measured). A retried observe whose first send actually landed — its
+// response lost to a drop, a truncation or a severed stream — is
+// acknowledged rather than double-applied, on either carrier. An index past
+// the server's next slot (a negative one included) is a gap, rejected 422.
 func (c *Client) ObserveAt(ctx context.Context, index int, point []float64, cost float64) error {
 	call := c.request(wire.TObserveReq)
 	defer putCall(call)
-	call.req.Index = wire.NoIndex
-	if index >= 0 {
-		call.req.Index = uint32(index)
-	}
+	call.req.Index = uint32(index)
 	call.req.Cost = cost
 	call.req.Point = append(call.req.Point[:0], point...)
 	return c.roundTrip(ctx, "session observe", call, wire.TObserveResp)
@@ -302,7 +294,8 @@ func errorFrame(f *wire.Frame) error {
 // cache. The binary payload is decoded and validated inside the retried
 // attempt, so a corrupted or truncated body (CRC or length mismatch) is
 // retried like any mangled response and never returned. The returned mesh
-// is the caller's to mutate.
+// is the caller's to mutate. fast must be false; the server answers a fast
+// request 400.
 func (c *Client) Decimate(ctx context.Context, object string, ratio float64, fast bool) (*mesh.Mesh, error) {
 	req, err := json.Marshal(DecimateRequest{ID: c.id, Object: object, Ratio: ratio, Fast: fast})
 	if err != nil {
@@ -418,7 +411,7 @@ func (b *Backend) syncSuggest(points [][]float64, costs []float64) ([]float64, e
 func (b *Backend) Available() bool { return b.c.Available() }
 
 // LOD adapts the session client to render.LODProvider, binding a context
-// and the precise (non-fast) decimation path the paper's TD step uses.
+// and the quadric edge collapse path the paper's TD step uses.
 type LOD struct {
 	c   *Client
 	ctx context.Context

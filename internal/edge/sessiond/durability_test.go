@@ -12,7 +12,6 @@ import (
 	"github.com/mar-hbo/hbo/internal/bo"
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/snapstore"
-	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/sim"
 )
 
@@ -56,7 +55,7 @@ func driveSession(t *testing.T, sess *session, rounds int) {
 		if res.err != nil {
 			t.Fatalf("suggest %d: %v", i, res.err)
 		}
-		if _, _, _, err := sess.observeAt(wire.NoIndex, res.point, driveCost(res.point)); err != nil {
+		if _, _, _, err := sess.observeAt(uint32(sess.observations()), res.point, driveCost(res.point)); err != nil {
 			t.Fatalf("observe %d: %v", i, err)
 		}
 	}
@@ -156,7 +155,7 @@ func TestDurabilityEvictionDemotesAndRestores(t *testing.T) {
 		if err := mirror.Observe(want, driveCost(want)); err != nil {
 			t.Fatalf("mirror Observe: %v", err)
 		}
-		if _, _, _, err := sess2.observeAt(wire.NoIndex, got.point, driveCost(got.point)); err != nil {
+		if _, _, _, err := sess2.observeAt(uint32(rounds+i), got.point, driveCost(got.point)); err != nil {
 			t.Fatalf("restored observe: %v", err)
 		}
 	}

@@ -80,7 +80,7 @@ func FuzzSessionRequestDecode(f *testing.F) {
 		{{Type: wire.TSuggestReq, ID: []byte("ghost")}},
 		{{Type: wire.TObserveReq, ID: []byte("fuzz"), Index: 0, Cost: 0.4, Point: point}},
 		{{Type: wire.TObserveReq, ID: []byte("fuzz"), Index: 3, Cost: 0.4, Point: point}},
-		{{Type: wire.TObserveReq, ID: []byte("fuzz"), Index: wire.NoIndex, Cost: 1, Point: []float64{9, 9}}},
+		{{Type: wire.TObserveReq, ID: []byte("fuzz"), Index: ^uint32(0), Cost: 1, Point: []float64{9, 9}}},
 		{{Type: wire.TCloseReq, ID: []byte("fuzz")}},
 		{{Type: wire.TSuggestResp, Point: point}},
 		{

@@ -31,7 +31,8 @@ var handlerTimeout = 30 * time.Second
 // DecimateRequest fetches a decimated mesh through the session's private
 // mesh cache. The 200 response body is the binary mesh payload
 // (wire.AppendMesh, DESIGN.md §14), served verbatim from the cache on a
-// hit; its X-Mesh-Cache header says "hit" or "miss".
+// hit; its X-Mesh-Cache header says "hit" or "miss". Fast must be false:
+// the edge serves only quadric edge collapse and answers a fast request 400.
 type DecimateRequest struct {
 	ID     string  `json:"id"`
 	Object string  `json:"object"`
@@ -135,6 +136,10 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("sessiond: ratio %v out of (0,1]", req.Ratio), http.StatusBadRequest)
 		return
 	}
+	if req.Fast {
+		http.Error(w, "sessiond: the fast decimation path is not served", http.StatusBadRequest)
+		return
+	}
 	sess, ok := s.lookup(req.ID)
 	if !ok {
 		s.metUnknown.Inc()
@@ -195,7 +200,7 @@ func decimateWithin(ctx context.Context, sess *session, dec Decimator, req *Deci
 			}
 			done <- res
 		}()
-		res.payload, res.cached, res.err = sess.decimate(dec, req.Object, req.Ratio, req.Fast)
+		res.payload, res.cached, res.err = sess.decimate(dec, req.Object, req.Ratio)
 	}()
 	timer := time.NewTimer(handlerTimeout)
 	defer timer.Stop()

@@ -13,6 +13,7 @@ import (
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond"
 	"github.com/mar-hbo/hbo/internal/mesh"
+	"github.com/mar-hbo/hbo/internal/obs"
 	"github.com/mar-hbo/hbo/internal/render"
 )
 
@@ -94,12 +95,45 @@ func TestSessionDecimateCaching(t *testing.T) {
 	if dec.calls != 2 {
 		t.Fatalf("decimator calls after new ratio = %d, want 2", dec.calls)
 	}
-	// The fast path is a distinct cache identity.
-	if _, err := sc.Decimate(ctx, "cube", 0.25, true); err != nil {
-		t.Fatalf("decimate (fast): %v", err)
+}
+
+// TestDecimateRejectsFast pins that the route serves only quadric edge
+// collapse: a "fast" request is a 400 before the session lookup, so neither
+// the decimator nor the session's mesh cache sees it — for an open session
+// and an unknown one alike.
+func TestDecimateRejectsFast(t *testing.T) {
+	dec := &stubDecimator{}
+	svc, ts := newDecimatorService(t, dec)
+	reg := obs.New()
+	svc.SetObserver(reg)
+	ctx := context.Background()
+	sc := newTestClient(t, ts.URL, "s", 1)
+	if _, err := sc.Open(ctx); err != nil {
+		t.Fatalf("open: %v", err)
 	}
-	if dec.calls != 3 {
-		t.Fatalf("decimator calls after fast variant = %d, want 3", dec.calls)
+	if _, err := sc.Decimate(ctx, "cube", 0.5, false); err != nil {
+		t.Fatalf("decimate: %v", err)
+	}
+	before := reg.Snapshot().Counters
+	if before["sessiond.mesh_cache_misses"] != 1 {
+		t.Fatalf("mesh cache misses = %d after one fetch, want 1", before["sessiond.mesh_cache_misses"])
+	}
+	for _, c := range []*sessiond.Client{sc, newTestClient(t, ts.URL, "ghost", 1)} {
+		for _, ratio := range []float64{0.5, 0.25} {
+			_, err := c.Decimate(ctx, "cube", ratio, true)
+			if code, ok := edge.StatusCode(err); !ok || code != http.StatusBadRequest {
+				t.Fatalf("fast decimate at ratio %v = %v, want 400", ratio, err)
+			}
+		}
+	}
+	if dec.calls != 1 {
+		t.Fatalf("decimator calls = %d, want 1 (a fast request reached it)", dec.calls)
+	}
+	after := reg.Snapshot().Counters
+	for _, name := range []string{"sessiond.mesh_cache_hits", "sessiond.mesh_cache_misses", "sessiond.unknown_session"} {
+		if after[name] != before[name] {
+			t.Fatalf("%s moved from %d to %d on fast requests", name, before[name], after[name])
+		}
 	}
 }
 
@@ -180,17 +214,25 @@ func TestStatzAndObserveValidation(t *testing.T) {
 		t.Fatalf("suggest: %v", err)
 	}
 	// A point outside the domain is a 422.
-	err = sc.Observe(ctx, []float64{-1, -1, -1, -1}, 0.5)
+	err = sc.ObserveAt(ctx, 0, []float64{-1, -1, -1, -1}, 0.5)
 	if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {
 		t.Fatalf("observe out-of-domain = %v, want 422", err)
 	}
 	// A non-finite cost is a 422.
-	err = sc.Observe(ctx, point, math.Inf(1))
+	err = sc.ObserveAt(ctx, 0, point, math.Inf(1))
 	if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {
 		t.Fatalf("observe infinite cost = %v, want 422", err)
 	}
+	// A slot past the session's next one is a gap, a 422. No index appends
+	// unconditionally: a negative one (0xFFFFFFFF on the wire) is a gap too.
+	for _, index := range []int{1, -1} {
+		err = sc.ObserveAt(ctx, index, point, 0.5)
+		if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {
+			t.Fatalf("observe at slot %d of 0 = %v, want 422", index, err)
+		}
+	}
 	// Unknown session observe is a 404.
-	err = newTestClient(t, ts.URL, "ghost", 1).Observe(ctx, point, 0.5)
+	err = newTestClient(t, ts.URL, "ghost", 1).ObserveAt(ctx, 0, point, 0.5)
 	if code, ok := edge.StatusCode(err); !ok || code != http.StatusNotFound {
 		t.Fatalf("observe unknown session = %v, want 404", err)
 	}

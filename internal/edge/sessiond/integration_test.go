@@ -115,7 +115,7 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 					errs <- fmt.Errorf("%s: reference observe %d: %w", id, k, err)
 					return
 				}
-				if err := sc.Observe(ctx, got, cost); err != nil {
+				if err := sc.ObserveAt(ctx, k, got, cost); err != nil {
 					errs <- fmt.Errorf("%s: observe %d: %w", id, k, err)
 					return
 				}

@@ -14,11 +14,10 @@ import (
 type meshKey struct {
 	object    string
 	ratioStep int
-	fast      bool
 }
 
-func meshKeyFor(object string, ratio float64, fast bool) meshKey {
-	return meshKey{object: object, ratioStep: int(math.Round(ratio * 50)), fast: fast}
+func meshKeyFor(object string, ratio float64) meshKey {
+	return meshKey{object: object, ratioStep: int(math.Round(ratio * 50))}
 }
 
 // meshCache is a session's private decimation LRU — the "mesh-cache handle"
@@ -74,14 +73,14 @@ var errMeshEncode = errors.New("sessiond: decimator returned an unencodable mesh
 // decimate serves a decimated mesh's wire payload through the session's
 // cache. A miss decimates through the shared Decimator and encodes once
 // into an exactly sized buffer; a hit returns the cached bytes untouched.
-func (sess *session) decimate(dec Decimator, object string, ratio float64, fast bool) ([]byte, bool, error) {
-	key := meshKeyFor(object, ratio, fast)
+func (sess *session) decimate(dec Decimator, object string, ratio float64) ([]byte, bool, error) {
+	key := meshKeyFor(object, ratio)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if p := sess.meshes.get(key); p != nil {
 		return p, true, nil
 	}
-	m, err := dec.Decimate(object, ratio, fast)
+	m, err := dec.Decimate(object, ratio, false)
 	if err != nil {
 		return nil, false, err
 	}

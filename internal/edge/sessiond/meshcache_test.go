@@ -30,13 +30,13 @@ func TestMeshCacheHitNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, cached, err := sess.decimate(dec, "blob", 0.55, false)
+	miss, cached, err := sess.decimate(dec, "blob", 0.55)
 	if err != nil || cached {
 		t.Fatalf("first fetch: cached=%v err=%v, want a miss", cached, err)
 	}
 	var hit []byte
 	allocs := testing.AllocsPerRun(100, func() {
-		hit, cached, err = sess.decimate(dec, "blob", 0.55, false)
+		hit, cached, err = sess.decimate(dec, "blob", 0.55)
 	})
 	if err != nil || !cached {
 		t.Fatalf("repeat fetch: cached=%v err=%v, want a hit", cached, err)

@@ -200,7 +200,7 @@ func TestDecimatePayloadBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Observe(ctx, point, 0.5); err != nil {
+	if err := sc.ObserveAt(ctx, 0, point, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	svc1.Flush()

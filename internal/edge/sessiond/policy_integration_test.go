@@ -86,7 +86,7 @@ func drivePolicySteps(t *testing.T, ctx context.Context, sc *sessiond.Client, re
 		if err := ref.Observe(want, cost); err != nil {
 			t.Fatalf("reference observe %d: %v", k, err)
 		}
-		if err := sc.Observe(ctx, got, cost); err != nil {
+		if err := sc.ObserveAt(ctx, k, got, cost); err != nil {
 			t.Fatalf("observe %d: %v", k, err)
 		}
 	}

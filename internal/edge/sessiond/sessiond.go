@@ -44,6 +44,8 @@ import (
 
 // Decimator produces a decimated mesh from the shared object catalog.
 // *edge.Server implements it; per-session mesh caches sit in front of it.
+// The service always passes fast == false (the paper's quadric edge
+// collapse).
 type Decimator interface {
 	Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, error)
 }

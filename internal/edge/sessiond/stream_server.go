@@ -224,22 +224,20 @@ func (s *Service) streamObserve(req, resp *wire.Frame) {
 
 // observeAt records one (point, cost) pair with an idempotency index: the
 // caller states which database slot (0-based) the observation should land
-// in. wire.NoIndex skips the check and always appends. An index below the
-// current size is a replay of an observation the session already holds —
-// acknowledged (dup=true) without a second append, so a client retrying an
-// observe whose response was lost cannot double-apply it. An index beyond the current
-// size is a gap (the client skipped an observation) and is rejected.
+// in. An index below the current size is a replay of an observation the
+// session already holds — acknowledged (dup=true) without a second append,
+// so a client retrying an observe whose response was lost cannot
+// double-apply it. An index beyond the current size is a gap (the client
+// skipped an observation) and is rejected.
 func (sess *session) observeAt(index uint32, point []float64, cost float64) (n, dirty int, dup bool, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if index != wire.NoIndex {
-		cur := sess.opt.Observations()
-		if int64(index) < int64(cur) {
-			return cur, sess.dirty, true, nil
-		}
-		if int64(index) > int64(cur) {
-			return 0, 0, false, fmt.Errorf("sessiond: observe index %d ahead of session %s at %d observations", index, sess.id, cur)
-		}
+	cur := sess.opt.Observations()
+	if int64(index) < int64(cur) {
+		return cur, sess.dirty, true, nil
+	}
+	if int64(index) > int64(cur) {
+		return 0, 0, false, fmt.Errorf("sessiond: observe index %d ahead of session %s at %d observations", index, sess.id, cur)
 	}
 	n, dirty, err = sess.observeLocked(point, cost)
 	return n, dirty, false, err

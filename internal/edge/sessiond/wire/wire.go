@@ -106,11 +106,6 @@ const (
 	FlagRestored uint16 = 1 << 1
 )
 
-// NoIndex is the ObserveReq index meaning "no idempotency information:
-// always append". Indexed observes (the session client's normal mode) let
-// the server drop duplicate replays after a retry or reconnect.
-const NoIndex = ^uint32(0)
-
 // Decoder armor bounds. Semantic validation (session-id length, domain
 // dimensionality) stays server-side; these only cap what a hostile peer can
 // make the decoder hold in memory.

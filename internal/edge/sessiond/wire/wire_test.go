@@ -18,7 +18,7 @@ func sampleFrames() []Frame {
 		{Type: TSuggestReq, Seq: 3, ID: []byte("c0001")},
 		{Type: TSuggestResp, Seq: 3, Observations: 7, Point: []float64{0.25, 0.5, 0.25, 0.75}},
 		{Type: TObserveReq, Seq: 4, ID: []byte("c0001"), Index: 7, Cost: -1.25, Point: []float64{0.25, 0.5, 0.25, 0.75}},
-		{Type: TObserveReq, Seq: 5, ID: []byte("c0001"), Index: NoIndex, Cost: math.Inf(1), Point: nil},
+		{Type: TObserveReq, Seq: 5, ID: []byte("c0001"), Index: ^uint32(0), Cost: math.Inf(1), Point: nil},
 		{Type: TObserveResp, Seq: 4, Observations: 8},
 		{Type: TCloseReq, Seq: 6, ID: []byte("c0001")},
 		{Type: TCloseResp, Seq: 6, Closed: true},

@@ -268,51 +268,32 @@ func RunArena(ctx context.Context, cfg ArenaConfig) (*ArenaResult, error) {
 // failures.
 var arenaFaultPlan = faults.Plan{DropRate: 0.05, ServerErrorRate: 0.05}
 
-// runArenaCell runs one policy's full activation loop on a freshly built
-// system, mirroring core.RunActivation's evaluate-observe cycle with the
-// optimizer swapped for a registry entrant. GP-EI through this path is
-// bit-identical to core.RunActivation at the paper's budget.
+// runArenaCell runs one policy's full activation through core.RunPolicy on
+// a freshly built system, with a registry entrant in place of the paper's
+// optimizer. GP-EI through this path is bit-identical to
+// core.RunActivation at the paper's budget.
 func runArenaCell(spec scenario.Spec, policy string, runSeed uint64, init, iters int) (costs, best []float64, err error) {
 	built, err := spec.Build(runSeed)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := core.DefaultConfig()
-	dom := bo.Domain{N: tasks.NumResources, RMin: cfg.RMin}
+	cfg.InitSamples, cfg.Iterations = init, iters
 	boCfg := bo.DefaultConfig()
 	boCfg.InitSamples = init
-	pol, err := policies.New(policy, dom, boCfg, sim.NewRNG(runSeed))
+	pol, err := policies.New(policy, bo.Domain{N: tasks.NumResources, RMin: cfg.RMin}, boCfg, sim.NewRNG(runSeed))
 	if err != nil {
 		return nil, nil, err
 	}
-	total := init + iters
-	costs = make([]float64, 0, total)
-	best = make([]float64, 0, total)
-	for i := 0; i < total; i++ {
-		point, err := pol.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := built.Runtime.ApplyConfiguration(point[:tasks.NumResources], point[tasks.NumResources]); err != nil {
-			return nil, nil, err
-		}
-		built.Runtime.Sys.RunFor(cfg.SettleMS)
-		m, err := built.Runtime.Measure(cfg.PeriodMS)
-		if err != nil {
-			return nil, nil, err
-		}
-		cost := m.Cost(cfg.Weight)
-		if err := pol.Observe(point, cost); err != nil {
-			return nil, nil, err
-		}
-		costs = append(costs, cost)
-		if len(best) == 0 || cost < best[len(best)-1] {
-			best = append(best, cost)
-		} else {
-			best = append(best, best[len(best)-1])
-		}
+	res, err := core.RunPolicy(built.Runtime, cfg, pol)
+	if err != nil {
+		return nil, nil, err
 	}
-	return costs, best, nil
+	costs = make([]float64, len(res.Iterations))
+	for i, it := range res.Iterations {
+		costs[i] = it.Cost
+	}
+	return costs, res.BestCostTrajectory(), nil
 }
 
 // fillBaselines computes each scenario's regret baseline: the oracle's

@@ -141,47 +141,19 @@ func RunAcquisitionStudyJobs(seed uint64, jobs int) (*AcquisitionStudyResult, er
 	return res, nil
 }
 
-// runActivationWithAcquisition mirrors core.RunActivation but swaps the
-// acquisition function — kept here so the core package stays exactly the
-// paper's algorithm.
+// runActivationWithAcquisition runs core.RunPolicy with the paper's
+// optimizer but a swapped acquisition function — kept here so the core
+// package stays exactly the paper's algorithm.
 func runActivationWithAcquisition(rt *core.Runtime, acq bo.Acquisition, seed uint64) (*core.Result, error) {
 	cfg := core.DefaultConfig()
-	dom := bo.Domain{N: tasks.NumResources, RMin: cfg.RMin}
 	boCfg := bo.DefaultConfig()
 	boCfg.InitSamples = cfg.InitSamples
 	boCfg.Acquisition = acq
-	opt, err := bo.NewOptimizer(dom, boCfg, sim.NewRNG(seed))
+	opt, err := bo.NewOptimizer(bo.Domain{N: tasks.NumResources, RMin: cfg.RMin}, boCfg, sim.NewRNG(seed))
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{}
-	total := cfg.InitSamples + cfg.Iterations
-	for i := 0; i < total; i++ {
-		point, err := opt.Next()
-		if err != nil {
-			return nil, err
-		}
-		assignment, err := rt.ApplyConfiguration(point[:tasks.NumResources], point[tasks.NumResources])
-		if err != nil {
-			return nil, err
-		}
-		rt.Sys.RunFor(cfg.SettleMS)
-		m, err := rt.Measure(cfg.PeriodMS)
-		if err != nil {
-			return nil, err
-		}
-		cost := m.Cost(cfg.Weight)
-		if err := opt.Observe(point, cost); err != nil {
-			return nil, err
-		}
-		res.Iterations = append(res.Iterations, core.Iteration{
-			Point: point, Cost: cost, Quality: m.Quality, Epsilon: m.Epsilon, Assignment: assignment,
-		})
-		if cost < res.Iterations[res.BestIndex].Cost {
-			res.BestIndex = i
-		}
-	}
-	return res, nil
+	return core.RunPolicy(rt, cfg, opt)
 }
 
 // String renders the acquisition comparison.
