@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -296,10 +297,12 @@ func retryable(err error) bool {
 // backoff and Retry-After honoring, and the circuit breaker. A 200
 // response's whole bounded body is handed to decode. A decode error is a
 // mangled response, retried as a transient link fault, so decode must be
-// safe to call again; it owns the body it is handed (each attempt reads a
-// fresh one). A decode error carrying a status (NewStatusError) is treated
-// exactly like a response with that HTTP status. Every session route
-// shares one link-health view through this call.
+// safe to call again. The body is valid only while decode runs: it is read
+// into a buffer the client reuses for later responses, so decode must copy
+// or convert whatever it keeps and retain no slice of it. A decode error
+// carrying a status (NewStatusError) is treated exactly like a response
+// with that HTTP status. Every session route shares one link-health view
+// through this call.
 func (c *Client) Post(ctx context.Context, path, contentType string, body []byte, decode func(body []byte) error) error {
 	return c.Execute(ctx, path, func(ctx context.Context) error {
 		return c.attempt(ctx, path, contentType, body, decode)
@@ -414,11 +417,25 @@ func (c *Client) wait(ctx context.Context, delay time.Duration) error {
 	}
 }
 
+// bodyPool recycles response buffers (*[]byte) across attempts and calls:
+// Post's decode retains no part of the body, so a buffer goes back as soon
+// as decode returns. Buffers past maxPooledBody are left to the collector,
+// so one outsized response does not stay resident.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
 // attempt runs one HTTP round trip under the per-attempt timeout, reads
-// the response body whole under the size bound, and hands it to decode.
-// The body is read and the connection released before decoding starts.
+// the response body whole under the size bound into a pooled buffer, and
+// hands it to decode. The body is read and the connection released before
+// decoding starts, and the buffer returns to the pool after decode.
 func (c *Client) attempt(ctx context.Context, path, contentType string, body []byte, decode func([]byte) error) error {
-	buf, err := c.roundTrip(ctx, path, contentType, body)
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	buf, err := c.roundTrip(ctx, path, contentType, body, *bp)
+	if cap(buf) > cap(*bp) && cap(buf) <= maxPooledBody {
+		*bp = buf[:0] // keep the grown storage for the next response
+	}
 	if err != nil {
 		return err
 	}
@@ -431,9 +448,10 @@ func (c *Client) attempt(ctx context.Context, path, contentType string, body []b
 	return nil
 }
 
-// roundTrip POSTs body and returns a 200 response's body, or a typed
-// statusError for any other status.
-func (c *Client) roundTrip(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
+// roundTrip POSTs body and returns a 200 response's body, read into dst's
+// storage when it is large enough, or a typed statusError for any other
+// status.
+func (c *Client) roundTrip(ctx context.Context, path, contentType string, body, dst []byte) ([]byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(body))
@@ -458,30 +476,31 @@ func (c *Client) roundTrip(ctx context.Context, path, contentType string, body [
 			retryAfter: parseRetryAfter(httpResp.Header.Get("Retry-After")),
 		}
 	}
-	return readBody(httpResp, c.cfg.MaxResponseBytes)
+	return readBody(httpResp, c.cfg.MaxResponseBytes, dst)
 }
 
-// readBody reads a response body whole, rejecting one over limit bytes. A
-// declared Content-Length sizes the buffer exactly — one allocation, no
+// readBody reads a response body whole into dst's storage, growing it when
+// it is too small, and rejects one over limit bytes. A declared
+// Content-Length sizes the read exactly — at most one allocation, no
 // doubling growth — and one over the limit fails before any byte is read;
-// a body of unknown length falls back to a bounded ReadAll.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
+// a body of unknown length falls back to a bounded read that grows dst.
+func readBody(resp *http.Response, limit int64, dst []byte) ([]byte, error) {
 	if n := resp.ContentLength; n >= 0 {
 		if n > limit {
 			return nil, fmt.Errorf("response of %d bytes exceeds %d-byte limit", n, limit)
 		}
-		buf := make([]byte, n)
+		buf := slices.Grow(dst[:0], int(n))[:n]
 		if _, err := io.ReadFull(resp.Body, buf); err != nil {
 			return nil, fmt.Errorf("reading response: %w", err)
 		}
 		return buf, nil
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
+	b := bytes.NewBuffer(dst[:0])
+	if _, err := b.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
-	if int64(len(buf)) > limit {
+	if int64(b.Len()) > limit {
 		return nil, fmt.Errorf("response exceeds %d-byte limit", limit)
 	}
-	return buf, nil
+	return b.Bytes(), nil
 }

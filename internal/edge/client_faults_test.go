@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +52,9 @@ func newStubServer() *httptest.Server {
 
 // postJSON posts req as JSON through Post and decodes a 200 body into
 // resp. The body must be exactly one JSON document: trailing data means a
-// corrupted or concatenated payload, which must not be trusted.
+// corrupted or concatenated payload, which must not be trusted. JSON
+// decoding copies whatever it keeps, so resp never aliases the body Post
+// reuses.
 func postJSON(ctx context.Context, c *Client, path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -229,6 +233,45 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	err := echo(context.Background(), client, 7)
 	if err == nil || !strings.Contains(err.Error(), "trailing data") {
 		t.Fatalf("trailing garbage: err = %v", err)
+	}
+}
+
+// TestPostReusedBodyIsExact checks that decode sees exactly each
+// response's bytes while Post reuses its read buffers: bodies of declared
+// and undeclared (chunked) length, each larger or smaller than the last.
+func TestPostReusedBodyIsExact(t *testing.T) {
+	body := func(n int) []byte { return bytes.Repeat([]byte("0123456789abcdef"), n/16+1)[:n] }
+	client, closeFn := newStubClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			N       int  `json:"n"`
+			Chunked bool `json:"chunked"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req.Chunked {
+			w.(http.Flusher).Flush() // no Content-Length: the client reads to EOF
+		} else {
+			w.Header().Set("Content-Length", strconv.Itoa(req.N))
+		}
+		_, _ = w.Write(body(req.N))
+	}), func(cfg *ClientConfig) { cfg.MaxRetries = 0 })
+	defer closeFn()
+	for _, tc := range []struct {
+		n       int
+		chunked bool
+	}{{5000, false}, {100, false}, {3000, true}, {10, true}, {9000, true}, {7, false}, {0, false}} {
+		req := []byte(fmt.Sprintf(`{"n":%d,"chunked":%t}`, tc.n, tc.chunked))
+		err := client.Post(context.Background(), "/body", "application/json", req, func(b []byte) error {
+			if !bytes.Equal(b, body(tc.n)) {
+				return fmt.Errorf("got %d bytes, want the %d sent", len(b), tc.n)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%d bytes, chunked %t: %v", tc.n, tc.chunked, err)
+		}
 	}
 }
 

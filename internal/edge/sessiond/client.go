@@ -1,10 +1,12 @@
 package sessiond
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -199,8 +201,14 @@ func (c *Client) suggest(ctx context.Context) ([]float64, error) {
 // measured). A retried observe whose first send actually landed — its
 // response lost to a drop, a truncation or a severed stream — is
 // acknowledged rather than double-applied, on either carrier. An index past
-// the server's next slot (a negative one included) is a gap, rejected 422.
+// the server's next slot is a gap, rejected 422. An index the frame's u32
+// slot cannot carry (a negative one, or 2³² and up) is refused with the
+// same typed 422 before anything is sent, so it never wraps onto a low
+// slot.
 func (c *Client) ObserveAt(ctx context.Context, index int, point []float64, cost float64) error {
+	if index < 0 || uint64(index) > math.MaxUint32 {
+		return edge.NewStatusError(http.StatusUnprocessableEntity, fmt.Sprintf("sessiond: observe index %d outside the u32 slot range", index), 0)
+	}
 	call := c.request(wire.TObserveReq)
 	defer putCall(call)
 	call.req.Index = uint32(index)
@@ -263,10 +271,11 @@ func (c *Client) postFrame(ctx context.Context, call *streamCall) error {
 }
 
 // decodeOneFrame decodes a response body that must hold exactly one
-// length-prefixed frame. f's byte fields alias body, which the caller owns.
-// An Error frame decodes to its typed status error. Any other shape — an
-// empty body (the server refused the request frame), a truncated or
-// corrupted frame, trailing bytes — is a mangled response.
+// length-prefixed frame. body is edge.Client.Post's reused buffer, valid
+// only during this call, so f's byte fields are copied out of it before
+// returning. An Error frame decodes to its typed status error. Any other
+// shape — an empty body (the server refused the request frame), a
+// truncated or corrupted frame, trailing bytes — is a mangled response.
 func decodeOneFrame(body []byte, f *wire.Frame) error {
 	if len(body) < 4 {
 		return fmt.Errorf("sessiond: %d-byte response holds no frame", len(body))
@@ -274,13 +283,13 @@ func decodeOneFrame(body []byte, f *wire.Frame) error {
 	if n := binary.LittleEndian.Uint32(body); int64(n) != int64(len(body)-4) {
 		return fmt.Errorf("sessiond: response of %d bytes is not one %d-byte frame", len(body)-4, n)
 	}
-	if err := wire.DecodeFrame(body[4:], f); err != nil {
-		return err
+	err := wire.DecodeFrame(body[4:], f)
+	if err == nil && f.Type == wire.TError {
+		err = errorFrame(f)
 	}
-	if f.Type == wire.TError {
-		return errorFrame(f)
-	}
-	return nil
+	// Empty fields, the common case, clone without allocating.
+	f.ID, f.Policy, f.Evicted, f.Msg = bytes.Clone(f.ID), bytes.Clone(f.Policy), bytes.Clone(f.Evicted), bytes.Clone(f.Msg)
+	return err
 }
 
 // errorFrame maps a server's Error frame onto the typed error a non-2xx

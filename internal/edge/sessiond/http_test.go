@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -185,6 +186,38 @@ func TestDecimateErrors(t *testing.T) {
 	})
 }
 
+// TestObserveAtRefusesWrappingIndex checks that an index the observe
+// frame's u32 slot cannot carry is refused before it is sent: 2³² would
+// otherwise wrap onto slot 0 and be appended to an empty session.
+func TestObserveAtRefusesWrappingIndex(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot hold 2^32")
+	}
+	_, ts := newDecimatorService(t, nil)
+	ctx := context.Background()
+	sc := newTestClient(t, ts.URL, "wrap", 1)
+	if _, err := sc.Open(ctx); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	point, err := sc.Suggest(ctx)
+	if err != nil {
+		t.Fatalf("suggest: %v", err)
+	}
+	shift := 32 // a variable, so this compiles where int is 32 bits
+	err = sc.ObserveAt(ctx, 1<<shift, point, 0.5)
+	if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {
+		t.Fatalf("observe at slot 2^32 = %v, want 422", err)
+	}
+	// Re-opening the live session reports how many observations it holds.
+	res, err := sc.Open(ctx)
+	if err != nil {
+		t.Fatalf("re-open: %v", err)
+	}
+	if !res.Existing || res.Observations != 0 {
+		t.Fatalf("re-open = %+v, want the existing session with 0 observations", res)
+	}
+}
+
 // TestStatzAndObserveValidation covers /session/statz and the observe op's
 // input validation, through the session client's single-frame carrier.
 func TestStatzAndObserveValidation(t *testing.T) {
@@ -224,7 +257,8 @@ func TestStatzAndObserveValidation(t *testing.T) {
 		t.Fatalf("observe infinite cost = %v, want 422", err)
 	}
 	// A slot past the session's next one is a gap, a 422. No index appends
-	// unconditionally: a negative one (0xFFFFFFFF on the wire) is a gap too.
+	// unconditionally: a negative one is refused with the same typed 422
+	// before it is sent.
 	for _, index := range []int{1, -1} {
 		err = sc.ObserveAt(ctx, index, point, 0.5)
 		if code, ok := edge.StatusCode(err); !ok || code != http.StatusUnprocessableEntity {

@@ -8,10 +8,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond"
@@ -387,4 +390,74 @@ func TestDecimateConcurrentHits(t *testing.T) {
 			assertSameMesh(t, fmt.Sprintf("worker %d fetch %d", w, i), want, m)
 		}
 	}
+}
+
+// TestDecimateHitByteBudget pins the fetch path's allocation budget: one
+// mesh-cache hit through Client.Decimate, client and loopback server
+// together, allocates at most the decoded mesh's own arrays plus a fixed
+// allowance for the HTTP exchange. The response body is read into a reused
+// buffer and triangles decode at 12 bytes each, so nothing else grows with
+// the mesh. Measured over many fetches after a warm-up; skipped under the
+// race detector, whose sync.Pool drops a share of the buffers on purpose.
+func TestDecimateHitByteBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops pooled buffers at random under -race")
+	}
+	spec := render.SC1()[0].Spec // apricot: a 3000-triangle stand-in
+	srv, err := edge.NewServer([]render.ObjectSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := sessiond.New(sessiond.DefaultConfig(), srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	ctx := context.Background()
+	sc := newTestClient(t, ts.URL, "budget", 1)
+	if _, err := sc.Open(ctx); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	fetch := func() *mesh.Mesh {
+		m, err := sc.Decimate(ctx, spec.Name, 1, false)
+		if err != nil {
+			t.Fatalf("decimate: %v", err)
+		}
+		return m
+	}
+	m := fetch() // the miss that fills the cache
+	for i := 0; i < 50; i++ {
+		fetch() // warm the connection and the buffer pools
+	}
+	const fetches = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < fetches; i++ {
+		fetch()
+	}
+	runtime.ReadMemStats(&after)
+	perFetch := (after.TotalAlloc - before.TotalAlloc) / fetches
+	meshBytes := uint64(len(m.Vertices))*uint64(unsafe.Sizeof(mesh.Vec3{})) +
+		uint64(len(m.Triangles))*uint64(unsafe.Sizeof(mesh.Triangle{}))
+	// The allowance covers the HTTP exchange on both ends and the
+	// allocator rounding the two arrays up to whole pages.
+	const allowance = 32 << 10
+	if perFetch > meshBytes+allowance {
+		t.Fatalf("a cache hit allocates %d B, want at most the %d-byte mesh + %d B", perFetch, meshBytes, allowance)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/mar-hbo/hbo/internal/edge"
+	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/faults"
 )
 
@@ -137,5 +139,108 @@ func TestBackendFaultsKeepHistoryInSync(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Truncated == 0 || st.Corrupted == 0 {
 		t.Fatalf("fault plan never fired: %+v", st)
+	}
+}
+
+// TestDecodeOneFrameCopiesOutOfBody pins decodeOneFrame's side of
+// edge.Client.Post's contract: the body is reused for a later response
+// once decode returns, so no byte field of the decoded frame may alias it.
+func TestDecodeOneFrameCopiesOutOfBody(t *testing.T) {
+	body, err := wire.AppendFrame(nil, &wire.Frame{Type: wire.TOpenResp, Seq: 1, Evicted: []byte("victim")})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var f wire.Frame
+	if err := decodeOneFrame(body, &f); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	for i := range body {
+		body[i] = 0xff
+	}
+	if string(f.Evicted) != "victim" {
+		t.Fatalf("Evicted = %q after the body was reused, want %q", f.Evicted, "victim")
+	}
+}
+
+// TestOpenEvictedOutlivesResponseBody is the end-to-end form over the
+// one-shot carrier: an open whose response names the session it evicted
+// keeps that name while the same client makes more requests and another
+// client's traffic cycles the shared response buffers. Under -race it also
+// shows that no response body is read after it was handed back.
+func TestOpenEvictedOutlivesResponseBody(t *testing.T) {
+	newServer := func(perShard int) *httptest.Server {
+		cfg := DefaultConfig()
+		cfg.Shards, cfg.SessionsPerShard = 1, perShard
+		svc, err := New(cfg, nil)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		ts := httptest.NewServer(svc.Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	newClient := func(ts *httptest.Server, id string) *Client {
+		ec, err := edge.NewClient(ts.URL)
+		if err != nil {
+			t.Fatalf("edge client: %v", err)
+		}
+		sc, err := NewClient(ec, id, 3, 0.1, 7, 5)
+		if err != nil {
+			t.Fatalf("session client: %v", err)
+		}
+		return sc
+	}
+	ctx := context.Background()
+	one := newServer(1)
+	if _, err := newClient(one, "victim-session").Open(ctx); err != nil {
+		t.Fatalf("open victim: %v", err)
+	}
+
+	// Background traffic on another server through the same package-wide
+	// buffer pool.
+	other := newClient(newServer(4), "bystander")
+	if _, err := other.Open(ctx); err != nil {
+		t.Fatalf("open bystander: %v", err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := other.Suggest(ctx); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	var bystanderErr error
+	stopBystander := sync.OnceFunc(func() { close(stop); bystanderErr = <-done })
+	defer stopBystander() // a failed check below must not leave it running
+
+	intruder := newClient(one, "intruder")
+	res, err := intruder.Open(ctx)
+	if err != nil {
+		t.Fatalf("open intruder: %v", err)
+	}
+	for i := 0; i < 8; i++ {
+		point, err := intruder.Suggest(ctx)
+		if err != nil {
+			t.Fatalf("suggest %d: %v", i, err)
+		}
+		if err := intruder.ObserveAt(ctx, i, point, 0.5); err != nil {
+			t.Fatalf("observe %d: %v", i, err)
+		}
+	}
+	stopBystander()
+	if bystanderErr != nil {
+		t.Fatalf("bystander suggest: %v", bystanderErr)
+	}
+	if res.Evicted != "victim-session" {
+		t.Fatalf("OpenResponse.Evicted = %q, want %q", res.Evicted, "victim-session")
 	}
 }

@@ -19,6 +19,10 @@ import (
 //	tris    nt×3 u32    vertex indices of each triangle
 //	crc     u32         IEEE CRC-32 of version..tris
 //
+// Indices travel as u32 but decode into mesh.Triangle's int32, so nv is
+// capped at math.MaxInt32: past it an index could wrap negative. Both
+// directions enforce the cap, and the layout itself is unchanged.
+//
 // Like frames, the encoding is canonical: every payload DecodeMesh accepts
 // re-encodes to byte-identical bytes (FuzzMeshDecode enforces this), and
 // AppendMesh refuses any mesh DecodeMesh would reject.
@@ -37,14 +41,15 @@ func MeshSize(m *mesh.Mesh) int {
 
 // AppendMesh appends the canonical encoding of m to dst and returns the
 // extended slice. It allocates only when dst lacks capacity (size it with
-// MeshSize). A mesh the decoder would reject — counts past u32, an index
-// out of range, a degenerate triangle — is refused here instead.
+// MeshSize). A mesh the decoder would reject — more than math.MaxInt32
+// vertices, a triangle count past u32, an index out of range, a degenerate
+// triangle — is refused here instead.
 //
 //hbo:codec mesh encode
 //hbo:noalloc
 func AppendMesh(dst []byte, m *mesh.Mesh) ([]byte, error) {
-	if uint64(len(m.Vertices)) > math.MaxUint32 || uint64(len(m.Triangles)) > math.MaxUint32 {
-		return dst, fmt.Errorf("wire: mesh of %d vertices and %d triangles overflows u32 counts", len(m.Vertices), len(m.Triangles))
+	if !meshCountsFit(len(m.Vertices), len(m.Triangles)) {
+		return dst, fmt.Errorf("wire: mesh of %d vertices and %d triangles overflows the payload's counts", len(m.Vertices), len(m.Triangles))
 	}
 	if err := m.Validate(); err != nil {
 		return dst, fmt.Errorf("wire: %w", err)
@@ -64,6 +69,13 @@ func AppendMesh(dst []byte, m *mesh.Mesh) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(t[2]))
 	}
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[at:])), nil
+}
+
+// meshCountsFit reports whether the payload can carry a mesh of nv
+// vertices and nt triangles: nv at most math.MaxInt32, so no index wraps
+// negative as an int32, and nt within u32.
+func meshCountsFit(nv, nt int) bool {
+	return uint64(nv) <= math.MaxInt32 && uint64(nt) <= math.MaxUint32
 }
 
 // DecodeMesh parses one mesh payload into a fresh mesh (three allocations:
@@ -88,6 +100,9 @@ func DecodeMesh(buf []byte) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("wire: unsupported mesh version %d", v)
 	}
 	nv, nt := h.u32(1), h.u32(5)
+	if nv > math.MaxInt32 {
+		return nil, fmt.Errorf("wire: mesh of %d vertices overflows int32 indices", nv)
+	}
 	// The exact length rejects truncation and trailing bytes alike. u64
 	// arithmetic: 24·(2³²−1) + 12·(2³²−1) cannot overflow, so a hostile
 	// count can neither wrap the check nor size an allocation the input
@@ -111,7 +126,8 @@ func DecodeMesh(buf []byte) (*mesh.Mesh, error) {
 		if a == b || b == c || a == c {
 			return nil, fmt.Errorf("wire: triangle %d is degenerate: [%d %d %d]", i, a, b, c)
 		}
-		m.Triangles[i] = mesh.Triangle{int(a), int(b), int(c)}
+		// Each index is below nv <= math.MaxInt32, so int32 holds it.
+		m.Triangles[i] = mesh.Triangle{int32(a), int32(b), int32(c)}
 	}
 	return m, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/mar-hbo/hbo/internal/mesh"
@@ -107,6 +109,11 @@ func hostileMeshInputs(t testing.TB) map[string][]byte {
 			binary.LittleEndian.PutUint32(b[5:], math.MaxUint32)
 			return b
 		}),
+		"vertex count past int32": edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[1:], 1<<31)
+			binary.LittleEndian.PutUint32(b[5:], 0)
+			return b[:meshHeaderLen]
+		}),
 		"short body": edit(func(b []byte) []byte { return b[:len(b)-12] }),
 		"index out of range": edit(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[len(b)-4:], 4)
@@ -128,6 +135,28 @@ func TestMeshDecodeRejects(t *testing.T) {
 		if m, err := DecodeMesh(b); err == nil {
 			t.Errorf("%s: decode accepted %x as %d vertices / %d triangles", name, b, len(m.Vertices), len(m.Triangles))
 		}
+	}
+}
+
+// TestMeshVertexCountCap pins the int32 cap on the vertex count. A header
+// claiming 2³¹ vertices fails on the cap itself, before the length check or
+// any allocation; and the encoder refuses such a mesh, checked on the
+// count alone since no test can hold 2³¹ vertices.
+func TestMeshVertexCountCap(t *testing.T) {
+	_, err := DecodeMesh(hostileMeshInputs(t)["vertex count past int32"])
+	if err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Fatalf("decode of a 2^31-vertex header = %v, want the int32 cap", err)
+	}
+	if !meshCountsFit(math.MaxInt32, math.MaxInt32) {
+		t.Fatal("meshCountsFit refused counts at the cap")
+	}
+	if strconv.IntSize < 64 {
+		return // int cannot count past the cap
+	}
+	over := math.MaxInt32
+	over++
+	if meshCountsFit(over, 0) {
+		t.Fatalf("meshCountsFit accepted %d vertices", over)
 	}
 }
 

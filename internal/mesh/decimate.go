@@ -120,12 +120,18 @@ func (h *collapseHeap) pop() collapse {
 	return top
 }
 
+// face is the decimator's working triangle: int indices, so its vertex
+// bookkeeping stays in int. newDecimator widens the mesh's Triangles into
+// it, and extract narrows the survivors back; every index stays below the
+// input's vertex count, so the narrowing is exact.
+type face [3]int
+
 // decimator holds the working state of one QEM simplification run.
 type decimator struct {
 	verts    []Vec3
 	quadrics []quadric
 	version  []int
-	faces    []Triangle
+	faces    []face
 	faceOK   []bool
 	// vertFaces lists each vertex's live incident faces, in no particular
 	// order. The lists start carved from one degree-counted backing array;
@@ -169,14 +175,15 @@ func newDecimator(m *Mesh) *decimator {
 		verts:     append([]Vec3(nil), m.Vertices...),
 		quadrics:  make([]quadric, nv),
 		version:   make([]int, nv),
-		faces:     append([]Triangle(nil), m.Triangles...),
+		faces:     make([]face, nf),
 		faceOK:    make([]bool, nf),
 		vertFaces: make([][]int, nv),
 		liveFaces: nf,
 		queue:     make(collapseHeap, 0, 2*nf), // seeding pushes ~1.5 edges per face
 	}
 	degree := make([]int, nv)
-	for _, t := range d.faces {
+	for fi, t := range m.Triangles {
+		d.faces[fi] = face{int(t[0]), int(t[1]), int(t[2])}
 		for _, v := range t {
 			degree[v]++
 		}
@@ -338,7 +345,7 @@ func (d *decimator) wouldFlip(c *collapse) bool {
 	return check(c.u) || check(c.v)
 }
 
-func contains(t Triangle, v int) bool { return t[0] == v || t[1] == v || t[2] == v }
+func contains(t face, v int) bool { return t[0] == v || t[1] == v || t[2] == v }
 
 // kill retires face fi, dropping it from the face lists of its vertices
 // other than skip (whose list the caller is discarding).
@@ -420,7 +427,8 @@ func (d *decimator) extract() *Mesh {
 	out := &Mesh{Vertices: d.verts}
 	for fi, ok := range d.faceOK {
 		if ok {
-			out.Triangles = append(out.Triangles, d.faces[fi])
+			t := d.faces[fi]
+			out.Triangles = append(out.Triangles, Triangle{int32(t[0]), int32(t[1]), int32(t[2])})
 		}
 	}
 	return out.Compact()

@@ -30,19 +30,25 @@ func UVSphere(rings, segments int) (*Mesh, error) {
 	idx := func(r, s int) int { return 1 + (r-1)*segments + (s % segments) }
 	// Top cap.
 	for s := 0; s < segments; s++ {
-		m.Triangles = append(m.Triangles, Triangle{0, idx(1, s+1), idx(1, s)})
+		if err := m.addTriangles(0, idx(1, s+1), idx(1, s)); err != nil {
+			return nil, err
+		}
 	}
 	// Body quads.
 	for r := 1; r < rings-1; r++ {
 		for s := 0; s < segments; s++ {
 			a, b := idx(r, s), idx(r, s+1)
 			c, d := idx(r+1, s), idx(r+1, s+1)
-			m.Triangles = append(m.Triangles, Triangle{a, b, d}, Triangle{a, d, c})
+			if err := m.addTriangles(a, b, d, a, d, c); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// Bottom cap.
 	for s := 0; s < segments; s++ {
-		m.Triangles = append(m.Triangles, Triangle{southPole, idx(rings-1, s), idx(rings-1, s+1)})
+		if err := m.addTriangles(southPole, idx(rings-1, s), idx(rings-1, s+1)); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
@@ -94,7 +100,9 @@ func Torus(minorRadius float64, rings, segments int) (*Mesh, error) {
 			a, b := idx(r, s), idx(r+1, s)
 			c, d := idx(r, s+1), idx(r+1, s+1)
 			// Wound so normals face outward (positive enclosed volume).
-			m.Triangles = append(m.Triangles, Triangle{a, d, b}, Triangle{a, c, d})
+			if err := m.addTriangles(a, d, b, a, c, d); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return m, nil
@@ -145,7 +153,7 @@ func Box(n int) (*Mesh, error) {
 	m := &Mesh{}
 	// Each face generated independently; duplicate edge vertices are fine
 	// for our purposes (decimation treats them as boundary).
-	addFace := func(origin, du, dv Vec3) {
+	addFace := func(origin, du, dv Vec3) error {
 		base := len(m.Vertices)
 		for i := 0; i <= n; i++ {
 			for j := 0; j <= n; j++ {
@@ -157,17 +165,26 @@ func Box(n int) (*Mesh, error) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				a, b, c, d := at(i, j), at(i+1, j), at(i, j+1), at(i+1, j+1)
-				m.Triangles = append(m.Triangles, Triangle{a, b, d}, Triangle{a, d, c})
+				if err := m.addTriangles(a, b, d, a, d, c); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
 	x, y, z := Vec3{1, 0, 0}, Vec3{0, 1, 0}, Vec3{0, 0, 1}
 	o := Vec3{-0.5, -0.5, -0.5}
-	addFace(o, x, y)        // back (z = -0.5)
-	addFace(o.Add(z), y, x) // front
-	addFace(o, y, z)        // left
-	addFace(o.Add(x), z, y) // right
-	addFace(o, z, x)        // bottom
-	addFace(o.Add(y), x, z) // top
+	for _, f := range [6][3]Vec3{
+		{o, x, y},        // back (z = -0.5)
+		{o.Add(z), y, x}, // front
+		{o, y, z},        // left
+		{o.Add(x), z, y}, // right
+		{o, z, x},        // bottom
+		{o.Add(y), x, z}, // top
+	} {
+		if err := addFace(f[0], f[1], f[2]); err != nil {
+			return nil, err
+		}
+	}
 	return m, nil
 }

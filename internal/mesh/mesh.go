@@ -42,13 +42,32 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
 // Triangle indexes three vertices of a mesh, counter-clockwise when viewed
-// from outside.
-type Triangle [3]int
+// from outside. Indices are int32, the width the mesh payload carries (u32
+// on the wire, DESIGN.md §14), so a triangle takes 12 bytes in every
+// decoded and extracted mesh. Builders that hold int indices go through
+// addTriangles, which refuses any index the width cannot hold.
+type Triangle [3]int32
 
 // Mesh is an indexed triangle mesh.
 type Mesh struct {
 	Vertices  []Vec3
 	Triangles []Triangle
+}
+
+// addTriangles appends one triangle per three indices of idx (its length
+// is a multiple of 3) to m. It fails, appending nothing, when an index is
+// negative or past math.MaxInt32, so no index wraps silently. The
+// generators and ReadOBJ build every triangle through it.
+func (m *Mesh) addTriangles(idx ...int) error {
+	for _, v := range idx {
+		if v < 0 || v > math.MaxInt32 {
+			return fmt.Errorf("mesh: vertex index %d does not fit a triangle's int32 index", v)
+		}
+	}
+	for i := 0; i+2 < len(idx); i += 3 {
+		m.Triangles = append(m.Triangles, Triangle{int32(idx[i]), int32(idx[i+1]), int32(idx[i+2])})
+	}
+	return nil
 }
 
 // TriangleCount returns the number of triangles.
@@ -71,7 +90,7 @@ func (m *Mesh) Validate() error {
 	n := len(m.Vertices)
 	for i, t := range m.Triangles {
 		for _, v := range t {
-			if v < 0 || v >= n {
+			if v < 0 || int(v) >= n {
 				return fmt.Errorf("mesh: triangle %d references vertex %d of %d", i, v, n)
 			}
 		}
@@ -128,13 +147,13 @@ func (m *Mesh) Centroid() Vec3 {
 // indices. It counts the used vertices first, so the new vertex array is
 // allocated once at its exact size. It returns the same mesh for chaining.
 func (m *Mesh) Compact() *Mesh {
-	remap := make([]int, len(m.Vertices))
+	remap := make([]int32, len(m.Vertices))
 	for _, t := range m.Triangles {
 		for _, v := range t {
 			remap[v] = 1
 		}
 	}
-	n := 0
+	n := int32(0)
 	for i, u := range remap {
 		if u == 0 {
 			remap[i] = -1

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -303,5 +304,29 @@ func TestValidateCatchesBadMesh(t *testing.T) {
 	oob := &Mesh{Vertices: []Vec3{{0, 0, 0}}, Triangles: []Triangle{{0, 1, 2}}}
 	if err := oob.Validate(); err == nil {
 		t.Fatal("out-of-range indices passed validation")
+	}
+}
+
+// TestAddTrianglesChecksIndexWidth pins the one checked conversion from
+// int indices that the generators and ReadOBJ share: an index that is
+// negative or past math.MaxInt32 is refused, and nothing is appended.
+func TestAddTrianglesChecksIndexWidth(t *testing.T) {
+	m := &Mesh{}
+	if err := m.addTriangles(0, 1, 2, 2, 1, math.MaxInt32); err != nil {
+		t.Fatalf("in-range indices: %v", err)
+	}
+	want := []Triangle{{0, 1, 2}, {2, 1, math.MaxInt32}}
+	if !slices.Equal(m.Triangles, want) {
+		t.Fatalf("triangles = %v, want %v", m.Triangles, want)
+	}
+	wide := math.MaxInt32
+	wide++ // 2³¹ where int has 64 bits; it wraps negative where it has 32
+	for _, bad := range []int{-1, wide} {
+		if err := m.addTriangles(0, 1, 2, 0, 1, bad); err == nil {
+			t.Fatalf("index %d accepted", bad)
+		}
+		if !slices.Equal(m.Triangles, want) {
+			t.Fatalf("index %d: triangles = %v, want %v untouched", bad, m.Triangles, want)
+		}
 	}
 }

@@ -83,11 +83,13 @@ func ReadOBJ(r io.Reader) (*Mesh, error) {
 			}
 			// Fan-triangulate polygons.
 			for i := 1; i+1 < len(idx); i++ {
-				tr := Triangle{idx[0], idx[i], idx[i+1]}
-				if tr[0] == tr[1] || tr[1] == tr[2] || tr[0] == tr[2] {
+				a, b, c := idx[0], idx[i], idx[i+1]
+				if a == b || b == c || a == c {
 					continue // skip degenerate slivers rather than failing
 				}
-				m.Triangles = append(m.Triangles, tr)
+				if err := m.addTriangles(a, b, c); err != nil {
+					return nil, fmt.Errorf("mesh: obj line %d: %w", lineNo, err)
+				}
 			}
 		default:
 			// vn, vt, g, o, s, usemtl, mtllib... all ignored.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Progressive is a progressive mesh (Hoppe, "Progressive Meshes", SIGGRAPH
@@ -19,6 +20,9 @@ type Progressive struct {
 	// death[fi] is the 1-based step that kills face fi, or math.MaxInt32
 	// for a face that survives the exhaustive run.
 	death []int32
+	// scratch recycles At's per-vertex maps (*[]int32 of twice the base
+	// vertex count) across calls; a pool keeps At safe for concurrent use.
+	scratch sync.Pool
 }
 
 // collapseStep is one applied collapse: v merged into u, which moved to pos,
@@ -44,6 +48,10 @@ func NewProgressive(m *Mesh) (*Progressive, error) {
 	for fi := range p.death {
 		p.death[fi] = math.MaxInt32
 	}
+	p.scratch.New = func() any {
+		buf := make([]int32, 2*len(m.Vertices))
+		return &buf
+	}
 	d := newDecimator(m)
 	d.log = p
 	for d.step() {
@@ -63,7 +71,8 @@ func (p *Progressive) kill(fi int) { p.death[fi] = int32(len(p.steps) + 1) }
 // At returns exactly what Decimate returns for the logged mesh and target,
 // bit for bit. It builds the compacted mesh directly: only the surviving
 // faces and the positions of the vertices they use are written, never a
-// full-resolution copy of the vertex array.
+// full-resolution copy of the vertex array. Its per-vertex maps come from
+// a pool, so the returned mesh is all it allocates once the pool is warm.
 func (p *Progressive) At(target int) (*Mesh, error) {
 	if target < 0 {
 		return nil, fmt.Errorf("mesh: negative decimation target %d", target)
@@ -83,8 +92,10 @@ func (p *Progressive) At(target int) (*Mesh, error) {
 	}
 	steps := p.steps[:k]
 	n := len(p.base.Vertices)
-	buf := make([]int32, 2*n)
-	rep, remap := buf[:n], buf[n:]
+	buf := p.scratch.Get().(*[]int32)
+	defer p.scratch.Put(buf)
+	rep, remap := (*buf)[:n], (*buf)[n:]
+	clear(remap) // a pooled buffer holds the last call's numbering
 	// rep[w] is the vertex w has merged into after k steps. A survivor only
 	// merges later than the step that merged into it, so walking the steps
 	// backwards finds each survivor's representative already final.
@@ -131,7 +142,7 @@ func (p *Progressive) At(target int) (*Mesh, error) {
 	}
 	for fi, t := range p.base.Triangles {
 		if int(p.death[fi]) > k {
-			tris = append(tris, Triangle{int(remap[rep[t[0]]]), int(remap[rep[t[1]]]), int(remap[rep[t[2]]])})
+			tris = append(tris, Triangle{remap[rep[t[0]]], remap[rep[t[1]]], remap[rep[t[2]]]})
 		}
 	}
 	return &Mesh{Vertices: verts, Triangles: tris}, nil

@@ -101,10 +101,12 @@ func FuzzProgressiveAt(f *testing.F) {
 	})
 }
 
-// TestProgressiveAtAllocs bounds a served extraction's allocations: the
-// mesh, its two arrays and one scratch buffer of per-vertex maps, with one
-// to spare. Rebuilding a full-resolution copy and compacting it would take
-// several more.
+// TestProgressiveAtAllocs bounds a served extraction's allocations to the
+// mesh and its two arrays: the per-vertex maps come from the log's pool.
+// Rebuilding a full-resolution copy and compacting it would take several
+// more. The race detector's sync.Pool drops a quarter of its Puts, two
+// allocations each, so the count is averaged over enough runs that those
+// stay below one a call.
 func TestProgressiveAtAllocs(t *testing.T) {
 	m, err := mesh.Blob(3000, 7, 0.3)
 	if err != nil {
@@ -115,13 +117,13 @@ func TestProgressiveAtAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, target := range []int{0, m.TriangleCount() / 2, m.TriangleCount()} {
-		allocs := testing.AllocsPerRun(20, func() {
+		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := p.At(target); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 5 {
-			t.Fatalf("At(%d) made %v allocs/op, want <= 5", target, allocs)
+		if allocs > 3 {
+			t.Fatalf("At(%d) made %v allocs/op, want <= 3", target, allocs)
 		}
 	}
 }

@@ -31,18 +31,18 @@ func Stats(m *Mesh) Statistics {
 		Triangles:   len(m.Triangles),
 		SurfaceArea: m.SurfaceArea(),
 	}
-	edgeUse := make(map[[2]int]int)
+	edgeUse := make(map[[2]int32]int)
 	edgeLenSum := 0.0
 	for _, t := range m.Triangles {
 		a, b, c := m.Vertices[t[0]], m.Vertices[t[1]], m.Vertices[t[2]]
 		// Signed tetrahedron volume against the origin.
 		st.Volume += a.Dot(b.Cross(c)) / 6
-		for _, e := range [3][2]int{{t[0], t[1]}, {t[1], t[2]}, {t[2], t[0]}} {
+		for _, e := range [3][2]int32{{t[0], t[1]}, {t[1], t[2]}, {t[2], t[0]}} {
 			u, v := e[0], e[1]
 			if u > v {
 				u, v = v, u
 			}
-			key := [2]int{u, v}
+			key := [2]int32{u, v}
 			if edgeUse[key] == 0 {
 				edgeLenSum += m.Vertices[u].Sub(m.Vertices[v]).Norm()
 			}
