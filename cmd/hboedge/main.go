@@ -3,8 +3,9 @@
 // mesh caches and remote Bayesian-optimization steps over HTTP.
 //
 // The server is hardened for unattended operation: request bodies are
-// size-capped, handlers are time-bounded, slow-client reads and writes time
-// out, and SIGINT/SIGTERM drain in-flight requests before exit.
+// size-capped, slow-client reads and writes time out, a panicking handler
+// loses only its own connection, and SIGINT/SIGTERM drain in-flight
+// requests before exit.
 //
 // Observability endpoints ride alongside the service routes:
 //

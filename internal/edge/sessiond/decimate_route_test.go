@@ -10,31 +10,25 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/mar-hbo/hbo/internal/edge"
 	"github.com/mar-hbo/hbo/internal/edge/sessiond/wire"
 	"github.com/mar-hbo/hbo/internal/mesh"
 )
 
-// The decimate route bounds itself instead of running behind
-// http.TimeoutHandler. These tests pin the properties that wrapper gave it:
-// a stuck Decimator costs its request a 503 within handlerTimeout and costs
-// nothing after, and a panicking one loses its connection without taking the
-// server down. TestSessionRoutesRejectOversizeBody pins the body cap (413).
+// The decimate route runs on the serving goroutine, with no wrapper such as
+// http.TimeoutHandler. These tests pin what that must keep: a panicking
+// Decimator loses its connection without taking the server down, and a
+// cache hit writes the cached payload with no copy and a bounded number of
+// allocations. TestSessionRoutesRejectOversizeBody pins the body cap (413).
 
-// routeDecimator returns one fixed mesh. Objects named "stall" block until
-// release is closed; objects named "bomb" panic.
+// routeDecimator returns one fixed mesh. Objects named "bomb" panic.
 type routeDecimator struct {
-	m       *mesh.Mesh
-	release chan struct{}
+	m *mesh.Mesh
 }
 
 func (d *routeDecimator) Decimate(object string, ratio float64, fast bool) (*mesh.Mesh, error) {
-	switch object {
-	case "stall":
-		<-d.release
-	case "bomb":
+	if object == "bomb" {
 		panic("routeDecimator: bomb")
 	}
 	return d.m.Clone(), nil
@@ -46,8 +40,7 @@ func newRouteService(t *testing.T) (*Service, *routeDecimator) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := &routeDecimator{m: m, release: make(chan struct{})}
-	t.Cleanup(func() { close(dec.release) })
+	dec := &routeDecimator{m: m}
 	svc, err := New(DefaultConfig(), dec)
 	if err != nil {
 		t.Fatal(err)
@@ -56,12 +49,11 @@ func newRouteService(t *testing.T) (*Service, *routeDecimator) {
 }
 
 // routeClient opens a session through a client that makes one attempt per
-// call and gives each attempt routeAttempt before it stops waiting.
+// call.
 func routeClient(t *testing.T, base, id string) *Client {
 	t.Helper()
 	cfg := edge.DefaultClientConfig()
 	cfg.MaxRetries = 0
-	cfg.Timeout = routeAttempt
 	ec, err := edge.NewClientWithConfig(base, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -75,53 +67,6 @@ func routeClient(t *testing.T, base, id string) *Client {
 		t.Fatal(err)
 	}
 	return sc
-}
-
-// routeAttempt is the client's per-attempt timeout in these tests: an
-// answer from a stalled route must come well within it.
-const routeAttempt = 5 * time.Second
-
-// TestDecimateRouteTimeout stalls the Decimator: the fetch must come back
-// 503 while the decimation is still stalled, and the same client's next
-// fetch must then succeed, because the route released the connection and
-// the session lock.
-func TestDecimateRouteTimeout(t *testing.T) {
-	defer func(d time.Duration) { handlerTimeout = d }(handlerTimeout)
-	handlerTimeout = 50 * time.Millisecond
-	svc, dec := newRouteService(t)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	// A stall still pending when the test fails would keep ts.Close
-	// waiting on its request; release it first.
-	defer func() {
-		select {
-		case dec.release <- struct{}{}:
-		default:
-		}
-	}()
-	sc := routeClient(t, ts.URL, "stuck")
-	ctx := context.Background()
-
-	// The stalled Decimator returns only once released below, so a 503
-	// here, and not the client's own attempt timeout, is the route's bound
-	// firing.
-	_, err := sc.Decimate(ctx, "stall", 0.5, false)
-	if code, ok := edge.StatusCode(err); !ok || code != http.StatusServiceUnavailable {
-		t.Fatalf("stalled fetch = %v, want 503 within the %v attempt timeout", err, routeAttempt)
-	}
-	if !strings.Contains(err.Error(), "sessiond: handler timeout") {
-		t.Fatalf("stalled fetch error %q lacks the timeout message", err)
-	}
-	// The stalled decimation still holds the session's mesh lock; releasing
-	// it lets the background call finish, and the next fetch must succeed.
-	dec.release <- struct{}{}
-	m, err := sc.Decimate(ctx, "apricot", 0.5, false)
-	if err != nil {
-		t.Fatalf("fetch after the timeout: %v", err)
-	}
-	if m.TriangleCount() != dec.m.TriangleCount() {
-		t.Fatalf("fetch after the timeout: %d triangles, want %d", m.TriangleCount(), dec.m.TriangleCount())
-	}
 }
 
 // TestDecimateRoutePanic makes the Decimator panic. The panic must reach
@@ -204,5 +149,43 @@ func TestDecimateHitNoPayloadCopy(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perHit := (after.TotalAlloc - before.TotalAlloc) / n; perHit > uint64(payload)/4 {
 		t.Fatalf("a cache hit allocates %d bytes for a %d-byte payload, want under %d", perHit, payload, payload/4)
+	}
+}
+
+// maxHitAllocs bounds the allocations of one cache hit through the route's
+// handler: the body cap, the JSON decode, the session lookup and the
+// response headers, 14 with Go 1.24. Handing the hit to a helper goroutine
+// with a result channel and a timer, instead of serving it on the one
+// net/http runs the handler on, adds 6 and fails the bound.
+const maxHitAllocs = 16
+
+// TestDecimateHitAllocs counts the allocations of cache hits through the
+// route's handler, with requests and the writer built outside the count.
+func TestDecimateHitAllocs(t *testing.T) {
+	svc, _ := newRouteService(t)
+	if _, _, err := svc.open("hits", testParams(1)); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	body := []byte(`{"id":"hits","object":"apricot","ratio":0.5}`)
+	const runs = 200
+	reqs := make([]*http.Request, runs+2) // +1 miss, +1 AllocsPerRun warm-up
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/session/decimate", bytes.NewReader(body))
+	}
+	w := &discardWriter{h: http.Header{}}
+	next := 0
+	serve := func() {
+		w.status = 0
+		h.ServeHTTP(w, reqs[next])
+		next++
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	}
+	serve() // the miss that fills the cache
+	perHit := testing.AllocsPerRun(runs, serve)
+	if perHit > maxHitAllocs {
+		t.Fatalf("a cache hit allocates %.1f times, want at most %d", perHit, maxHitAllocs)
 	}
 }

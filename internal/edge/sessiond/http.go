@@ -1,14 +1,12 @@
 package sessiond
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // The decimate route's binary response: its media type, and the header
@@ -18,15 +16,10 @@ const (
 	MeshCacheHeader = "X-Mesh-Cache"
 )
 
-// Request-handling bounds. One client is a single MAR session, so even
-// generous bounds are tiny next to what an unvalidated request could cost:
-// an unbounded body pins memory and a handler that never finishes pins a
-// connection.
+// maxRequestBytes caps a decimate request body. One client is a single MAR
+// session, so even a generous cap is tiny next to what an unbounded body
+// could pin in memory.
 const maxRequestBytes = 4 << 20
-
-// handlerTimeout bounds how long a decimate request waits for its mesh. It
-// is a variable only so tests can shorten it.
-var handlerTimeout = 30 * time.Second
 
 // DecimateRequest fetches a decimated mesh through the session's private
 // mesh cache. The 200 response body is the binary mesh payload
@@ -80,14 +73,15 @@ type StatsResponse struct {
 // Register mounts the session routes on mux: /session/stream carries every
 // session op (open, suggest, observe, close) as wire frames, the decimate
 // route serves meshes, and statz reports live state. The decimate route
-// bounds itself (handleDecimate): a body cap and a per-request timeout, so
-// one abusive or stuck request cannot pin the server's memory or
-// connections.
+// caps its request body (handleDecimate), so one abusive request cannot pin
+// the server's memory; it runs on the serving goroutine, so net/http
+// recovers a Decimator panic itself and the http.Server's own timeouts
+// bound slow clients.
 func (s *Service) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /session/decimate", s.handleDecimate)
-	// The stream route has neither bound: it is long-lived and flushed per
-	// frame, so a timeout or a body cap would sever a healthy stream. The
-	// wire codec's per-frame bounds bound it instead.
+	// The stream route has no body cap: it is long-lived and flushed per
+	// frame, so a cap would sever a healthy stream. The wire codec's
+	// per-frame bounds bound it instead.
 	mux.HandleFunc("POST /session/stream", s.handleStream)
 	mux.HandleFunc("GET /session/statz", s.handleStats)
 }
@@ -110,12 +104,11 @@ func validID(id string) error {
 	return nil
 }
 
-// handleDecimate serves one mesh payload. It enforces the route's bounds
-// itself rather than through http.TimeoutHandler, which would copy every
-// payload into a buffer of its own before writing it: the body is read
-// through a 4 MiB cap, and the mesh is awaited for at most handlerTimeout,
-// after which the request gets a 503 while the decimation finishes in the
-// background (and still fills the session's cache).
+// handleDecimate serves one mesh payload on the serving goroutine: the body
+// is read through a 4 MiB cap, and the payload is written straight from the
+// session's cache with no buffering wrapper (http.TimeoutHandler would copy
+// all of it). A waiting bound would protect nothing: a stalled decimation
+// keeps the session's lock whether or not its request is still waited on.
 func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var req DecimateRequest
@@ -146,23 +139,19 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("sessiond: unknown session %q", req.ID), http.StatusNotFound)
 		return
 	}
-	d, ok := decimateWithin(r.Context(), sess, s.dec, &req)
-	if !ok {
-		http.Error(w, "sessiond: handler timeout", http.StatusServiceUnavailable)
-		return
-	}
-	if d.err != nil {
+	payload, cached, err := sess.decimate(s.dec, req.Object, req.Ratio)
+	if err != nil {
 		code := http.StatusNotFound
-		if errors.Is(d.err, errMeshEncode) {
+		if errors.Is(err, errMeshEncode) {
 			code = http.StatusInternalServerError
 		}
-		http.Error(w, d.err.Error(), code)
+		http.Error(w, err.Error(), code)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", MeshContentType)
-	h.Set("Content-Length", strconv.Itoa(len(d.payload)))
-	if d.cached {
+	h.Set("Content-Length", strconv.Itoa(len(payload)))
+	if cached {
 		s.metMeshHits.Inc()
 		h.Set(MeshCacheHeader, "hit")
 	} else {
@@ -172,49 +161,7 @@ func (s *Service) handleDecimate(w http.ResponseWriter, r *http.Request) {
 	s.metDecimates.Inc()
 	// Headers are out once Write starts; a failed write is the client's
 	// (retried) problem.
-	_, _ = w.Write(d.payload)
-}
-
-// decimated is one sess.decimate outcome, or the panic it raised.
-type decimated struct {
-	payload []byte
-	cached  bool
-	err     error
-	panic   any
-}
-
-// decimateWithin runs sess.decimate on a goroutine of its own and waits
-// for it at most handlerTimeout, or until the client goes away; ok is
-// false if it stopped waiting. A panic in the Decimator is raised again on
-// the calling goroutine, as http.TimeoutHandler does, so net/http's
-// per-connection recovery still applies to it.
-func decimateWithin(ctx context.Context, sess *session, dec Decimator, req *DecimateRequest) (d decimated, ok bool) {
-	// Buffered, so a result nobody waits for any more cannot block its
-	// goroutine.
-	done := make(chan decimated, 1)
-	go func() {
-		var res decimated
-		defer func() {
-			if p := recover(); p != nil {
-				res.panic = p
-			}
-			done <- res
-		}()
-		res.payload, res.cached, res.err = sess.decimate(dec, req.Object, req.Ratio)
-	}()
-	timer := time.NewTimer(handlerTimeout)
-	defer timer.Stop()
-	select {
-	case d = <-done:
-		if d.panic != nil {
-			panic(d.panic)
-		}
-		return d, true
-	case <-timer.C:
-		return d, false
-	case <-ctx.Done():
-		return d, false
-	}
+	_, _ = w.Write(payload)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

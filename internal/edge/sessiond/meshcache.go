@@ -29,8 +29,6 @@ type meshCache struct {
 	cap     int
 	entries map[meshKey]*list.Element
 	lru     *list.List
-	hits    int
-	misses  int
 }
 
 type meshEntry struct {
@@ -46,11 +44,9 @@ func newMeshCache(capacity int) *meshCache {
 // shared with every later hit and must not be mutated.
 func (c *meshCache) get(key meshKey) []byte {
 	if el, ok := c.entries[key]; ok {
-		c.hits++
 		c.lru.MoveToFront(el)
 		return el.Value.(*meshEntry).payload
 	}
-	c.misses++
 	return nil
 }
 

@@ -97,15 +97,11 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it reaches this size.
 	// Zero means 1 MiB.
 	SegmentBytes int64
-	// DisableAutoCompact turns off the background garbage-ratio compaction;
-	// Compact may still be called explicitly.
-	DisableAutoCompact bool
 }
 
 // FileStore is an append-only segmented-log blob store keyed by session id.
-// Safe for concurrent use. All mutating state is guarded by mu; background
-// compaction runs in its own goroutine but does its work under the same
-// mutex, so callers observe it only as a changed segment layout.
+// Safe for concurrent use. All mutating state is guarded by mu; compaction
+// runs inline under it, on the Put or Delete whose garbage trips it.
 type FileStore struct {
 	fs   FS
 	dir  string
@@ -120,13 +116,7 @@ type FileStore struct {
 	activeSize int64
 	segments   map[uint64]int64 // sealed + active segment sizes
 	recovery   RecoveryStats
-	compacting bool
 	closed     bool
-	wg         sync.WaitGroup
-
-	// onCompact, when set (before any traffic), runs under mu after each
-	// successful compaction — a deterministic test hook, nil in production.
-	onCompact func()
 }
 
 // Open loads (or creates) a file store rooted at dir. A nil fsys means the
@@ -407,23 +397,17 @@ func (s *FileStore) SizeBytes() int64 {
 	return s.totalBytes
 }
 
-// maybeCompactLocked kicks off a background compaction when the garbage
-// (dead record bytes) exceeds both one segment's worth and the live data
-// itself — i.e. when at least half the log is rewrite-able away.
+// maybeCompactLocked compacts, inline, once the garbage (dead record
+// bytes) exceeds both one segment's worth and the live data itself — i.e.
+// when at least half the log is rewrite-able away. The write that trips it
+// has already succeeded, so a failed compaction is not its error: the old
+// segments still hold every record, and the next tripping write retries.
 func (s *FileStore) maybeCompactLocked() {
-	if s.opts.DisableAutoCompact || s.compacting || s.closed {
-		return
-	}
 	garbage := s.totalBytes - s.liveBytes
 	if garbage < s.opts.SegmentBytes || garbage < s.liveBytes {
 		return
 	}
-	s.compacting = true
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		_ = s.Compact()
-	}()
+	_ = s.compactLocked()
 }
 
 // Compact rewrites all live blobs into a fresh segment and removes every
@@ -433,11 +417,14 @@ func (s *FileStore) maybeCompactLocked() {
 func (s *FileStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer func() { s.compacting = false }()
 	if s.closed {
 		return fmt.Errorf("snapstore: store is closed")
 	}
+	return s.compactLocked()
+}
 
+// compactLocked is Compact's rewrite; s.mu is held and the store is open.
+func (s *FileStore) compactLocked() error {
 	old := make([]uint64, 0, len(s.segments))
 	for seq := range s.segments {
 		old = append(old, seq)
@@ -495,9 +482,6 @@ func (s *FileStore) Compact() error {
 	s.segments = map[uint64]int64{outSeq: outSize, nextSeq: 0}
 	s.totalBytes = outSize
 	s.activeSeq, s.active, s.activeSize = nextSeq, f, 0
-	if s.onCompact != nil {
-		s.onCompact()
-	}
 	return nil
 }
 
@@ -511,19 +495,14 @@ func (s *FileStore) compactAbort(outSeq uint64, err error) error {
 	return err
 }
 
-// Close waits for background compaction and seals the active segment.
+// Close seals the active segment.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
-	s.wg.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.active != nil {
 		if s.opts.Fsync {
 			_ = s.active.Sync()
@@ -535,9 +514,9 @@ func (s *FileStore) Close() error {
 	return nil
 }
 
-// MemStore is the trivial in-memory SessionStore: process-lifetime
-// durability only, used as the default when no -store-dir is configured and
-// as the reference implementation in tests.
+// MemStore is the trivial in-memory SessionStore, with process-lifetime
+// durability only; tests use it as the reference implementation. hboedge
+// never uses it: without -store-dir it leaves sessiond's Config.Store nil.
 type MemStore struct {
 	mu    sync.Mutex
 	blobs map[string][]byte

@@ -43,7 +43,7 @@ func reopen(t *testing.T, s *FileStore, dir string, opts Options) *FileStore {
 // close/reopen cycle.
 func TestFileStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DisableAutoCompact: true}
+	opts := Options{}
 	s, err := Open(nil, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 // multiple files and recovery replays them all in order.
 func TestFileStoreRotation(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 256, DisableAutoCompact: true}
+	opts := Options{SegmentBytes: 256}
 	s, err := Open(nil, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +113,13 @@ func TestFileStoreRotation(t *testing.T) {
 }
 
 // TestFileStoreCompaction checks that Compact shrinks the log to live data
-// only, removes old segments, and that the compacted store recovers.
+// only, removes old segments, and that the compacted store recovers. The
+// churn below leaves 4795 bytes of garbage, so segments just over that size
+// keep the automatic trigger from firing while the log still spans two
+// segments when Compact runs.
 func TestFileStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 512, DisableAutoCompact: true}
+	opts := Options{SegmentBytes: 4800}
 	s, err := Open(nil, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +135,13 @@ func TestFileStoreCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("churn left %d segments, want 2 and no automatic compaction", len(entries))
+	}
 	before := s.SizeBytes()
 	if err := s.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
@@ -140,8 +150,7 @@ func TestFileStoreCompaction(t *testing.T) {
 	if after >= before/2 {
 		t.Fatalf("compaction barely helped: %d -> %d bytes", before, after)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if entries, err = os.ReadDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 2 { // rewrite segment + fresh active
@@ -160,9 +169,15 @@ func TestFileStoreCompaction(t *testing.T) {
 	}
 }
 
-// TestFileStoreAutoCompaction churns enough garbage to trip the background
-// compactor and verifies (after Close, which waits for it) that the log
-// shrank and nothing was lost.
+// TestFileStoreAutoCompaction overwrites one id 50 times and checks the log
+// the automatic compaction leaves, which runs inline on the Put that trips
+// it. Each record is 119 bytes, so with 512-byte segments garbage first
+// reaches the trigger on the 6th Put and then on every 5th Put after a
+// compaction (6, 11, ..., 46). Each compaction writes its rewrite segment
+// and a fresh active one, two sequence numbers on from the segment it
+// seals; the first seals segment 1, the one the 6th Put rotated into. After
+// the 50th Put the log is the 9th compaction's rewrite, segment 18, holding
+// one record, and its active segment 19, holding the four Puts since.
 func TestFileStoreAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SegmentBytes: 512}
@@ -170,34 +185,37 @@ func TestFileStoreAutoCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted := make(chan struct{}, 1)
-	s.onCompact = func() {
-		select {
-		case compacted <- struct{}{}:
-		default:
-		}
-	}
 	for round := 0; round < 50; round++ {
 		mustPut(t, s, "only", blobFor("z", 100))
 	}
-	<-compacted // go test's own timeout bounds a regression here
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err = Open(nil, dir, opts)
+	rec := recordSize("only", blobFor("z", 100))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var layout []string
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout = append(layout, fmt.Sprintf("%s:%d", e.Name(), info.Size()))
+	}
+	want := []string{
+		fmt.Sprintf("%s:%d", segName(18), rec),
+		fmt.Sprintf("%s:%d", segName(19), 4*rec),
+	}
+	if fmt.Sprint(layout) != fmt.Sprint(want) {
+		t.Fatalf("segments after 50 puts = %v, want %v", layout, want)
+	}
+	s = reopen(t, s, dir, opts)
 	defer s.Close()
 	blob, ok, _ := s.Get("only")
 	if !ok || !bytes.Equal(blob, blobFor("z", 100)) {
 		t.Fatal("auto-compaction lost the live blob")
 	}
-	// Without compaction the log would replay all 50 appends; any compaction
-	// collapses the overwrites it covers, so the recovered record count must
-	// have dropped (how far depends on when the background pass ran).
-	if rec := s.Recovery(); rec.Records >= 50 {
-		t.Fatalf("recovery replayed %d records — the log never compacted", rec.Records)
+	if got := s.Recovery(); got.Records != 5 || got.Segments != 2 {
+		t.Fatalf("recovery stats %+v, want 5 records in 2 segments", got)
 	}
 }
 
@@ -206,7 +224,7 @@ func TestFileStoreAutoCompaction(t *testing.T) {
 // and truncate the torn tail, and leave the store appendable.
 func TestFileStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DisableAutoCompact: true}
+	opts := Options{}
 	s, err := Open(nil, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +276,7 @@ func TestFileStoreTornTail(t *testing.T) {
 // but later segments still replay — boot never fails.
 func TestFileStoreCorruptMidSegment(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 128, DisableAutoCompact: true}
+	opts := Options{SegmentBytes: 128}
 	s, err := Open(nil, dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +317,7 @@ func TestFileStoreCorruptMidSegment(t *testing.T) {
 // TestFileStoreRejectsOversize checks the framing caps.
 func TestFileStoreRejectsOversize(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(nil, dir, Options{DisableAutoCompact: true})
+	s, err := Open(nil, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,5 +384,30 @@ func TestMemStore(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkFileStorePut overwrites 64 session ids round-robin with 1 KiB
+// blobs at the default segment size, so the garbage trips the automatic
+// compaction every ~1000 Puts and ns/op includes its amortized rewrite.
+func BenchmarkFileStorePut(b *testing.B) {
+	s, err := Open(nil, b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const sessions = 64
+	ids := make([]string, sessions)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("session-%02d", i)
+	}
+	blob := blobFor("x", 1<<10)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(ids[i%sessions], blob); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

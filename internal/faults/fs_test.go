@@ -25,7 +25,7 @@ func openStore(t *testing.T, dir string, fsys snapstore.FS, opts snapstore.Optio
 func TestFaultFSTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil, FSPlan{})
-	opts := snapstore.Options{DisableAutoCompact: true}
+	opts := snapstore.Options{}
 	s := openStore(t, dir, ffs, opts)
 
 	if err := s.Put("committed", bytes.Repeat([]byte{1}, 100)); err != nil {
@@ -70,7 +70,7 @@ func TestFaultFSTornWrite(t *testing.T) {
 func TestFaultFSSyncError(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil, FSPlan{SyncErrs: map[int]bool{0: true}})
-	s := openStore(t, dir, ffs, snapstore.Options{Fsync: true, DisableAutoCompact: true})
+	s := openStore(t, dir, ffs, snapstore.Options{Fsync: true})
 	defer s.Close()
 	err := s.Put("id", []byte("payload"))
 	var fe *FSFaultError
@@ -87,7 +87,7 @@ func TestFaultFSSyncError(t *testing.T) {
 // records that fit in what was read.
 func TestFaultFSShortReadRecovery(t *testing.T) {
 	dir := t.TempDir()
-	opts := snapstore.Options{DisableAutoCompact: true}
+	opts := snapstore.Options{}
 	s := openStore(t, dir, nil, opts)
 	if err := s.Put("first", bytes.Repeat([]byte{1}, 50)); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestFaultFSShortReadRecovery(t *testing.T) {
 // record, the scan stops there, and the boot still succeeds.
 func TestFaultFSCorruptReadRecovery(t *testing.T) {
 	dir := t.TempDir()
-	opts := snapstore.Options{DisableAutoCompact: true}
+	opts := snapstore.Options{}
 	s := openStore(t, dir, nil, opts)
 	if err := s.Put("only", bytes.Repeat([]byte{7}, 50)); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestFaultFSDeterminism(t *testing.T) {
 			TornWrites: map[int]int{2: 10},
 			SyncErrs:   map[int]bool{1: true},
 		})
-		s := openStore(t, dir, ffs, snapstore.Options{Fsync: true, DisableAutoCompact: true})
+		s := openStore(t, dir, ffs, snapstore.Options{Fsync: true})
 		for i := 0; i < 4; i++ {
 			_ = s.Put("id", bytes.Repeat([]byte{byte(i)}, 40))
 		}
